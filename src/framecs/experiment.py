@@ -8,11 +8,13 @@ constant was computed exactly and the certificate was applicable -- there is
 no silent downgrade.
 """
 
+import dataclasses
 import json
 import math
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -111,17 +113,60 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: Dict) -> "ExperimentConfig":
-        raw = dict(raw)
-        frame = FrameSpec(**raw.pop("frame", {}))
-        matrix = MatrixSpec(**raw.pop("matrix", {}))
-        signal = SignalSpec(**raw.pop("signal", {}))
-        solver = solvers.SolverOptions(**raw.pop("solver", {}))
-        return cls(frame=frame, matrix=matrix, signal=signal, solver=solver, **raw)
+        return _from_raw(cls, raw, "config")
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                raw = json.load(fh)
+            except ValueError as err:
+                raise ContractViolation("config %s is not valid JSON: %s" % (path, err)) from err
+        return cls.from_dict(raw)
+
+
+def _type_name(hint) -> str:
+    if typing.get_origin(hint) is typing.Union:
+        return " or ".join(_type_name(h) for h in typing.get_args(hint))
+    return "null" if hint is type(None) else hint.__name__
+
+
+def _matches(value, hint) -> bool:
+    if hint is object:
+        return True
+    if typing.get_origin(hint) is typing.Union:
+        return any(_matches(value, h) for h in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, hint)
+
+
+def _from_raw(cls, raw, where: str):
+    """Build a config dataclass from parsed JSON, naming the first unknown
+    key, missing key or mistyped value instead of failing inside it."""
+    if not isinstance(raw, dict):
+        raise ContractViolation("%s must be a JSON object, got %s"
+                                % (where, type(raw).__name__))
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if (f.name not in raw and f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING):
+            raise ContractViolation("missing key %r in %s" % (f.name, where))
+    kwargs = {}
+    for key, value in raw.items():
+        if key not in hints:
+            raise ContractViolation("unknown key %r in %s" % (key, where))
+        hint = hints[key]
+        name = key if where == "config" else "%s.%s" % (where, key)
+        if dataclasses.is_dataclass(hint):
+            value = _from_raw(hint, value, name)
+        elif not _matches(value, hint):
+            raise ContractViolation("%s must be %s, got %s %r"
+                                    % (name, _type_name(hint), type(value).__name__, value))
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -150,6 +195,9 @@ class ExperimentRecord:
     status: str
     audit_pass: int
     audit_total: int
+    # why the record departs from what the config asked for (JSON only; the
+    # CSV columns are a fixed contract)
+    reason: Optional[str] = None
 
     def to_csv_row(self) -> "CsvRow":
         return CsvRow(
@@ -172,7 +220,7 @@ class ExperimentRecord:
             "err_l2": self.err_l2, "bound": self.bound,
             "within_bound": self.within_bound, "iters": self.iters,
             "status": self.status, "audit_pass": self.audit_pass,
-            "audit_total": self.audit_total,
+            "audit_total": self.audit_total, "reason": self.reason,
         }
 
 
@@ -219,24 +267,43 @@ def _gen_matrix(kind: str, m: int, n: int, seed: int) -> np.ndarray:
     return sensing.gen_bernoulli(m, n, seed)
 
 
-def _resolve_scale(spec_scale, a, frame, order) -> float:
+def _fixed_scale(spec_scale) -> Optional[float]:
+    """The numeric scale, or None for one picked from the spectrum range."""
     if isinstance(spec_scale, (int, float)) and not isinstance(spec_scale, bool):
-        if spec_scale <= 0:
+        if not spec_scale > 0:
             raise ContractViolation("matrix scale must be positive")
         return float(spec_scale)
-    lo, hi = drip.support_spectrum_range(a, frame, order)
+    return None
+
+
+def _resolve_scale(spec_scale, lo, hi) -> Tuple[float, Optional[str]]:
+    """Scale for A picked from the global spectrum range (lo, hi) of the
+    order-2s forms, and the reason when it is not the scale asked for."""
+    auto = math.sqrt(2.0 / (hi + lo))
     if isinstance(spec_scale, str) and spec_scale == "auto_min":
-        return math.sqrt(2.0 / (hi + lo))
+        return auto, None
     if isinstance(spec_scale, dict) and "target_delta" in spec_scale:
-        t = float(spec_scale["target_delta"])
-        if not 0.0 < t < 1.0:
-            raise ContractViolation("target_delta must be in (0, 1)")
+        t = spec_scale["target_delta"]
+        if not _matches(t, float) or not 0.0 < t < 1.0:
+            raise ContractViolation("target_delta must be a number in (0, 1)")
+        t = float(t)
         d_min = (hi - lo) / (hi + lo)
         if t < d_min:
-            # target unreachable; fall back to the achievable minimum
-            return math.sqrt(2.0 / (hi + lo))
-        return math.sqrt((1.0 + t) / hi)
+            return auto, ("target_delta %.6g is below the reachable minimum "
+                          "%.6g; the auto_min scale was used instead" % (t, d_min))
+        return math.sqrt((1.0 + t) / hi), None
     raise ContractViolation("bad matrix scale %r" % (spec_scale,))
+
+
+def _exact_spectrum(a, frame, order) -> drip.SpectrumExtremes:
+    try:
+        return drip.spectrum_extremes(a, frame, order)
+    except EnumerationLimitError as err:
+        raise EnumerationLimitError(
+            "%s -- shrink (d, s), or use a numeric matrix scale with "
+            "\"drip_mode\": \"lower\" (which disables bound assertions and "
+            "marks records accordingly)" % err
+        ) from err
 
 
 def _draw_signal(frame, s, seed) -> np.ndarray:
@@ -258,25 +325,31 @@ def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
         "signal": derive_seed(config.signal.seed, trial),
         "noise": derive_seed(config.noise_seed, trial),
     }
+    order = 2 * config.s
     frame = build_frame(config.frame.kind, config.n, config.d, seeds["frame"])
     a = _gen_matrix(config.matrix.kind, config.m, config.n, seeds["matrix"])
-    a = a * _resolve_scale(config.matrix.scale, a, frame, 2 * config.s)
+    reasons = []
+    scale = _fixed_scale(config.matrix.scale)
+    spectrum = None
+    if scale is None:
+        # one enumeration picks the scale and, rescaled by scale^2, gives
+        # the exact constant of the scaled matrix
+        spectrum = _exact_spectrum(a, frame, order)
+        scale, why = _resolve_scale(config.matrix.scale, *spectrum.spectrum_range())
+        if why:
+            reasons.append(why)
+    a = a * scale
     f = _draw_signal(frame, config.s, seeds["signal"])
     model = sensing.measure(a, f, mode=config.noise_mode, level=config.eps,
                             seed=seeds["noise"])
 
-    order = 2 * config.s
-    if config.drip_mode == "exact":
-        try:
-            rip = drip.exact_drip(a, frame, order)
-        except EnumerationLimitError as err:
-            raise EnumerationLimitError(
-                "%s -- shrink (d, s) or set \"drip_mode\": \"lower\" (which "
-                "disables bound assertions and marks records accordingly)" % err
-            ) from err
-    else:
+    if config.drip_mode == "lower":
         rip = drip.random_lower_bound(a, frame, order, config.drip_trials,
                                       derive_seed(config.drip_seed, trial))
+    elif spectrum is not None:
+        rip = spectrum.report(order, scale * scale)
+    else:
+        rip = _exact_spectrum(a, frame, order).report(order)
     exact = rip.method == drip.METHOD_EXACT
 
     q = config.q if config.program == "pq" else None
@@ -332,8 +405,8 @@ def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
                                               y=model.y)
             audit_total = len(records)
             audit_pass = sum(1 for r in records if r.holds)
-        except ContractViolation:
-            audit_pass = audit_total = 0
+        except ContractViolation as exc:
+            reasons.append("audit_lemmas rejected the instance: %s" % exc)
 
     return ExperimentRecord(
         trial=trial, seeds=seeds, n=config.n, d=config.d, m=config.m,
@@ -342,6 +415,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
         rho=cert.rho, C0=cert.C0, C1=cert.C1, q0=cert.q0, tail=tail,
         err_l2=err, bound=bound, within_bound=within, iters=res.iterations,
         status=status, audit_pass=audit_pass, audit_total=audit_total,
+        reason="; ".join(reasons) or None,
     )
 
 

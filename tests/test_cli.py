@@ -246,6 +246,20 @@ class TestExitCodes:
                            str(tmp_path / "missing.txt"), "--s", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 8, "d": 12, "m": 64, "s": 2, "bogus": 1}',
+        '{"n": 8, "d": 12, "m": 64, "s": 2',
+        '{"n": 8, "d": 12, "m": 64, "s": "2"}',
+    ])
+    def test_malformed_config_is_one(self, capsys, tmp_path, text):
+        path = tmp_path / "exp.json"
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "experiment", "run", "--config", str(path),
+                           "--out", str(tmp_path / "run.csv"))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 

@@ -1,17 +1,29 @@
 import json
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from framecs.drip import (
     exact_drip,
     exact_rip,
     random_lower_bound,
+    spectrum_extremes,
     support_deviation,
+    support_spectra,
     support_spectrum_range,
 )
 from framecs.errors import ContractViolation, EnumerationLimitError
-from framecs.frames import make_identity_frame, make_random_tight_frame
+from framecs.frames import (
+    make_identity_frame,
+    make_random_tight_frame,
+    make_union_frame,
+)
+from framecs.linalg import DEFAULT_TOL, orthonormal_range_basis
+from framecs.rng import rng_from_seed
 from framecs.sensing import gen_gaussian
 
 
@@ -191,3 +203,188 @@ class TestSerialization:
         assert payload["witness_support"] == [1]
         assert payload["supports_examined"] == 2
         assert payload["delta"] == 0.75
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against a one-support-at-a-time reference
+
+
+@dataclass(frozen=True)
+class RawFrame:
+    """A frame without TightFrame's validation, to plant zero columns."""
+
+    matrix: np.ndarray
+
+    @property
+    def n(self):
+        return self.matrix.shape[0]
+
+    @property
+    def d(self):
+        return self.matrix.shape[1]
+
+
+def reference_spectrum(a, mat, support):
+    """(lo, hi) on range(D_T) from an SVD basis and eigvalsh, one support at
+    a time; None for a rank-zero support."""
+    u, sv, _ = np.linalg.svd(mat[:, list(support)], full_matrices=False)
+    if sv[0] <= 0.0:
+        return None
+    basis = u[:, :int(np.count_nonzero(sv > DEFAULT_TOL * sv[0]))]
+    w = np.linalg.eigvalsh(basis.T @ a.T @ a @ basis)
+    return w[0], w[-1]
+
+
+def reference_drip(a, mat, supports):
+    delta, witness = -1.0, ()
+    for support in supports:
+        spec = reference_spectrum(a, mat, support)
+        dev = 0.0 if spec is None else max(spec[1] - 1.0, 1.0 - spec[0])
+        if dev > delta:
+            delta, witness = dev, tuple(support)
+    return delta, witness
+
+
+def zero_column_frame(n, d, seed):
+    mat = np.zeros((n, d))
+    mat[:, 1:] = make_random_tight_frame(n, d - 1, seed=seed).matrix
+    return RawFrame(mat)
+
+
+def check_kernel(a, frame, t):
+    supports = list(combinations(range(frame.d), t))
+    lo, hi = support_spectra(a, frame, supports)
+    for support, l, h in zip(supports, lo, hi):
+        spec = reference_spectrum(a, frame.matrix, support)
+        if spec is None:
+            assert (l, h) == (np.inf, -np.inf)
+        else:
+            assert l == pytest.approx(spec[0], abs=1e-12)
+            assert h == pytest.approx(spec[1], abs=1e-12)
+
+
+dims = st.tuples(st.integers(2, 5), st.integers(0, 3), st.integers(1, 10),
+                 st.integers(0, 10**6))
+
+
+class TestSupportSpectra:
+    @settings(max_examples=40, deadline=None)
+    @given(dims, st.integers(1, 8))
+    def test_random_frames_match_reference(self, dim, t):
+        n, extra, m, seed = dim
+        frame = make_random_tight_frame(n, n + extra, seed=seed)
+        assume(t <= frame.d)  # t > n covers 2s > n
+        check_kernel(gen_gaussian(m, n, seed=seed + 1), frame, t)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 4), st.integers(0, 10**6))
+    def test_union_of_a_basis_with_itself(self, n, t, seed):
+        # {i, n + i} spans one direction: rank-deficient supports
+        frame = make_union_frame(np.eye(n), np.eye(n))
+        check_kernel(gen_gaussian(2 * n, n, seed=seed), frame, t)
+
+    @settings(max_examples=20, deadline=None)
+    @given(dims, st.integers(1, 3))
+    def test_zero_column(self, dim, t):
+        n, extra, m, seed = dim
+        frame = zero_column_frame(n, n + extra + 1, seed)
+        assume(t <= frame.d)
+        check_kernel(gen_gaussian(m, n, seed=seed + 1), frame, t)
+
+    def test_reproduces_the_per_support_basis_bit_for_bit(self):
+        # the kernel forms (A U)^T (A U) exactly as a per-support evaluation
+        # through orthonormal_range_basis does, so numeric-scale runs keep
+        # their CSV byte-identical
+        frame = make_random_tight_frame(10, 14, seed=3)
+        a = gen_gaussian(160, 10, seed=4)
+        supports = list(combinations(range(14), 4))
+        lo, hi = support_spectra(a, frame, supports)
+        for support, l, h in zip(supports, lo, hi):
+            image = a @ orthonormal_range_basis(frame.matrix[:, list(support)])
+            w = np.linalg.eigvalsh(image.T @ image)
+            assert (l, h) == (w[0], w[-1])
+
+    def test_rejects_out_of_range_supports(self):
+        frame = make_random_tight_frame(3, 5, seed=1)
+        with pytest.raises(ContractViolation):
+            support_spectra(np.eye(3), frame, [(0, 5)])
+
+
+class TestOnePass:
+    @settings(max_examples=40, deadline=None)
+    @given(dims, st.integers(1, 4), st.floats(0.3, 3.0))
+    def test_rescaled_report_is_exact_drip_of_scaled_matrix(self, dim, s, c):
+        n, extra, m, seed = dim
+        frame = make_random_tight_frame(n, n + extra, seed=seed)
+        assume(s <= frame.d)
+        a = gen_gaussian(m, n, seed=seed + 1)
+        ext = spectrum_extremes(a, frame, s)
+        # keep away from a round-off tie between the two extremes
+        assume(abs((c * c * ext.hi - 1.0) - (1.0 - c * c * ext.lo)) > 1e-9)
+        got = ext.report(s, c * c)
+        want = exact_drip(c * a, frame, s)
+        assert got.delta == pytest.approx(want.delta, abs=1e-12)
+        if s < n and s <= m:
+            # otherwise many supports share one extreme up to round-off
+            # (all of them span R^n, or A kills a direction of each), and
+            # which of them comes first is decided by round-off
+            assert got.witness_support == want.witness_support
+        assert got.supports_examined == want.supports_examined
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims, st.integers(1, 4), st.floats(0.1, 10.0))
+    def test_scaling_identity(self, dim, s, c):
+        n, extra, m, seed = dim
+        frame = make_random_tight_frame(n, n + extra, seed=seed)
+        assume(s <= frame.d)
+        a = gen_gaussian(m, n, seed=seed + 1)
+        lo, hi = support_spectrum_range(a, frame, s)
+        lo_c, hi_c = support_spectrum_range(c * a, frame, s)
+        assert lo_c == pytest.approx(c * c * lo, rel=1e-12, abs=1e-12)
+        assert hi_c == pytest.approx(c * c * hi, rel=1e-12)
+
+    def test_exact_drip_matches_reference_loop(self):
+        for seed in range(6):
+            frame = make_random_tight_frame(5, 8, seed=seed)
+            a = gen_gaussian(10, 5, seed=seed + 50)
+            for s in (1, 2, 3, 6):
+                rep = exact_drip(a, frame, s)
+                delta, witness = reference_drip(
+                    a, frame.matrix, combinations(range(8), s))
+                assert rep.delta == pytest.approx(delta, abs=1e-12)
+                if s < 5:  # at s >= n every support spans R^n: round-off ties
+                    assert rep.witness_support == witness
+
+    def test_rank_zero_supports_count_as_one_in_range_and_zero_in_delta(self):
+        frame = zero_column_frame(3, 4, seed=2)
+        a = 2.0 * np.eye(3)
+        ext = spectrum_extremes(a, frame, 1)
+        assert ext.null_at == (0, (0,))
+        assert ext.spectrum_range() == pytest.approx((1.0, 4.0))
+        # at scale 1/2 every nonzero support is an isometry; a rank-zero
+        # support kept as a (1, 1) pair would claim 1 - 1/4
+        assert ext.report(1, 0.25).delta == pytest.approx(0.0, abs=1e-12)
+        assert exact_drip(0.5 * a, frame, 1).delta == pytest.approx(0.0, abs=1e-12)
+        assert exact_drip(2.0 * a, frame, 1).delta == pytest.approx(15.0)
+
+    def test_ties_go_to_the_earliest_support(self):
+        # every support is an exact isometry: deviation 0 everywhere
+        frame = RawFrame(np.hstack([np.zeros((3, 1)), np.eye(3)]))
+        rep = exact_drip(np.eye(3), frame, 1)
+        assert (rep.delta, rep.witness_support) == (0.0, (0,))
+        assert exact_drip(np.eye(3), make_identity_frame(3), 2).witness_support == (0, 1)
+
+
+class TestRandomLowerBoundDraws:
+    @pytest.mark.parametrize("seed", [0, 16, 99])
+    def test_same_supports_and_delta_as_the_per_draw_loop(self, seed):
+        frame = make_random_tight_frame(5, 9, seed=seed)
+        a = gen_gaussian(11, 5, seed=seed + 1)
+        rng = rng_from_seed(seed + 2)
+        draws = [tuple(sorted(rng.choice(9, size=3, replace=False).tolist()))
+                 for _ in range(600)]
+        delta, witness = reference_drip(a, frame.matrix, draws)
+        rep = random_lower_bound(a, frame, 3, trials=600, seed=seed + 2)
+        assert rep.delta == pytest.approx(delta, abs=1e-12)
+        assert rep.witness_support == witness
+        assert rep.supports_examined == 600

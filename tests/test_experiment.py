@@ -57,6 +57,27 @@ class TestConfig:
         with pytest.raises(ContractViolation):
             small_config(frame=FrameSpec(kind="identity", seed=0))
 
+    @pytest.mark.parametrize("raw, named", [
+        ({"n": 8, "d": 12, "m": 64, "s": 2, "bogus": 1}, "'bogus'"),
+        ({"n": 8, "d": 12, "m": 64, "s": "2"}, "s must be int"),
+        ({"n": 8, "d": 12, "m": 64}, "missing key 's'"),
+        ({"n": 8, "d": 12, "m": 64, "s": 2, "frame": {"knd": "dct"}}, "'knd' in frame"),
+        ({"n": 8, "d": 12, "m": 64, "s": 2, "matrix": []}, "matrix must be a JSON object"),
+        ({"n": 8, "d": 12, "m": 64, "s": 2, "eps": True}, "eps must be float"),
+        ({"n": 8, "d": 12, "m": 64, "s": 2, "q": "0.5"}, "q must be float or null"),
+        ({"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"tol": "x"}}, "solver.tol"),
+        ([8, 12], "config must be a JSON object"),
+    ])
+    def test_from_dict_names_the_bad_entry(self, raw, named):
+        with pytest.raises(ContractViolation, match=named):
+            ExperimentConfig.from_dict(raw)
+
+    def test_from_json_file_reports_parse_errors(self, tmp_path):
+        path = tmp_path / "cut.json"
+        path.write_text('{"n": 8, "d": 12', encoding="utf-8")
+        with pytest.raises(ContractViolation, match="not valid JSON"):
+            ExperimentConfig.from_json_file(path)
+
 
 class TestRunExperiment:
     def test_records_have_exact_delta_and_hold_bounds(self):
@@ -106,6 +127,41 @@ class TestRunExperiment:
         for rec in run_experiment(cfg):
             assert rec.delta_2s == pytest.approx(0.55, abs=1e-8)
             assert rec.regime == "special_n_le_4s"
+
+    def test_unreachable_target_delta_says_so(self):
+        cfg = small_config(n=8, d=12, m=128, trials=1,
+                           matrix=MatrixSpec(kind="gaussian", seed=6,
+                                             scale={"target_delta": 0.01}))
+        rec = run_experiment(cfg)[0]
+        auto = run_experiment(small_config(
+            n=8, d=12, m=128, trials=1,
+            matrix=MatrixSpec(kind="gaussian", seed=6, scale="auto_min")))[0]
+        assert rec.delta_2s == auto.delta_2s > 0.01
+        assert "target_delta 0.01 is below the reachable minimum" in rec.reason
+        assert rec.to_json_dict()["reason"] == rec.reason
+        assert auto.reason is None and auto.to_json_dict()["reason"] is None
+
+    def test_reachable_target_delta_has_no_reason(self):
+        cfg = small_config(trials=1, matrix=MatrixSpec(
+            kind="gaussian", seed=6, scale={"target_delta": 0.6}))
+        rec = run_experiment(cfg)[0]
+        assert rec.delta_2s == pytest.approx(0.6, abs=1e-12)
+        assert rec.reason is None
+
+    def test_rejected_audit_gives_a_reason(self, monkeypatch):
+        from framecs import guarantees
+
+        def reject(*args, **kwargs):
+            raise ContractViolation("candidate is infeasible")
+
+        monkeypatch.setattr(guarantees, "audit_lemmas", reject)
+        records = run_experiment(small_config(trials=2))
+        assert records and all(r.audit_total == 0 for r in records)
+        for rec in records:
+            if rec.status == "ok":
+                assert rec.reason == ("audit_lemmas rejected the instance: "
+                                      "candidate is infeasible")
+        assert any(r.status == "ok" for r in records)
 
     def test_enumeration_guard_names_the_way_out(self):
         cfg = small_config(n=10, d=80, m=20, s=6,
