@@ -145,7 +145,9 @@ def build_parser() -> _Parser:
     r.add_argument("--config", required=True, help="JSON config file")
     r.add_argument("--out", help="output path (overrides config)")
     r.add_argument("--format", choices=("csv", "json"), default="csv")
-    r.add_argument("--workers", type=int, default=1)
+    r.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; trials run serially and "
+                        "the value does not change output")
 
     p = sub.add_parser("compare", help="constants at delta = 1/14 vs the reported pair")
     p.add_argument("--out")

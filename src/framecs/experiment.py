@@ -2,18 +2,17 @@
 certificates -> solvers -> audits, with CSV/JSON reporting.
 
 Runs are reproducible byte-for-byte: every random draw comes from a
-substream keyed by (config seed, trial index), so the worker count cannot
-change results.  A record only asserts its error bound when the isometry
-constant was computed exactly and the certificate was applicable -- there is
-no silent downgrade.
+substream keyed by (config seed, trial index).  Trials run serially;
+`workers` is accepted and does not change output.  A record only asserts its
+error bound when the isometry constant was computed exactly and the
+certificate was applicable -- there is no silent downgrade.
 """
 
 import dataclasses
 import json
 import math
 import typing
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -23,8 +22,12 @@ from .errors import ContractViolation, EnumerationLimitError
 from .rng import derive_seed, rng_from_seed
 from .serialize import format_real
 
-CSV_HEADER = ("trial,n,d,m,s,q,eps,delta_2s,regime,rho,C0,C1,q0,tail,err_l2,"
-              "bound,within_bound,iters,status,audit_pass,audit_total")
+# the ExperimentRecord fields that form the CSV, in column order: a fixed
+# contract from which the header, CsvRow and both CSV directions derive
+CSV_COLUMNS = ("trial", "n", "d", "m", "s", "q", "eps", "delta_2s", "regime",
+               "rho", "C0", "C1", "q0", "tail", "err_l2", "bound",
+               "within_bound", "iters", "status", "audit_pass", "audit_total")
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 FRAME_KINDS = ("identity", "dct", "random", "union_dct")
 MATRIX_KINDS = ("gaussian", "bernoulli")
@@ -200,55 +203,17 @@ class ExperimentRecord:
     reason: Optional[str] = None
 
     def to_csv_row(self) -> "CsvRow":
-        return CsvRow(
-            trial=self.trial, n=self.n, d=self.d, m=self.m, s=self.s,
-            q=self.q, eps=self.eps, delta_2s=self.delta_2s, regime=self.regime,
-            rho=self.rho, C0=self.C0, C1=self.C1, q0=self.q0, tail=self.tail,
-            err_l2=self.err_l2, bound=self.bound, within_bound=self.within_bound,
-            iters=self.iters, status=self.status, audit_pass=self.audit_pass,
-            audit_total=self.audit_total,
-        )
+        return CsvRow(*(getattr(self, name) for name in CSV_COLUMNS))
 
     def to_json_dict(self):
-        return {
-            "trial": self.trial, "seeds": dict(self.seeds), "n": self.n,
-            "d": self.d, "m": self.m, "s": self.s, "q": self.q,
-            "eps": self.eps, "delta_2s": self.delta_2s,
-            "drip_method": self.drip_method, "regime": self.regime,
-            "applicable": self.applicable, "rho": self.rho, "C0": self.C0,
-            "C1": self.C1, "q0": self.q0, "tail": self.tail,
-            "err_l2": self.err_l2, "bound": self.bound,
-            "within_bound": self.within_bound, "iters": self.iters,
-            "status": self.status, "audit_pass": self.audit_pass,
-            "audit_total": self.audit_total, "reason": self.reason,
-        }
+        return dataclasses.asdict(self)
 
 
-@dataclass(frozen=True)
-class CsvRow:
-    """Exactly the fields that appear in the CSV, in column order."""
-
-    trial: int
-    n: int
-    d: int
-    m: int
-    s: int
-    q: Optional[float]
-    eps: float
-    delta_2s: float
-    regime: str
-    rho: Optional[float]
-    C0: Optional[float]
-    C1: Optional[float]
-    q0: Optional[float]
-    tail: float
-    err_l2: float
-    bound: Optional[float]
-    within_bound: Optional[bool]
-    iters: int
-    status: str
-    audit_pass: int
-    audit_total: int
+_RECORD_TYPES = {f.name: f.type for f in fields(ExperimentRecord)}
+CsvRow = dataclasses.make_dataclass(
+    "CsvRow", [(name, _RECORD_TYPES[name]) for name in CSV_COLUMNS], frozen=True,
+    namespace={"__module__": __name__,
+               "__doc__": "Exactly the fields that appear in the CSV, in column order."})
 
 
 def build_frame(kind: str, n: int, d: int, seed: int) -> frames.TightFrame:
@@ -370,16 +335,12 @@ def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
         res = solvers.solve_p1(frame, model, config.solver)
 
     coeffs_true = frame.matrix.T @ f
-    coeffs_hat = frame.matrix.T @ res.f_hat
     qq = q if q is not None else 1.0
     approx = frames.best_s_term(coeffs_true, config.s, qq)
     tail = approx.tail_l1 if q is None else approx.tail_lq
     err = float(np.linalg.norm(res.f_hat - f))
 
-    if q is None:
-        gate = float(np.abs(coeffs_hat).sum()) <= float(np.abs(coeffs_true).sum())
-    else:
-        gate = float(np.sum(np.abs(coeffs_hat) ** qq)) <= float(np.sum(np.abs(coeffs_true) ** qq))
+    gate = guarantees.surrogate_gate(frame.matrix.T @ res.f_hat, coeffs_true, qq)[0]
 
     bound = None
     within = None
@@ -420,13 +381,10 @@ def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> List[ExperimentRecord]:
+    """Run the trials serially; `workers` is accepted and does not change output."""
     if workers < 1:
         raise ContractViolation("workers must be >= 1")
-    indices = range(config.trials)
-    if workers == 1:
-        return [run_trial(config, t) for t in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: run_trial(config, t), indices))
+    return [run_trial(config, t) for t in range(config.trials)]
 
 
 # ---------------------------------------------------------------------------
@@ -446,22 +404,25 @@ def _cell(value) -> str:
 
 
 def write_csv(records, path) -> None:
-    """CSV with the fixed header, UTF-8, LF endings, 17-digit reals."""
+    """CSV with the fixed header, UTF-8, LF endings, 17-digit reals; takes
+    ExperimentRecords or CsvRows."""
     lines = [CSV_HEADER]
     for rec in records:
-        row = rec.to_csv_row() if isinstance(rec, ExperimentRecord) else rec
-        lines.append(",".join(_cell(v) for v in (
-            row.trial, row.n, row.d, row.m, row.s, row.q, row.eps,
-            row.delta_2s, row.regime, row.rho, row.C0, row.C1, row.q0,
-            row.tail, row.err_l2, row.bound, row.within_bound, row.iters,
-            row.status, row.audit_pass, row.audit_total,
-        )))
+        lines.append(",".join(_cell(getattr(rec, name)) for name in CSV_COLUMNS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_opt_float(cell: str) -> Optional[float]:
-    return None if cell == "" else float(cell)
+def _parse_cell(cell: str, hint):
+    """Inverse of _cell for a column of type hint; "" is None when the
+    hint is Optional."""
+    if typing.get_origin(hint) is typing.Union:
+        if cell == "":
+            return None
+        hint = typing.get_args(hint)[0]
+    if hint is bool:
+        return cell == "true"
+    return hint(cell)
 
 
 def read_csv(path) -> List[CsvRow]:
@@ -473,19 +434,11 @@ def read_csv(path) -> List[CsvRow]:
     for line in lines[1:]:
         if not line:
             continue
-        c = line.split(",")
-        if len(c) != 21:
+        cells = line.split(",")
+        if len(cells) != len(CSV_COLUMNS):
             raise ContractViolation("bad CSV row: %r" % line)
-        rows.append(CsvRow(
-            trial=int(c[0]), n=int(c[1]), d=int(c[2]), m=int(c[3]), s=int(c[4]),
-            q=_parse_opt_float(c[5]), eps=float(c[6]), delta_2s=float(c[7]),
-            regime=c[8], rho=_parse_opt_float(c[9]), C0=_parse_opt_float(c[10]),
-            C1=_parse_opt_float(c[11]), q0=_parse_opt_float(c[12]),
-            tail=float(c[13]), err_l2=float(c[14]), bound=_parse_opt_float(c[15]),
-            within_bound=None if c[16] == "" else c[16] == "true",
-            iters=int(c[17]), status=c[18], audit_pass=int(c[19]),
-            audit_total=int(c[20]),
-        ))
+        rows.append(CsvRow(*(_parse_cell(c, f.type)
+                             for c, f in zip(cells, fields(CsvRow)))))
     return rows
 
 

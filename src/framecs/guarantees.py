@@ -19,6 +19,7 @@ reconstruction error obeys  C0 * tail / s^(1/q - 1/2) + C1 * eps  with
 and a regime-specific C0.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -163,10 +164,7 @@ def constants_q(delta: float, q: float) -> Tuple[float, float]:
             delta=delta, threshold=0.5,
         )
     q0 = q_zero(delta)
-    # q0 == 1 means the factor stays below 1 on all of (0, 1]; q = 1 is then
-    # a legitimate (degenerate) evaluation point.
-    admissible = 0.0 < q < q0 or (q0 == 1.0 and q == 1.0)
-    if not admissible:
+    if not _lq_admissible(q, q0):
         raise NotApplicableError(
             "lq guarantee needs q < q0(delta) = %.10g, got q = %.10g" % (q0, q),
             delta=delta, threshold=q0,
@@ -178,6 +176,13 @@ def constants_q(delta: float, q: float) -> Tuple[float, float]:
     )
     c0 = lead * math.sqrt(inner)
     return c0, _c1_from_c0(c0, delta)
+
+
+def _lq_admissible(q: float, q0: float) -> bool:
+    """Whether the lq guarantee covers q: 0 < q < q0, or any q in (0, 1]
+    when q0 == 1 (the factor then stays below 1 on all of (0, 1], and q = 1
+    is a legitimate, degenerate evaluation point)."""
+    return 0.0 < q < q0 or (q0 == 1.0 and 0.0 < q <= 1.0)
 
 
 def error_bound(c0: float, c1: float, tail: float, s: int, eps: float,
@@ -208,18 +213,7 @@ class GuaranteeCertificate:
     precondition_text: str
 
     def to_json_dict(self):
-        return {
-            "regime": self.regime,
-            "delta_2s": self.delta_2s,
-            "s": self.s,
-            "q": self.q,
-            "rho": self.rho,
-            "C0": self.C0,
-            "C1": self.C1,
-            "q0": self.q0,
-            "applicable": self.applicable,
-            "precondition_text": self.precondition_text,
-        }
+        return dataclasses.asdict(self)
 
 
 def certify(delta_2s: float, n: int, s: int, q_opt: Optional[float] = None
@@ -256,7 +250,7 @@ def certify(delta_2s: float, n: int, s: int, q_opt: Optional[float] = None
         if not 0.0 < q_opt <= 1.0:
             raise ContractViolation("q must be in (0, 1]")
         q0 = q_zero(delta_2s) if delta_2s < 0.5 else None
-        ok = q0 is not None and (q_opt < q0 or (q0 == 1.0 and q_opt <= 1.0))
+        ok = q0 is not None and _lq_admissible(q_opt, q0)
         rho = rho_q(delta_2s, q_opt) if delta_2s < 1.0 else None
         c0, c1 = constants_q(delta_2s, q_opt) if ok else (None, None)
         certs.append(GuaranteeCertificate(
@@ -347,14 +341,7 @@ class InequalityAuditRecord:
     intermediates: Dict[str, float] = field(default_factory=dict)
 
     def to_json_dict(self):
-        return {
-            "lemma_id": self.lemma_id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "holds": self.holds,
-            "intermediates": dict(self.intermediates),
-        }
+        return dataclasses.asdict(self)
 
 
 def _record(lemma_id: str, lhs: float, rhs: float, **intermediates) -> InequalityAuditRecord:
@@ -369,6 +356,16 @@ def _record(lemma_id: str, lhs: float, rhs: float, **intermediates) -> Inequalit
 
 def _lq_q(v: np.ndarray, q: float) -> float:
     return float(np.sum(np.abs(v) ** q))
+
+
+def surrogate_gate(x_hat, x_true, q: float) -> Tuple[bool, float, float]:
+    """The minimizer-surrogate gate on analysis coefficients D* f_hat and
+    D* f: (holds, objective of x_hat, objective of x_true), the objective
+    being sum |x_i|^q (the l1 norm at q = 1).  The guarantees only speak of
+    a candidate that does not beat the true signal's objective."""
+    obj_hat = _lq_q(x_hat, q)
+    obj_true = _lq_q(x_true, q)
+    return obj_hat <= obj_true, obj_hat, obj_true
 
 
 def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
@@ -425,21 +422,14 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
                 "||A (f_hat - f)|| = %g exceeds 2 eps = %g" % (ah, 2.0 * eps)
             )
 
-    l1_hat = float(np.abs(dmat.T @ f_hat).sum())
-    l1_true = float(np.abs(xf).sum())
-    l1_gate = l1_hat <= l1_true
-    lqq_hat = _lq_q(dmat.T @ f_hat, q)
-    lqq_true = _lq_q(xf, q)
-    lq_gate = lqq_hat <= lqq_true
-    if q == 1.0 and not l1_gate:
+    x_hat = dmat.T @ f_hat
+    l1_gate, l1_hat, l1_true = surrogate_gate(x_hat, xf, 1.0)
+    lq_gate, lqq_hat, lqq_true = surrogate_gate(x_hat, xf, q)
+    if not lq_gate:
+        norm = "1" if q == 1.0 else "q^q"
         raise ContractViolation(
-            "minimizer surrogate violated: ||D* f_hat||_1 = %.17g > ||D* f||_1 = %.17g"
-            % (l1_hat, l1_true)
-        )
-    if q < 1.0 and not lq_gate:
-        raise ContractViolation(
-            "minimizer surrogate violated: ||D* f_hat||_q^q = %.17g > ||D* f||_q^q = %.17g"
-            % (lqq_hat, lqq_true)
+            "minimizer surrogate violated: ||D* f_hat||_%s = %.17g > ||D* f||_%s = %.17g"
+            % (norm, lqq_hat, norm, lqq_true)
         )
 
     part = block_partition(xf, xh, s, "l1")
@@ -616,7 +606,7 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
 
         if delta_2s < 0.5:
             q0 = q_zero(delta_2s)
-            if q < q0 or q0 == 1.0:
+            if _lq_admissible(q, q0):
                 rho = rho_q(delta_2s, q)
                 denom = (1.0 - rho ** q) ** (1.0 / q)
                 big_n = math.sqrt(max(lhs_32, 0.0))

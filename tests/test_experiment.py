@@ -1,9 +1,16 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framecs.errors import ContractViolation
 from framecs.experiment import (
     CSV_HEADER,
     ExperimentConfig,
+    ExperimentRecord,
     FrameSpec,
     MatrixSpec,
     SignalSpec,
@@ -12,6 +19,7 @@ from framecs.experiment import (
     run_experiment,
     write_csv,
 )
+from framecs.serialize import format_real
 
 
 def small_config(**overrides):
@@ -196,11 +204,53 @@ class TestRunExperiment:
                 assert rec.within_bound
 
 
+finite_reals = st.floats(allow_nan=False, allow_infinity=False)
+optional_reals = st.none() | finite_reals
+any_ints = st.integers(-2**70, 2**70)
+
+records = st.builds(
+    ExperimentRecord,
+    trial=any_ints, seeds=st.dictionaries(st.sampled_from(("frame", "matrix")), any_ints),
+    n=any_ints, d=any_ints, m=any_ints, s=any_ints, q=optional_reals,
+    eps=finite_reals, delta_2s=finite_reals, drip_method=st.just("exact"),
+    regime=st.sampled_from(("general_l1", "special_n_le_4s", "lq")),
+    applicable=st.booleans(), rho=optional_reals, C0=optional_reals,
+    C1=optional_reals, q0=optional_reals, tail=finite_reals, err_l2=finite_reals,
+    bound=optional_reals, within_bound=st.none() | st.booleans(), iters=any_ints,
+    status=st.sampled_from(("ok", "not_converged", "surrogate_gap",
+                            "not_applicable", "lower_bound_only")),
+    audit_pass=any_ints, audit_total=any_ints, reason=st.none() | st.text(),
+)
+
+
 class TestCsv:
     def test_header(self, tmp_path):
         write_csv([], tmp_path / "empty.csv")
         text = (tmp_path / "empty.csv").read_text(encoding="utf-8")
         assert text == CSV_HEADER + "\n"
+
+    def test_header_is_the_documented_contract(self):
+        # the header printed in the README; reordering CSV_COLUMNS breaks it
+        assert CSV_HEADER == ("trial,n,d,m,s,q,eps,delta_2s,regime,rho,C0,C1,q0,"
+                              "tail,err_l2,bound,within_bound,iters,status,"
+                              "audit_pass,audit_total")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(records, max_size=4))
+    def test_round_trip_any_records(self, recs):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+            write_csv(recs, first)
+            rows = read_csv(first)
+            assert rows == [r.to_csv_row() for r in recs]
+            # == does not tell -0.0 from 0.0; the bytes do
+            write_csv(rows, second)
+            assert first.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(finite_reals)
+    def test_format_real_round_trips_bit_exactly(self, x):
+        assert struct.pack("<d", float(format_real(x))) == struct.pack("<d", x)
 
     def test_round_trip_bit_exact(self, tmp_path):
         records = run_experiment(small_config())

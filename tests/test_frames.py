@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framecs.errors import ContractViolation
 from framecs.frames import (
@@ -155,6 +157,10 @@ class TestCoherence:
             coherence(make_identity_frame(1))
 
 
+# small integers give ties and zeros; magnitudes stay clear of underflow
+entries = st.integers(-3, 3).map(float) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+
+
 class TestBestSTerm:
     def test_basic(self):
         a = best_s_term(np.array([3.0, -1.0, 2.0]), 2)
@@ -184,6 +190,29 @@ class TestBestSTerm:
             a = best_s_term(x, s)
             assert np.count_nonzero(a.x_best) <= s
             assert a.tail_l1 >= 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(entries, min_size=1, max_size=12), st.data(), st.floats(0.05, 1.0))
+    def test_tail_identities(self, values, data, q):
+        x = np.array(values)
+        s = data.draw(st.integers(0, x.shape[0]))
+        a = best_s_term(x, s, q)
+        tail = x - a.x_best
+        assert np.all((a.x_best == 0.0) | (a.x_best == x))
+        assert np.count_nonzero(a.x_best) <= s
+        kept = np.abs(a.x_best[a.x_best != 0.0])
+        if kept.size < s:
+            assert not np.any(tail)
+        elif kept.size and np.any(tail):
+            assert kept.min() >= np.abs(tail).max()
+        l1 = float(np.abs(x).sum())
+        assert a.tail_l1 == pytest.approx(l1 - float(np.abs(a.x_best).sum()),
+                                          rel=1e-12, abs=1e-12 * l1)
+        assert a.tail_lq ** q == pytest.approx(float(np.sum(np.abs(tail) ** q)),
+                                               rel=1e-9, abs=1e-300)
+        assert a.tail_lq >= a.tail_l1 * (1.0 - 1e-12)
+        if q == 1.0:
+            assert a.tail_lq == a.tail_l1
 
     def test_exhaustive_optimality(self):
         from itertools import combinations

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framecs.drip import exact_drip
 from framecs.errors import ContractViolation, NotApplicableError
@@ -304,6 +306,26 @@ class TestBlockPartition:
             for blk in part.blocks[1:-1]:
                 assert len(blk) == s
             assert 0.0 <= part.omega <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from((("l1", None), ("lq", 0.3), ("lq", 1.0))))
+    def test_invariants_with_ties_and_zeros(self, data, norm_q):
+        d = data.draw(st.integers(1, 12))
+        s = data.draw(st.integers(1, d))
+        entries = st.integers(-2, 2).map(float) | st.floats(-1e3, 1e3)  # ties, zeros
+        vectors = st.lists(entries, min_size=d, max_size=d).map(np.array)
+        x_f, x_h = data.draw(vectors), data.draw(vectors)
+        part = block_partition(x_f, x_h, s, *norm_q)
+        assert sorted(i for blk in part.blocks for i in blk) == list(range(d))
+        assert len(part.blocks[0]) == s
+        assert all(len(blk) == s for blk in part.blocks[1:-1])
+        assert all(list(blk) == sorted(blk) for blk in part.blocks)
+        assert 0.0 <= part.omega <= 1.0
+        head = list(part.blocks[0])
+        if d > s:
+            assert np.abs(x_f[head]).min() >= np.abs(np.delete(x_f, head)).max()
+        for earlier, later in zip(part.blocks[1:], part.blocks[2:]):
+            assert np.abs(x_h[list(earlier)]).min() >= np.abs(x_h[list(later)]).max()
 
 
 def _audited_instance(seed, eps=0.05, n=6, d=9, m=40, s=2):
