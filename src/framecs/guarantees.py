@@ -38,6 +38,10 @@ REGIME_LQ = "lq"
 # genuine violations from round-off.
 AUDIT_RTOL = 1e-8
 
+# Relative slack of the minimizer-surrogate gate: on an exact recovery both
+# objectives agree to the last bits, and round-off alone must not decide it.
+SURROGATE_RTOL = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # contraction factors and thresholds
@@ -362,10 +366,11 @@ def surrogate_gate(x_hat, x_true, q: float) -> Tuple[bool, float, float]:
     """The minimizer-surrogate gate on analysis coefficients D* f_hat and
     D* f: (holds, objective of x_hat, objective of x_true), the objective
     being sum |x_i|^q (the l1 norm at q = 1).  The guarantees only speak of
-    a candidate that does not beat the true signal's objective."""
+    a candidate that does not beat the true signal's objective, up to the
+    relative round-off slack SURROGATE_RTOL."""
     obj_hat = _lq_q(x_hat, q)
     obj_true = _lq_q(x_true, q)
-    return obj_hat <= obj_true, obj_hat, obj_true
+    return obj_hat <= obj_true * (1.0 + SURROGATE_RTOL), obj_hat, obj_true
 
 
 def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,

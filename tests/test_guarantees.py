@@ -20,6 +20,7 @@ from framecs.guarantees import (
     rho_general,
     rho_q,
     rho_special,
+    surrogate_gate,
     threshold_general,
     threshold_special,
 )
@@ -400,6 +401,16 @@ class TestAuditLemmas:
         assert np.abs(frame.matrix.T @ bad).sum() > np.abs(coeffs).sum()
         with pytest.raises(ContractViolation, match="surrogate"):
             audit_lemmas(frame, a, f, bad, 2, 1.0, 0.2, delta, y=model.y)
+
+    @pytest.mark.parametrize("q", [1.0, 0.5])
+    def test_surrogate_gate_round_off_slack(self, q):
+        x = np.array([0.3, -1.2, 0.7, 0.0])
+        assert surrogate_gate(x, x, q)[0]
+        # an exact recovery in the golden file sat at a relative gap of 8.4e-16
+        assert surrogate_gate(x * (1.0 + 8.4e-16), x, q)[0]
+        assert not surrogate_gate(x * (1.0 + 1e-10), x, q)[0]
+        holds, obj_hat, obj_true = surrogate_gate(2.0 * x, x, q)
+        assert not holds and obj_hat == pytest.approx(2.0 ** q * obj_true)
 
     def test_q_audit(self):
         from framecs.solvers import solve_pq
