@@ -146,8 +146,7 @@ def build_parser() -> _Parser:
     r.add_argument("--out", help="output path (overrides config)")
     r.add_argument("--format", choices=("csv", "json"), default="csv")
     r.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; trials run serially and "
-                        "the value does not change output")
+                   help="trials run serially; the value is accepted and does not change output")
 
     p = sub.add_parser("compare", help="constants at delta = 1/14 vs the reported pair")
     p.add_argument("--out")

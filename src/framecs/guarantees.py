@@ -19,9 +19,8 @@ reconstruction error obeys  C0 * tail / s^(1/q - 1/2) + C1 * eps  with
 and a regime-specific C0.
 """
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -217,7 +216,7 @@ class GuaranteeCertificate:
     precondition_text: str
 
     def to_json_dict(self):
-        return dataclasses.asdict(self)
+        return asdict(self)
 
 
 def certify(delta_2s: float, n: int, s: int, q_opt: Optional[float] = None
@@ -345,7 +344,7 @@ class InequalityAuditRecord:
     intermediates: Dict[str, float] = field(default_factory=dict)
 
     def to_json_dict(self):
-        return dataclasses.asdict(self)
+        return asdict(self)
 
 
 def _record(lemma_id: str, lhs: float, rhs: float, **intermediates) -> InequalityAuditRecord:
@@ -385,8 +384,8 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
       * f_hat (and f) must be feasible: within eps of y when y is given,
         otherwise ||A h|| <= 2 eps up to solver tolerance;
       * the result being checked must not beat the true signal's objective
-        in the norm of its own program (minimizer surrogate): l1 for q = 1,
-        lq^q for q < 1.
+        in the norm of its own program (minimizer surrogate, surrogate_gate):
+        l1 for q = 1, lq^q for q < 1.
 
     Inequalities whose extra hypotheses fail (the surrogate of the *other*
     norm, a regime threshold, or the short-partition requirement of the

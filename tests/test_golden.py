@@ -3,15 +3,19 @@
 ``tests/data/golden.csv`` holds the CSV rows of the configs below, written
 by the per-support reference implementation of the isometry constants
 (three rows whose status or audit counts later moved on purpose were
-rewritten by the batched kernel; see CHANGES.md).  A change that only re-associates floating-point work (batched SVDs and
-eigensolvers, a Gram matrix in place of A @ U) must reproduce it: ints and
-strings exactly, reals to |delta| <= 1e-9 * max(1, |x|).  The absolute
-floor matters: noiseless recovery errors sit at 1e-15, where round-off
-alone moves them by over 10 % relative.
+rewritten by the batched kernel; see CHANGES.md).  A change that only
+re-associates floating-point work (batched SVDs and eigensolvers, a Gram
+matrix in place of A @ U) must reproduce it: ints and strings exactly, reals
+to |delta| <= 1e-9 * max(1, |x|).  The absolute floor matters: noiseless
+recovery errors sit at 1e-15, where round-off alone moves them by over 10 %
+relative.
 
 Regenerate (only on purpose, and record why in CHANGES.md) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which rewrites every row; keep the old text of rows whose ints and strings
+did not move, so the reference reals stay.
 """
 
 import math
