@@ -42,14 +42,12 @@ def _load_vector(path):
 
 
 def _solver_options(args):
-    return solvers.SolverOptions(max_iters=args.max_iters, tol=args.tol,
-                                 seed=args.seed)
+    return solvers.SolverOptions(max_iters=args.max_iters, tol=args.tol)
 
 
 def _add_solver_flags(p):
     p.add_argument("--max-iters", type=int, default=20000)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> _Parser:

@@ -250,15 +250,22 @@ def exact_rip(a, s: int) -> RipReport:
                      method=METHOD_EXACT, supports_examined=count)
 
 
-def random_lower_bound(a, frame: TightFrame, s: int, trials: int, seed: int) -> RipReport:
-    """Lower bound on the exact constant from seeded random supports."""
+def random_spectrum_extremes(a, frame: TightFrame, s: int, trials: int,
+                             seed: int) -> SpectrumExtremes:
+    """One pass over `trials` seeded random supports, each sorted, in draw
+    order; its extremes lie inside those of the exact pass."""
     a = _checked(a, frame, s)
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
     rng = rng_from_seed(seed)
     draws = (tuple(sorted(rng.choice(frame.d, size=s, replace=False).tolist()))
              for _ in range(trials))
-    return _scan(a, frame, s, draws).report(s, method=METHOD_LOWER)
+    return _scan(a, frame, s, draws)
+
+
+def random_lower_bound(a, frame: TightFrame, s: int, trials: int, seed: int) -> RipReport:
+    """Lower bound on the exact constant from seeded random supports."""
+    return random_spectrum_extremes(a, frame, s, trials, seed).report(s, method=METHOD_LOWER)
 
 
 def support_deviation(a, frame: TightFrame, support) -> float:

@@ -260,14 +260,20 @@ def _resolve_scale(spec_scale, lo, hi) -> Tuple[float, Optional[str]]:
     raise ContractViolation("bad matrix scale %r" % (spec_scale,))
 
 
-def _exact_spectrum(a, frame, order) -> drip.SpectrumExtremes:
+def _spectrum(config: ExperimentConfig, a, frame, trial) -> drip.SpectrumExtremes:
+    """The one pass over the order-2s supports of a trial: all of them, or
+    the seeded random ones of "drip_mode": "lower"."""
+    order = 2 * config.s
+    if config.drip_mode == "lower":
+        return drip.random_spectrum_extremes(a, frame, order, config.drip_trials,
+                                             derive_seed(config.drip_seed, trial))
     try:
         return drip.spectrum_extremes(a, frame, order)
     except EnumerationLimitError as err:
         raise EnumerationLimitError(
-            "%s -- shrink (d, s), or use a numeric matrix scale with "
-            "\"drip_mode\": \"lower\" (which disables bound assertions and "
-            "marks records accordingly)" % err
+            "%s -- shrink (d, s), or use \"drip_mode\": \"lower\" (a "
+            "randomized lower bound, which disables bound assertions and marks "
+            "records accordingly)" % err
         ) from err
 
 
@@ -294,12 +300,11 @@ def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
     frame = build_frame(config.frame.kind, config.n, config.d, seeds["frame"])
     a = _gen_matrix(config.matrix.kind, config.m, config.n, seeds["matrix"])
     reasons = []
+    # one pass picks the scale and, rescaled by scale^2, gives the constant
+    # of the scaled matrix
+    spectrum = _spectrum(config, a, frame, trial)
     scale = _fixed_scale(config.matrix.scale)
-    spectrum = None
     if scale is None:
-        # one enumeration picks the scale and, rescaled by scale^2, gives
-        # the exact constant of the scaled matrix
-        spectrum = _exact_spectrum(a, frame, order)
         scale, why = _resolve_scale(config.matrix.scale, *spectrum.spectrum_range())
         if why:
             reasons.append(why)
@@ -308,14 +313,9 @@ def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
     model = sensing.measure(a, f, mode=config.noise_mode, level=config.eps,
                             seed=seeds["noise"])
 
-    if config.drip_mode == "lower":
-        rip = drip.random_lower_bound(a, frame, order, config.drip_trials,
-                                      derive_seed(config.drip_seed, trial))
-    elif spectrum is not None:
-        rip = spectrum.report(order, scale * scale)
-    else:
-        rip = _exact_spectrum(a, frame, order).report(order)
-    exact = rip.method == drip.METHOD_EXACT
+    exact = config.drip_mode == "exact"
+    rip = spectrum.report(order, scale * scale,
+                          drip.METHOD_EXACT if exact else drip.METHOD_LOWER)
 
     q = config.q if config.program == "pq" else None
     certs = {c.regime: c for c in guarantees.certify(rip.delta, config.n, config.s,

@@ -1,14 +1,12 @@
 """Dense linear-algebra kernels used by every other module.
 
-Thin, contract-checked wrappers around LAPACK (via numpy.linalg) plus a
-seeded power iteration.  All functions are pure; randomized ones take an
-explicit seed.  Matrices are plain float64 ndarrays with finite entries.
+Thin, contract-checked wrappers around LAPACK (via numpy.linalg).  All
+functions are pure.  Matrices are plain float64 ndarrays with finite entries.
 """
 
 import numpy as np
 
 from .errors import ContractViolation
-from .rng import rng_from_seed
 
 # Single rank-decision tolerance for the whole package, so subspace
 # computations are reproducible bit-for-bit across runs.
@@ -80,36 +78,3 @@ def least_squares_min_norm(m, b, tol: float = DEFAULT_TOL):
     x, _, _, _ = np.linalg.lstsq(m, b, rcond=tol)
     residual = float(np.linalg.norm(m @ x - b))
     return x, residual
-
-
-def operator_norm(m, iters: int = 200, seed: int = 0) -> float:
-    """Largest singular value estimated by power iteration on m* m.
-
-    Deterministic given the seed.  The estimate never exceeds the true value
-    by more than a 1e-6 relative factor (it converges from below up to
-    round-off); `iters` trades accuracy for time.
-    """
-    m = as_matrix(m)
-    if iters < 1:
-        raise ContractViolation("iters must be >= 1")
-    if m.size == 0:
-        return 0.0
-    rng = rng_from_seed(seed)
-    v = rng.standard_normal(m.shape[1])
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return 0.0
-    v /= nv
-    sigma = 0.0
-    for _ in range(iters):
-        u = m @ v
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return 0.0
-        v = m.T @ u
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return float(nu)
-        v /= nv
-        sigma = np.linalg.norm(m @ v)
-    return float(sigma)

@@ -24,7 +24,7 @@ import numpy as np
 from .drip import ENUMERATION_LIMIT
 from .errors import ContractViolation, EnumerationLimitError
 from .frames import TightFrame
-from .linalg import as_vector, least_squares_min_norm, operator_norm
+from .linalg import DEFAULT_TOL, as_vector, least_squares_min_norm
 from .sensing import SensingModel
 
 PROGRAM_P1 = "P1"
@@ -36,7 +36,6 @@ PROGRAM_P0 = "P0"
 class SolverOptions:
     max_iters: int = 20000
     tol: float = 1e-9
-    seed: int = 0
     smoothing_floor: float = 1e-10
     continuation_factor: float = 0.7
 
@@ -124,7 +123,9 @@ def solve_p1(frame: TightFrame, model: SensingModel,
     dmat = frame.matrix
     d, m = frame.d, a.shape[0]
 
-    norm_a = operator_norm(a, iters=200, seed=opts.seed)
+    # ||A||_2 comes from the singular values of the minimum-norm start
+    f, _, _, svals = np.linalg.lstsq(a, y, rcond=DEFAULT_TOL)
+    norm_a = float(svals[0]) if svals.size else 0.0
     big_k = math.sqrt(1.0 + (norm_a * (1.0 + 1e-6)) ** 2)
     tau = sigma = 0.99 / big_k
 
@@ -140,7 +141,6 @@ def solve_p1(frame: TightFrame, model: SensingModel,
         )
 
     stacked = np.vstack([dmat.T, a])  # (d + m) x n
-    f, _ = least_squares_min_norm(a, y)
     feas_tol = _feasibility_tol(eps, opts.tol)
 
     def evaluate(candidate):
@@ -227,16 +227,55 @@ def _smoothed_objective(coeffs: np.ndarray, mu: float, q: float) -> float:
     return float(np.sum((coeffs * coeffs + mu * mu) ** (q / 2.0)))
 
 
+def _weighted_solve(dmat, a, y, eps, weights):
+    """argmin ||sqrt(W) D* f||_2 s.t. ||A f - y||_2 <= eps, and its penalty
+    weight lambda (None for the limit lambda -> inf).
+
+    sqrt(W) D* = P S Q^T and A Q S^-1 = U Sigma V^T give the penalized
+    minimizer f = Q S^-1 V diag(c) U^T y, c = lambda sigma / (1 + lambda
+    sigma^2), with ||A f - y||^2 = sum (beta / (1 + lambda sigma^2))^2 + floor2
+    (beta = U^T y) falling in lambda.  Newton on 1/||A f - y|| = 1/eps (More &
+    Sorensen 1983), bracketed by bisection, finds lambda; eps = 0, or an eps
+    no finite lambda reaches, takes c = 1/sigma.  Singular values
+    sigma <= DEFAULT_TOL * sigma_max count as 0.
+    """
+    _, s, qt = np.linalg.svd(np.sqrt(weights)[:, None] * dmat.T, full_matrices=False)
+    q_s = qt.T / s
+    u, sig, vt = np.linalg.svd(a @ q_s, full_matrices=False)
+    sig = np.where(sig > DEFAULT_TOL * sig[:1], sig, 0.0)
+    sig2 = sig * sig
+    beta = u.T @ y
+    floor2 = float(np.sum(beta[sig == 0.0] ** 2) + np.sum((y - u @ beta) ** 2))
+    if floor2 >= eps * eps:
+        c = np.divide(1.0, sig, out=np.zeros_like(sig), where=sig > 0.0)
+        return q_s @ (vt.T @ (c * beta)), None
+    lam, lo, hi = 0.0, 0.0, math.inf
+    for _ in range(100):
+        t = 1.0 / (1.0 + lam * sig2)
+        r = beta * t
+        res = math.sqrt(float(r @ r) + floor2)
+        if abs(res - eps) <= 1e-14 * eps:
+            break
+        if res > eps:
+            lo = lam
+        else:
+            hi = lam
+        lam += (1.0 / eps - 1.0 / res) * res ** 3 / float(np.sum(sig2 * r * r * t))
+        if not lo < lam < hi:
+            lam = 0.5 * (lo + hi)
+    c = lam * sig / (1.0 + lam * sig2)
+    return q_s @ (vt.T @ (c * beta)), lam
+
+
 def solve_pq(frame: TightFrame, model: SensingModel, q: float,
              opts: Optional[SolverOptions] = None) -> RecoveryResult:
     """Iteratively reweighted least squares for the lq analysis program.
 
     Weights w_i = ((D* f)_i^2 + mu^2)^(q/2 - 1) at smoothing level mu, which
-    decays geometrically to the floor.  The noiseless weighted subproblem is
-    solved exactly on the affine set A f = y (null-space reduction keeps the
-    conditioning at sqrt of the weight spread); with eps > 0 a penalty weight
-    lambda is calibrated by bisection until the residual lands in
-    [eps (1 - 1e-3), eps].
+    decays geometrically to the floor.  Each weighted subproblem
+    min ||sqrt(W) D* f||_2 s.t. ||A f - y||_2 <= eps is solved in closed
+    form by `_weighted_solve`, on the boundary ||A f - y||_2 = eps when
+    eps > 0 and on the least-squares set of A f = y when eps = 0.
     """
     if not 0.0 < q < 1.0:
         raise ContractViolation("solve_pq needs 0 < q < 1")
@@ -264,55 +303,9 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float,
     if res0 > eps + _feasibility_tol(eps, opts.tol):
         return result(f0, 0, False, {"note": "no_feasible_point", "min_residual": res0})
 
-    if eps == 0.0:
-        # null-space parametrization of {f : A f = y}
-        _, svals, vt = np.linalg.svd(a, full_matrices=True)
-        rank = int(np.count_nonzero(svals > 1e-12 * (svals[0] if svals.size else 1.0)))
-        null_basis = vt[rank:].T  # n x (n - rank)
-    else:
-        null_basis = None
-
-    def weighted_solve(weights, lam_start):
-        root_w = np.sqrt(weights)
-        if eps == 0.0:
-            if null_basis.shape[1] == 0:
-                return f0, lam_start
-            lhs = (root_w[:, None] * dmat.T) @ null_basis
-            rhs = -(root_w * (dmat.T @ f0))
-            c, _ = least_squares_min_norm(lhs, rhs)
-            return f0 + null_basis @ c, lam_start
-
-        def solve_at(lam):
-            top = root_w[:, None] * dmat.T
-            bottom = math.sqrt(lam) * a
-            rhs = np.concatenate([np.zeros(dmat.shape[1]), math.sqrt(lam) * y])
-            f_lam, _ = least_squares_min_norm(np.vstack([top, bottom]), rhs)
-            return f_lam, float(np.linalg.norm(a @ f_lam - y))
-
-        # the residual is decreasing in lam; drive it onto the constraint
-        # boundary (well inside [eps (1 - 1e-3), eps]) so each weighted solve
-        # is the exact ball-constrained minimizer -- that exactness is what
-        # makes the majorize-minimize descent and the outer fixed point clean
-        lam_hi = max(lam_start, 1e-12)
-        f_hi, res_hi = solve_at(lam_hi)
-        grow = 0
-        while res_hi > eps and grow < 120:
-            lam_hi *= 4.0
-            f_hi, res_hi = solve_at(lam_hi)
-            grow += 1
-        lam_lo = lam_hi / 4.0 if grow else 0.0
-        for _ in range(50):
-            lam_mid = 0.5 * (lam_lo + lam_hi) if lam_lo > 0.0 else lam_hi / 2.0
-            f_mid, res_mid = solve_at(lam_mid)
-            if res_mid > eps:
-                lam_lo = lam_mid
-            else:
-                lam_hi, f_hi, res_hi = lam_mid, f_mid, res_mid
-        return f_hi, lam_hi
-
     f = f0
     mu = max(float(np.abs(dmat.T @ f0).max()), opts.smoothing_floor)
-    lam = 1.0
+    lam = None
     total_solves = 0
     level_traces = []
     converged = False
@@ -324,7 +317,7 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float,
         for _ in range(inner_cap):
             coeffs = dmat.T @ f
             weights = (coeffs * coeffs + mu * mu) ** (q / 2.0 - 1.0)
-            f_new, lam = weighted_solve(weights, lam)
+            f_new, lam = _weighted_solve(dmat, a, y, eps, weights)
             total_solves += 1
             level_trace.append(_smoothed_objective(dmat.T @ f_new, mu, q))
             inner_step = float(np.linalg.norm(f_new - f))
@@ -342,7 +335,7 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float,
         mu = max(opts.continuation_factor * mu, opts.smoothing_floor)
 
     return result(f, total_solves, converged, {
-        "mu_final": mu, "lambda_final": lam if eps > 0 else None,
+        "mu_final": mu, "lambda_final": lam,
         "levels": len(level_traces), "level_traces": level_traces,
     })
 

@@ -330,12 +330,8 @@ def test_criterion_8_lemma_audit_suite():
             res = solvers.solve_pq(frame, model, q)
         if not res.converged:
             continue
-        coeffs_hat = frame.matrix.T @ res.f_hat
-        coeffs_true = frame.matrix.T @ f
-        if q == 1.0:
-            if np.abs(coeffs_hat).sum() > np.abs(coeffs_true).sum():
-                continue
-        elif np.sum(np.abs(coeffs_hat) ** q) > np.sum(np.abs(coeffs_true) ** q):
+        if not guarantees.surrogate_gate(frame.matrix.T @ res.f_hat,
+                                         frame.matrix.T @ f, q)[0]:
             continue
         records = guarantees.audit_lemmas(frame, a, f, res.f_hat, 2, q,
                                           model.epsilon, delta, y=model.y)

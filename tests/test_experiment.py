@@ -20,6 +20,7 @@ from framecs.experiment import (
     write_csv,
 )
 from framecs.serialize import format_real
+from framecs.solvers import SolverOptions
 
 
 def small_config(**overrides):
@@ -75,6 +76,7 @@ class TestConfig:
         ({"n": 8, "d": 12, "m": 64, "s": 2, "q": "0.5"}, "q must be float or null"),
         ({"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"tol": "x"}}, "solver.tol"),
         ([8, 12], "config must be a JSON object"),
+        ({"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"seed": 0}}, "'seed' in solver"),
     ])
     def test_from_dict_names_the_bad_entry(self, raw, named):
         with pytest.raises(ContractViolation, match=named):
@@ -176,6 +178,15 @@ class TestRunExperiment:
                            matrix=MatrixSpec(kind="gaussian", seed=6, scale=1.0))
         with pytest.raises(ContractViolation, match="drip_mode"):
             run_experiment(cfg)
+
+    def test_lower_bound_mode_never_enumerates(self):
+        # the random pass alone picks the auto_min scale, so a (d, 2s) past
+        # the exact budget still runs
+        cfg = small_config(n=10, d=80, m=20, s=6, trials=1, drip_mode="lower",
+                           drip_trials=50, solver=SolverOptions(max_iters=20))
+        rec, = run_experiment(cfg)
+        assert rec.drip_method == "random_lower_bound"
+        assert rec.status == "lower_bound_only" and rec.reason is None
 
     def test_lower_bound_mode_never_asserts(self):
         cfg = small_config(drip_mode="lower", drip_trials=50)

@@ -4,7 +4,6 @@ import pytest
 from framecs.errors import ContractViolation
 from framecs.linalg import (
     least_squares_min_norm,
-    operator_norm,
     orthonormal_range_basis,
     sym_eig_extremes,
 )
@@ -121,28 +120,3 @@ class TestLeastSquaresMinNorm:
         for _ in range(1000):
             delta = rng.standard_normal(3) * 10.0 ** rng.uniform(-6, 0)
             assert np.linalg.norm(m @ (x + delta) - b) >= res - 1e-12
-
-
-class TestOperatorNorm:
-    def test_identity(self):
-        assert operator_norm(np.eye(4), 50, seed=0) == pytest.approx(1.0, rel=1e-6)
-
-    def test_diagonal(self):
-        assert operator_norm(np.diag([3.0, 1.0]), 100, seed=1) == pytest.approx(3.0, rel=1e-6)
-
-    def test_nilpotent(self):
-        # singular values of [[0,2],[0,0]] are {2, 0}
-        assert operator_norm(np.array([[0.0, 2.0], [0.0, 0.0]]), 50, seed=2) \
-            == pytest.approx(2.0, rel=1e-6)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((7, 5))
-        assert operator_norm(m, 100, seed=9) == operator_norm(m, 100, seed=9)
-
-    def test_matches_eig_route(self):
-        rng = np.random.default_rng(17)
-        for trial in range(20):
-            m = rng.standard_normal((6, 4))
-            via_eig = np.sqrt(sym_eig_extremes(m.T @ m)[1])
-            assert operator_norm(m, 300, seed=trial) == pytest.approx(via_eig, rel=1e-5)

@@ -7,9 +7,11 @@ from framecs.drip import exact_drip, support_spectrum_range
 from framecs.errors import ContractViolation
 from framecs.frames import make_dct_frame, make_identity_frame, make_random_tight_frame
 from framecs.guarantees import error_bound, constants_general, threshold_general
+from framecs.linalg import least_squares_min_norm
 from framecs.sensing import SensingModel, gen_gaussian, measure
 from framecs.solvers import (
     SolverOptions,
+    _weighted_solve,
     project_l2_ball,
     soft_threshold,
     solve_p0_oracle,
@@ -173,6 +175,15 @@ class TestSolveP1:
                 assert float(np.abs(frame.matrix.T @ res.f_hat).sum()) \
                     <= float(np.abs(frame.matrix.T @ f).sum()) + 1e-6
 
+    def test_operator_norm_is_exact(self):
+        # tall Gaussian matrices; the step sizes rest on the exact ||A||_2
+        for seed in range(10):
+            a = gen_gaussian(160, 10, seed=seed + 80)
+            model = SensingModel(A=a, y=np.ones(160), epsilon=0.0)
+            res = solve_p1(make_identity_frame(10), model, SolverOptions(max_iters=1))
+            assert res.diagnostics["operator_norm"] == pytest.approx(
+                np.linalg.norm(a, 2), rel=1e-13)
+
     def test_custom_options(self):
         frame, a, f, model = normalized_instance(19)
         res = solve_p1(frame, model, SolverOptions(max_iters=50, tol=1e-3))
@@ -228,12 +239,81 @@ class TestSolvePq:
             if diffs.size:
                 assert np.all(diffs <= 1e-10)
 
+    def test_undersampled_dct(self):
+        # the paper's regime m < n: noiseless recovery agrees with the l0
+        # oracle, and the noisy solution lies in the eps-ball
+        frame = make_dct_frame(16)
+        a = gen_gaussian(10, 16, seed=0)
+        rng = np.random.default_rng(1)
+        x = np.zeros(16)
+        x[rng.choice(16, 2, replace=False)] = \
+            rng.standard_normal(2) + np.sign(rng.standard_normal(2))
+        f = frame.matrix @ x
+        model = measure(a, f, "none")
+        oracle = solve_p0_oracle(frame, model, s_max=2)
+        assert oracle.converged
+        res = solve_pq(frame, model, 0.5)
+        assert res.converged
+        assert np.linalg.norm(res.f_hat - oracle.f_hat) <= 1e-4
+        noisy = measure(a, f, "bounded", 0.05, seed=2)
+        res = solve_pq(frame, noisy, 0.5)
+        assert res.converged
+        assert res.residual <= noisy.epsilon * (1 + 1e-6) + 1e-9
+
     def test_objective_reevaluates(self):
         frame, a, f, model = normalized_instance(37, eps=0.05)
         res = solve_pq(frame, model, 0.7)
         coeffs = frame.matrix.T @ res.f_hat
         assert res.objective == pytest.approx(float(np.sum(np.abs(coeffs) ** 0.7)),
                                               abs=0.0)
+
+
+def _penalized_oracle(dmat, a, y, weights, lam):
+    """min ||sqrt(W) D* f||^2 + lam ||A f - y||^2 as one stacked least
+    squares [sqrt(W) D*; sqrt(lam) A] f = [0; sqrt(lam) y]."""
+    top = np.sqrt(weights)[:, None] * dmat.T
+    rhs = np.concatenate([np.zeros(dmat.shape[1]), math.sqrt(lam) * y])
+    return least_squares_min_norm(np.vstack([top, math.sqrt(lam) * a]), rhs)[0]
+
+
+def _null_space_oracle(dmat, a, y, weights):
+    """min ||sqrt(W) D* f|| over f0 + null(A), f0 the minimum-norm solution."""
+    f0, _ = least_squares_min_norm(a, y)
+    _, svals, vt = np.linalg.svd(a, full_matrices=True)
+    null_basis = vt[int(np.count_nonzero(svals > 1e-12 * svals[0])):].T
+    root_w = np.sqrt(weights)
+    lhs = (root_w[:, None] * dmat.T) @ null_basis
+    c, _ = least_squares_min_norm(lhs, -(root_w * (dmat.T @ f0)))
+    return f0 + null_basis @ c
+
+
+class TestWeightedSolve:
+    @pytest.mark.parametrize("m", [5, 20])
+    @pytest.mark.parametrize("spread", [1.0, 4.0])
+    def test_noisy_matches_penalized_least_squares(self, m, spread):
+        frame = make_random_tight_frame(8, 12, seed=m)
+        a = gen_gaussian(m, 8, seed=m + 1)
+        rng = np.random.default_rng(m + 2)
+        weights = 10.0 ** rng.uniform(-spread, spread, 12)
+        model = measure(a, frame.matrix @ rng.standard_normal(12), "bounded", 0.1,
+                        seed=m + 3)
+        f, lam = _weighted_solve(frame.matrix, a, model.y, 0.1, weights)
+        residual = float(np.linalg.norm(a @ f - model.y))
+        assert 0.1 * (1 - 1e-9) <= residual <= 0.1 * (1 + 1e-12)
+        oracle = _penalized_oracle(frame.matrix, a, model.y, weights, lam)
+        assert np.linalg.norm(f - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("spread", [1.0, 4.0])
+    def test_noiseless_matches_null_space(self, spread):
+        frame = make_random_tight_frame(8, 12, seed=5)
+        a = gen_gaussian(5, 8, seed=6)
+        rng = np.random.default_rng(7)
+        weights = 10.0 ** rng.uniform(-spread, spread, 12)
+        y = a @ rng.standard_normal(8)
+        f, lam = _weighted_solve(frame.matrix, a, y, 0.0, weights)
+        assert lam is None
+        oracle = _null_space_oracle(frame.matrix, a, y, weights)
+        assert np.linalg.norm(f - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
 
 class TestSolveP0:
