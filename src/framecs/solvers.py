@@ -141,13 +141,21 @@ def solve_p1(frame: TightFrame, model: SensingModel,
         )
 
     stacked = np.vstack([dmat.T, a])  # (d + m) x n
+    stacked_t = stacked.T
     feas_tol = _feasibility_tol(eps, opts.tol)
+    # the loop writes into these instead of allocating: the images K f and
+    # K f_bar, the product K^T (p, r), and two dual vectors (p, r), the
+    # current one and the next, swapped each step
+    image = np.empty(d + m)
+    image_bar = np.empty(d + m)
+    back = np.empty(a.shape[1])
+    dual, dual_new = np.zeros(d + m), np.empty(d + m)
 
     def evaluate(candidate):
-        image = stacked @ candidate
+        np.matmul(stacked, candidate, out=image)
         obj = float(np.abs(image[:d]).sum())
-        res = float(np.linalg.norm(image[d:] - y))
-        return obj, res
+        gap = image[d:] - y
+        return obj, math.sqrt(gap @ gap)
 
     best_obj, best_res = math.inf, math.inf
     best_f = None
@@ -156,8 +164,6 @@ def solve_p1(frame: TightFrame, model: SensingModel,
         best_obj, best_res, best_f = obj0, res0, f.copy()
     trace = [best_obj if best_f is not None else obj0]
 
-    p = np.zeros(d)
-    r = np.zeros(m)
     f_bar = f.copy()
     converged = False
     iterations = 0
@@ -166,22 +172,30 @@ def solve_p1(frame: TightFrame, model: SensingModel,
     balance = 0.5  # diminishing rebalancing strength
 
     for iterations in range(1, opts.max_iters + 1):
-        image_bar = stacked @ f_bar
-        p_new = np.clip(p + sigma * image_bar[:d], -1.0, 1.0)
-        w = r + sigma * (image_bar[d:] - y)
-        norm_w = float(np.linalg.norm(w))
+        np.matmul(stacked, f_bar, out=image_bar)
+        # p_new = clip(p + sigma K_1 f_bar, -1, 1)
+        p_new = dual_new[:d]
+        np.multiply(image_bar[:d], sigma, out=p_new)
+        p_new += dual[:d]
+        np.minimum(np.maximum(p_new, -1.0, out=p_new), 1.0, out=p_new)
+        # r_new = shrink(r + sigma (A f_bar - y)) onto the eps-ball dual
+        w = dual_new[d:]
+        np.subtract(image_bar[d:], y, out=w)
+        w *= sigma
+        w += dual[d:]
+        norm_w = math.sqrt(w @ w)
         if norm_w > 0.0 and eps > 0.0:
-            r_new = w * max(0.0, 1.0 - sigma * eps / norm_w)
-        else:
-            r_new = w
-        dual_new = np.concatenate([p_new, r_new])
-        f_new = f - tau * (stacked.T @ dual_new)
-        step = float(np.linalg.norm(f_new - f))
-        ref = 1.0 + float(np.linalg.norm(f))
+            w *= max(0.0, 1.0 - sigma * eps / norm_w)
+        np.matmul(stacked_t, dual_new, out=back)
+        back *= tau
+        f_new = f - back
+        move = f_new - f
+        step = math.sqrt(move @ move)
+        ref = 1.0 + math.sqrt(f @ f)
 
         if iterations % 10 == 0 and balance > 1e-4:
-            dual_step = np.concatenate([p, r]) - dual_new
-            primal_res = np.linalg.norm((f - f_new) / tau - stacked.T @ dual_step)
+            dual_step = dual - dual_new
+            primal_res = np.linalg.norm((f - f_new) / tau - stacked_t @ dual_step)
             dual_res = np.linalg.norm(dual_step / sigma - stacked @ (f - f_new))
             if primal_res > 2.0 * dual_res:
                 tau *= 1.0 + balance
@@ -194,12 +208,12 @@ def solve_p1(frame: TightFrame, model: SensingModel,
 
         f_bar = 2.0 * f_new - f
         f = f_new
-        p, r = p_new, r_new
+        dual, dual_new = dual_new, dual
 
         obj, res = evaluate(f)
         viol = max(0.0, res - eps)
         if viol <= feas_tol and obj < best_obj:
-            best_obj, best_res, best_f = obj, res, f.copy()
+            best_obj, best_res, best_f = obj, res, f
         trace.append(best_obj if best_f is not None else obj)
 
         if step <= opts.tol * ref and viol <= feas_tol:

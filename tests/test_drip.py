@@ -8,11 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from framecs.drip import (
+    GRAM_COND,
     exact_drip,
     exact_rip,
     random_lower_bound,
     spectrum_extremes,
-    support_deviation,
     support_spectra,
     support_spectrum_range,
 )
@@ -22,7 +22,7 @@ from framecs.frames import (
     make_random_tight_frame,
     make_union_frame,
 )
-from framecs.linalg import DEFAULT_TOL, orthonormal_range_basis
+from framecs.linalg import DEFAULT_TOL, as_matrix
 from framecs.rng import rng_from_seed
 from framecs.sensing import gen_gaussian
 
@@ -224,15 +224,33 @@ class RawFrame:
         return self.matrix.shape[1]
 
 
+def orthonormal_range_basis(m, tol=DEFAULT_TOL):
+    """Orthonormal columns spanning range(m): columns whose singular value
+    is <= tol * sigma_max are dropped; an all-zero input gives zero columns."""
+    m = as_matrix(m)
+    if min(m.shape) == 0:
+        return np.zeros((m.shape[0], 0))
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    if s[0] <= 0.0:
+        return np.zeros((m.shape[0], 0))
+    return u[:, :int(np.count_nonzero(s > tol * s[0]))].copy()
+
+
 def reference_spectrum(a, mat, support):
     """(lo, hi) on range(D_T) from an SVD basis and eigvalsh, one support at
     a time; None for a rank-zero support."""
-    u, sv, _ = np.linalg.svd(mat[:, list(support)], full_matrices=False)
-    if sv[0] <= 0.0:
+    basis = orthonormal_range_basis(mat[:, list(support)])
+    if basis.shape[1] == 0:
         return None
-    basis = u[:, :int(np.count_nonzero(sv > DEFAULT_TOL * sv[0]))]
     w = np.linalg.eigvalsh(basis.T @ a.T @ a @ basis)
     return w[0], w[-1]
+
+
+def support_deviation(a, frame, support):
+    """The deviation max(hi - 1, 1 - lo) on one support (witness
+    validation), 0 at rank zero."""
+    spec = reference_spectrum(a, frame.matrix, support)
+    return 0.0 if spec is None else max(spec[1] - 1.0, 1.0 - spec[0])
 
 
 def reference_drip(a, mat, supports):
@@ -291,18 +309,25 @@ class TestSupportSpectra:
         assume(t <= frame.d)
         check_kernel(gen_gaussian(m, n, seed=seed + 1), frame, t)
 
-    def test_reproduces_the_per_support_basis_bit_for_bit(self):
-        # the kernel forms (A U)^T (A U) exactly as a per-support evaluation
-        # through orthonormal_range_basis does, so numeric-scale runs keep
-        # their CSV byte-identical
+    def test_matches_the_per_support_basis_at_m_160(self):
         frame = make_random_tight_frame(10, 14, seed=3)
-        a = gen_gaussian(160, 10, seed=4)
-        supports = list(combinations(range(14), 4))
-        lo, hi = support_spectra(a, frame, supports)
-        for support, l, h in zip(supports, lo, hi):
-            image = a @ orthonormal_range_basis(frame.matrix[:, list(support)])
-            w = np.linalg.eigvalsh(image.T @ image)
-            assert (l, h) == (w[0], w[-1])
+        check_kernel(gen_gaussian(160, 10, seed=4), frame, 4)
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_whitened_and_svd_supports_in_one_chunk(self, t):
+        # I and a rotation of I: {i, 4 + i} is a pair of columns at angle
+        # 0.5 or 0.02, with cond(Phi_T) about 16 and 1e4
+        rot = np.eye(4)
+        for (i, j), angle in (((0, 1), 0.5), ((2, 3), 0.02)):
+            c, s = np.cos(angle), np.sin(angle)
+            rot[[i, i, j, j], [i, j, i, j]] = c, -s, s, c
+        frame = make_union_frame(np.eye(4), rot)
+        supports = list(combinations(range(8), t))
+        conds = [np.linalg.cond(frame.matrix[:, list(sup)].T @ frame.matrix[:, list(sup)])
+                 for sup in supports]
+        assert min(conds) < GRAM_COND < max(conds)
+        assert any(1.5 < c < GRAM_COND for c in conds)
+        check_kernel(gen_gaussian(9, 4, seed=t), frame, t)
 
     def test_rejects_out_of_range_supports(self):
         frame = make_random_tight_frame(3, 5, seed=1)
@@ -388,3 +413,37 @@ class TestRandomLowerBoundDraws:
         assert rep.delta == pytest.approx(delta, abs=1e-12)
         assert rep.witness_support == witness
         assert rep.supports_examined == 600
+
+
+class TestOrthonormalRangeBasis:
+    def test_rank_one(self):
+        b = orthonormal_range_basis(np.array([[1.0, 2.0], [0.0, 0.0]]))
+        assert b.shape == (2, 1)
+        assert abs(abs(b[0, 0]) - 1.0) < 1e-12 and abs(b[1, 0]) < 1e-12
+
+    def test_full_rank_identity(self):
+        b = orthonormal_range_basis(np.eye(3))
+        assert b.shape == (3, 3)
+        assert np.abs(b.T @ b - np.eye(3)).max() < 1e-12
+
+    def test_rank_one_symmetric(self):
+        # SVD by hand: [[1,1],[1,1]] has the single direction (1,1)/sqrt(2)
+        b = orthonormal_range_basis(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        assert b.shape == (2, 1)
+        assert np.abs(np.abs(b[:, 0]) - 1.0 / np.sqrt(2)).max() < 1e-12
+
+    def test_zero_matrix_gives_zero_columns(self):
+        b = orthonormal_range_basis(np.zeros((3, 2)))
+        assert b.shape == (3, 0)
+
+    def test_projection_property(self):
+        rng = np.random.default_rng(5)
+        for trial in range(25):
+            rows, cols = rng.integers(2, 7, size=2)
+            rank = int(rng.integers(1, min(rows, cols) + 1))
+            m = (rng.standard_normal((rows, rank))
+                 @ rng.standard_normal((rank, cols)))
+            b = orthonormal_range_basis(m, tol=1e-10)
+            assert np.abs(b.T @ b - np.eye(b.shape[1])).max() <= 1e-9
+            fro = np.linalg.norm(m)
+            assert np.linalg.norm(m - b @ (b.T @ m)) <= 1e-9 * max(fro, 1.0)

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from framecs.errors import ContractViolation
-from framecs.linalg import (
-    least_squares_min_norm,
-    orthonormal_range_basis,
-    sym_eig_extremes,
-)
+from framecs.linalg import least_squares_min_norm, sym_eig_extremes
 
 
 class TestSymEigExtremes:
@@ -55,40 +51,6 @@ class TestSymEigExtremes:
             v = rng.standard_normal(6)
             quot = (v @ m @ v) / (v @ v)
             assert lo - 1e-8 <= quot <= hi + 1e-8
-
-
-class TestOrthonormalRangeBasis:
-    def test_rank_one(self):
-        b = orthonormal_range_basis(np.array([[1.0, 2.0], [0.0, 0.0]]))
-        assert b.shape == (2, 1)
-        assert abs(abs(b[0, 0]) - 1.0) < 1e-12 and abs(b[1, 0]) < 1e-12
-
-    def test_full_rank_identity(self):
-        b = orthonormal_range_basis(np.eye(3))
-        assert b.shape == (3, 3)
-        assert np.abs(b.T @ b - np.eye(3)).max() < 1e-12
-
-    def test_rank_one_symmetric(self):
-        # SVD by hand: [[1,1],[1,1]] has the single direction (1,1)/sqrt(2)
-        b = orthonormal_range_basis(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        assert b.shape == (2, 1)
-        assert np.abs(np.abs(b[:, 0]) - 1.0 / np.sqrt(2)).max() < 1e-12
-
-    def test_zero_matrix_gives_zero_columns(self):
-        b = orthonormal_range_basis(np.zeros((3, 2)))
-        assert b.shape == (3, 0)
-
-    def test_projection_property(self):
-        rng = np.random.default_rng(5)
-        for trial in range(25):
-            rows, cols = rng.integers(2, 7, size=2)
-            rank = int(rng.integers(1, min(rows, cols) + 1))
-            m = (rng.standard_normal((rows, rank))
-                 @ rng.standard_normal((rank, cols)))
-            b = orthonormal_range_basis(m, tol=1e-10)
-            assert np.abs(b.T @ b - np.eye(b.shape[1])).max() <= 1e-9
-            fro = np.linalg.norm(m)
-            assert np.linalg.norm(m - b @ (b.T @ m)) <= 1e-9 * max(fro, 1.0)
 
 
 class TestLeastSquaresMinNorm:

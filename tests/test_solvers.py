@@ -366,3 +366,81 @@ class TestSolveP0:
         model = SensingModel(A=np.eye(2), y=np.ones(2), epsilon=0.1)
         with pytest.raises(ContractViolation):
             solve_p0_oracle(make_identity_frame(2), model, 1)
+
+
+def reference_p1_loop(frame, model, opts=SolverOptions()):
+    """The primal-dual loop of `solve_p1` written with fresh arrays, np.clip,
+    np.concatenate and np.linalg.norm: (f_hat, iterations, objective,
+    objective_trace, tau)."""
+    a, y, eps = model.A, model.y, model.epsilon
+    dmat = frame.matrix
+    d = frame.d
+    f, _, _, svals = np.linalg.lstsq(a, y, rcond=1e-10)
+    big_k = math.sqrt(1.0 + (float(svals[0]) * (1.0 + 1e-6)) ** 2)
+    tau = sigma = 0.99 / big_k
+    stacked = np.vstack([dmat.T, a])
+    feas_tol = min(opts.tol, eps * 1e-6 + 1e-9)
+
+    def evaluate(candidate):
+        image = stacked @ candidate
+        return float(np.abs(image[:d]).sum()), float(np.linalg.norm(image[d:] - y))
+
+    best_obj, best_f = math.inf, None
+    obj0, res0 = evaluate(f)
+    if res0 - eps <= feas_tol:
+        best_obj, best_f = obj0, f.copy()
+    trace = [best_obj if best_f is not None else obj0]
+    p, r = np.zeros(d), np.zeros(a.shape[0])
+    f_bar = f.copy()
+    balance = 0.5
+    for iterations in range(1, opts.max_iters + 1):
+        image_bar = stacked @ f_bar
+        p_new = np.clip(p + sigma * image_bar[:d], -1.0, 1.0)
+        w = r + sigma * (image_bar[d:] - y)
+        norm_w = float(np.linalg.norm(w))
+        r_new = w * max(0.0, 1.0 - sigma * eps / norm_w) if norm_w > 0.0 and eps > 0.0 else w
+        dual_new = np.concatenate([p_new, r_new])
+        f_new = f - tau * (stacked.T @ dual_new)
+        step = float(np.linalg.norm(f_new - f))
+        ref = 1.0 + float(np.linalg.norm(f))
+        if iterations % 10 == 0 and balance > 1e-4:
+            dual_step = np.concatenate([p, r]) - dual_new
+            primal_res = np.linalg.norm((f - f_new) / tau - stacked.T @ dual_step)
+            dual_res = np.linalg.norm(dual_step / sigma - stacked @ (f - f_new))
+            if primal_res > 2.0 * dual_res:
+                tau, sigma, balance = tau * (1.0 + balance), sigma / (1.0 + balance), balance * 0.95
+            elif dual_res > 2.0 * primal_res:
+                tau, sigma, balance = tau / (1.0 + balance), sigma * (1.0 + balance), balance * 0.95
+        f_bar = 2.0 * f_new - f
+        f = f_new
+        p, r = p_new, r_new
+        obj, res = evaluate(f)
+        viol = max(0.0, res - eps)
+        if viol <= feas_tol and obj < best_obj:
+            best_obj, best_f = obj, f.copy()
+        trace.append(best_obj if best_f is not None else obj)
+        if step <= opts.tol * ref and viol <= feas_tol:
+            break
+    f_hat = f if best_f is None else best_f
+    return f_hat, iterations, float(np.abs(dmat.T @ f_hat).sum()), trace, tau
+
+
+class TestLeanP1Step:
+    @pytest.mark.parametrize("kwargs", [
+        dict(seed=0, n=8, d=12, m=128, eps=0.05),
+        dict(seed=1, n=6, d=9, m=48, eps=0.1),
+        dict(seed=2, n=8, d=12, m=128, eps=0.0),
+        # m = 2n: tau grows 7 times and shrinks 16 times
+        dict(seed=5, n=5, d=7, m=10, s=1, eps=0.05),
+    ])
+    def test_matches_the_reference_loop_bit_for_bit(self, kwargs):
+        frame, a, f, model = normalized_instance(**kwargs)
+        res = solve_p1(frame, model)
+        f_hat, iterations, objective, trace, tau = reference_p1_loop(frame, model)
+        assert res.f_hat.tobytes() == f_hat.tobytes()
+        assert res.iterations == iterations
+        assert res.objective == objective
+        assert res.diagnostics["objective_trace"] == trace
+        # the rebalancing moved the steps, in both loops alike
+        assert res.diagnostics["tau"] == tau != 0.99 / math.sqrt(
+            1.0 + (res.diagnostics["operator_norm"] * (1.0 + 1e-6)) ** 2)
