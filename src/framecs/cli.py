@@ -74,13 +74,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sense", help="measurement matrices and probes")
     ssub = p.add_subparsers(dest="action", required=True)
     g = ssub.add_parser("gen", help="generate a measurement matrix")
-    g.add_argument("--kind", choices=experiment.MATRIX_KINDS, default="gaussian")
+    g.add_argument("--kind", choices=sensing.MATRIX_KINDS, default="gaussian")
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     pr = ssub.add_parser("probe", help="empirical norm-concentration frequency")
-    pr.add_argument("--kind", choices=experiment.MATRIX_KINDS, default="gaussian")
+    pr.add_argument("--kind", choices=sensing.MATRIX_KINDS, default="gaussian")
     pr.add_argument("--m", type=int, required=True)
     pr.add_argument("--n", type=int, required=True)
     pr.add_argument("--delta", type=float, required=True)
@@ -186,7 +186,7 @@ def _run(args) -> int:
 
     if args.command == "sense":
         if args.action == "gen":
-            a = experiment._gen_matrix(args.kind, args.m, args.n, args.seed)
+            a = sensing.gen_matrix(args.kind, args.m, args.n, args.seed)
             frames.save_matrix(args.out, a)
             print("wrote %d x %d matrix to %s" % (args.m, args.n, args.out))
         else:

@@ -30,7 +30,6 @@ CSV_COLUMNS = ("trial", "n", "d", "m", "s", "q", "eps", "delta_2s", "regime",
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 FRAME_KINDS = ("identity", "dct", "random", "union_dct")
-MATRIX_KINDS = ("gaussian", "bernoulli")
 SIGNAL_MODES = ("synthesis", "analysis")
 PROGRAMS = ("p1", "pq")
 
@@ -93,7 +92,7 @@ class ExperimentConfig:
             raise ContractViolation("eps must be >= 0")
         if self.frame.kind not in FRAME_KINDS:
             raise ContractViolation("unknown frame kind %r" % self.frame.kind)
-        if self.matrix.kind not in MATRIX_KINDS:
+        if self.matrix.kind not in sensing.MATRIX_KINDS:
             raise ContractViolation("unknown matrix kind %r" % self.matrix.kind)
         if self.signal.mode not in SIGNAL_MODES:
             raise ContractViolation("unknown signal mode %r" % self.signal.mode)
@@ -226,12 +225,6 @@ def build_frame(kind: str, n: int, d: int, seed: int) -> frames.TightFrame:
     return frames.make_random_tight_frame(n, d, seed)
 
 
-def _gen_matrix(kind: str, m: int, n: int, seed: int) -> np.ndarray:
-    if kind == "gaussian":
-        return sensing.gen_gaussian(m, n, seed)
-    return sensing.gen_bernoulli(m, n, seed)
-
-
 def _fixed_scale(spec_scale) -> Optional[float]:
     """The numeric scale, or None for one picked from the spectrum range."""
     if isinstance(spec_scale, (int, float)) and not isinstance(spec_scale, bool):
@@ -298,7 +291,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
     }
     order = 2 * config.s
     frame = build_frame(config.frame.kind, config.n, config.d, seeds["frame"])
-    a = _gen_matrix(config.matrix.kind, config.m, config.n, seeds["matrix"])
+    a = sensing.gen_matrix(config.matrix.kind, config.m, config.n, seeds["matrix"])
     reasons = []
     # one pass picks the scale and, rescaled by scale^2, gives the constant
     # of the scaled matrix

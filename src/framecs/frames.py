@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import as_matrix, as_vector, sym_eig_extremes
+from .linalg import as_matrix, as_vector
 from .rng import rng_from_seed
 from .serialize import format_real
 
@@ -70,9 +70,9 @@ class SparseApprox:
 def tightness_defect(m) -> float:
     """Spectral-norm distance ||MM* - I|| of a matrix from tightness."""
     m = as_matrix(m)
-    gram = m @ m.T - np.eye(m.shape[0])
-    lo, hi = sym_eig_extremes(gram, tol=1.0)  # gram is symmetric by construction
-    return max(abs(lo), abs(hi))
+    gram = as_matrix(m @ m.T - np.eye(m.shape[0]))  # rejects an overflowed product
+    w = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+    return max(abs(float(w[0])), abs(float(w[-1])))
 
 
 def make_identity_frame(n: int) -> TightFrame:

@@ -357,6 +357,16 @@ def _record(lemma_id: str, lhs: float, rhs: float, **intermediates) -> Inequalit
                                  intermediates=clean)
 
 
+def _worst_record(lemma_id: str, cases) -> InequalityAuditRecord:
+    """One record for a family of instances of an inequality: the case
+    (lhs, rhs, intermediates) with the largest lhs - rhs, the first on ties,
+    or a vacuous 0 <= 0 when the family is empty."""
+    worst = max(cases, key=lambda c: c[0] - c[1], default=None)
+    if worst is None:
+        return _record(lemma_id, 0.0, 0.0, vacuous=1.0)
+    return _record(lemma_id, worst[0], worst[1], **worst[2])
+
+
 def _lq_q(v: np.ndarray, q: float) -> float:
     return float(np.sum(np.abs(v) ** q))
 
@@ -467,12 +477,10 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
     def block_lqq(j):
         return _lq_q(coef[j], q)
 
-    tail_sorted = []  # per off-support block: (largest, smallest-with-zero-padding)
-    for j in range(1, l + 1):
+    def block_spread(j):
+        # largest minus smallest |entry| of a tail block, a short one padded with zeros
         mags = np.abs(xh[list(blocks[j])])
-        top = float(mags.max()) if mags.size else 0.0
-        bottom = float(mags.min()) if mags.size == part.s else 0.0
-        tail_sorted.append((top, bottom))
+        return float(mags.max()) - (float(mags.min()) if mags.size == part.s else 0.0)
 
     sum_l2_tail = sum(block_l2(j) for j in range(2, l + 1))
     sum_sq_tail = sum(block_l2(j) ** 2 for j in range(2, l + 1))
@@ -481,22 +489,20 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
     tail_l1 = float(np.abs(xf).sum()) - float(np.abs(xf[list(blocks[0])]).sum())
     tail_lq = float(np.sum(np.abs(np.delete(xf, list(blocks[0]))) ** q) ** (1.0 / q))
 
+    def contraction_rhs_l1(rho):
+        # the bound on the l1 block mass both l1 chains close with
+        return (2.0 / (1.0 - rho) * tail_l1
+                + 2.0 * math.sqrt(2.0) / ((1.0 - rho) * math.sqrt(1.0 - delta_2s))
+                * math.sqrt(s) * eps)
+
     records = []
 
     # pairwise inner-product bound for s-sparse blocks
-    if l >= 1:
-        worst = None
-        for i in range(l + 1):
-            for j in range(i + 1, l + 1):
-                lhs = float(adz[i] @ adz[j])
-                rhs = (delta_2s * np.linalg.norm(dz[i]) * np.linalg.norm(dz[j])
-                       + float(dz[i] @ dz[j]))
-                if worst is None or lhs - rhs > worst[0]:
-                    worst = (lhs - rhs, lhs, rhs, i, j)
-        records.append(_record("sparse_image_correlation", worst[1], worst[2],
-                               block_i=worst[3], block_j=worst[4]))
-    else:
-        records.append(_record("sparse_image_correlation", 0.0, 0.0, vacuous=1.0))
+    records.append(_worst_record("sparse_image_correlation", (
+        (float(adz[i] @ adz[j]),
+         delta_2s * np.linalg.norm(dz[i]) * np.linalg.norm(dz[j]) + float(dz[i] @ dz[j]),
+         {"block_i": i, "block_j": j})
+        for i in range(l + 1) for j in range(i + 1, l + 1))))
 
     # energy of the summed far-tail image
     tail_image = np.zeros(a.shape[0])
@@ -519,17 +525,9 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
     records.append(_record("tail_l2_from_l1_mass", sum_sq_tail, rhs_31, omega=omega1))
 
     # per-block norm comparison feeding the sharpened estimate
-    if l >= 2:
-        worst = None
-        for j in range(2, l + 1):
-            top, bottom = tail_sorted[j - 1]
-            lhs = math.sqrt(s) * block_l2(j)
-            rhs = block_l1(j) + s * (top - bottom) / 4.0
-            if worst is None or lhs - rhs > worst[0]:
-                worst = (lhs - rhs, lhs, rhs, j)
-        records.append(_record("block_l2_l1_interpolation", worst[1], worst[2], block=worst[3]))
-    else:
-        records.append(_record("block_l2_l1_interpolation", 0.0, 0.0, vacuous=1.0))
+    records.append(_worst_record("block_l2_l1_interpolation", (
+        (math.sqrt(s) * block_l2(j), block_l1(j) + s * block_spread(j) / 4.0, {"block": j})
+        for j in range(2, l + 1))))
 
     rhs_32 = (omega1 * (1.0 - omega1) + delta_2s * (1.0 - 0.75 * omega1) ** 2) / s \
         * sum_l1_blocks ** 2
@@ -546,12 +544,9 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
 
         if delta_2s < threshold_general():
             rho = rho_general(delta_2s)
-            big_n = math.sqrt(max(lhs_32, 0.0))
-            rhs = (2.0 / (1.0 - rho) * tail_l1
-                   + 2.0 * math.sqrt(2.0) / ((1.0 - rho) * math.sqrt(1.0 - delta_2s))
-                   * math.sqrt(s) * eps)
-            records.append(_record("block_mass_contraction_l1", sum_l1_blocks, rhs,
-                                   N=big_n, rho=rho, omega=omega1))
+            records.append(_record("block_mass_contraction_l1", sum_l1_blocks,
+                                   contraction_rhs_l1(rho), N=math.sqrt(max(lhs_32, 0.0)),
+                                   rho=rho, omega=omega1))
 
     # short-partition chain (meaningful whenever at most three tail blocks)
     z23 = np.zeros_like(xh)
@@ -574,12 +569,10 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
 
     if l1_gate and l <= 3 and delta_2s < threshold_special():
         rho = rho_special(delta_2s)
-        big_n = math.sqrt(1.0 + delta_2s) * float(np.linalg.norm(z23))
-        rhs = (2.0 / (1.0 - rho) * tail_l1
-               + 2.0 * math.sqrt(2.0) / ((1.0 - rho) * math.sqrt(1.0 - delta_2s))
-               * math.sqrt(s) * eps)
-        records.append(_record("block_mass_contraction_short", sum_l1_blocks, rhs,
-                               N=big_n, rho=rho, omega=omega1))
+        records.append(_record("block_mass_contraction_short", sum_l1_blocks,
+                               contraction_rhs_l1(rho),
+                               N=math.sqrt(1.0 + delta_2s) * float(np.linalg.norm(z23)),
+                               rho=rho, omega=omega1))
 
     # lq chain (at q = 1 it coincides with the l1 chain)
     exp_tail = (2.0 - q) / q
@@ -587,17 +580,10 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
         * sum_lqq_blocks ** (2.0 / q)
     records.append(_record("tail_l2_from_lq_mass", sum_sq_tail, rhs_41, omega_q=omega_q))
 
-    if l >= 2:
-        worst = None
-        for j in range(2, l + 1):
-            top, bottom = tail_sorted[j - 1]
-            lhs = s ** (1.0 / q - 0.5) * block_l2(j)
-            rhs = block_lq(j) + s ** (1.0 / q) * (top - bottom)
-            if worst is None or lhs - rhs > worst[0]:
-                worst = (lhs - rhs, lhs, rhs, j)
-        records.append(_record("block_l2_lq_interpolation", worst[1], worst[2], block=worst[3]))
-    else:
-        records.append(_record("block_l2_lq_interpolation", 0.0, 0.0, vacuous=1.0))
+    records.append(_worst_record("block_l2_lq_interpolation", (
+        (s ** (1.0 / q - 0.5) * block_l2(j), block_lq(j) + s ** (1.0 / q) * block_spread(j),
+         {"block": j})
+        for j in range(2, l + 1))))
 
     rhs_42 = ((1.0 - omega_q) * omega_q ** exp_tail + delta_2s) / s ** (2.0 / q - 1.0) \
         * sum_lqq_blocks ** (2.0 / q)

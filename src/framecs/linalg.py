@@ -31,22 +31,6 @@ def as_vector(a) -> np.ndarray:
     return v
 
 
-def sym_eig_extremes(m, tol: float = DEFAULT_TOL):
-    """Smallest and largest eigenvalue of a symmetric matrix.
-
-    Raises ContractViolation if the matrix is not square or deviates from
-    symmetry by more than `tol` (relative to the largest entry).
-    """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ContractViolation("sym_eig_extremes needs a square matrix, got %s" % (m.shape,))
-    scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-    if m.size and float(np.abs(m - m.T).max()) > tol * scale:
-        raise ContractViolation("matrix is not symmetric within tol=%g" % tol)
-    w = np.linalg.eigvalsh(0.5 * (m + m.T))
-    return float(w[0]), float(w[-1])
-
-
 def least_squares_min_norm(m, b, tol: float = DEFAULT_TOL):
     """Minimum-norm least-squares solution of m @ x = b.
 

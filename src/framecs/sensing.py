@@ -58,24 +58,31 @@ class SensingModel:
         return self.A.shape[1]
 
 
-def gen_gaussian(m: int, n: int, seed: int) -> np.ndarray:
-    """i.i.d. N(0, 1/m) entries; deterministic given the seed."""
+# measurement-matrix kind -> its m x n draw from a generator: i.i.d.
+# N(0, 1/m) or +-1/sqrt(m) entries
+MATRIX_KINDS = {
+    "gaussian": lambda rng, m, n: rng.standard_normal((m, n)) / np.sqrt(m),
+    "bernoulli": lambda rng, m, n: (rng.integers(0, 2, size=(m, n)) * 2 - 1) / np.sqrt(m),
+}
+
+
+def gen_matrix(kind: str, m: int, n: int, seed: int) -> np.ndarray:
+    """An m x n matrix of one of MATRIX_KINDS; deterministic given the seed."""
+    if kind not in MATRIX_KINDS:
+        raise ContractViolation("unknown matrix kind %r" % kind)
     if m < 1 or n < 1:
         raise ContractViolation("m, n must be >= 1")
-    rng = rng_from_seed(seed)
-    return rng.standard_normal((m, n)) / np.sqrt(m)
+    return MATRIX_KINDS[kind](rng_from_seed(seed), m, n)
+
+
+def gen_gaussian(m: int, n: int, seed: int) -> np.ndarray:
+    """i.i.d. N(0, 1/m) entries; deterministic given the seed."""
+    return gen_matrix("gaussian", m, n, seed)
 
 
 def gen_bernoulli(m: int, n: int, seed: int) -> np.ndarray:
     """i.i.d. +-1/sqrt(m) entries with equal probability."""
-    if m < 1 or n < 1:
-        raise ContractViolation("m, n must be >= 1")
-    rng = rng_from_seed(seed)
-    signs = rng.integers(0, 2, size=(m, n)) * 2 - 1
-    return signs / np.sqrt(m)
-
-
-_GENERATORS = {"gaussian": gen_gaussian, "bernoulli": gen_bernoulli}
+    return gen_matrix("bernoulli", m, n, seed)
 
 
 def measure(a, f, mode: str = "none", level: float = 0.0, seed: int = 0) -> SensingModel:
@@ -122,8 +129,10 @@ def concentration_probe(generator: str, m: int, n: int, nu, delta: float,
     result is independent of evaluation order.  Only raw frequencies are
     reported; no tail constants are estimated.
     """
-    if generator not in _GENERATORS:
+    if generator not in MATRIX_KINDS:
         raise ContractViolation("unknown generator %r" % generator)
+    if m < 1 or n < 1:
+        raise ContractViolation("m, n must be >= 1")
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
     if not 0.0 < delta < 1.0:
@@ -136,12 +145,7 @@ def concentration_probe(generator: str, m: int, n: int, nu, delta: float,
         raise ContractViolation("nu must be nonzero")
     violations = 0
     for t in range(trials):
-        rng = rng_substream(seed, t)
-        if generator == "gaussian":
-            a = rng.standard_normal((m, n)) / np.sqrt(m)
-        else:
-            a = (rng.integers(0, 2, size=(m, n)) * 2 - 1) / np.sqrt(m)
-        image = a @ nu
+        image = MATRIX_KINDS[generator](rng_substream(seed, t), m, n) @ nu
         if abs(float(image @ image) - norm_sq) >= delta * norm_sq:
             violations += 1
     return violations / trials

@@ -31,19 +31,19 @@ PROGRAM_P1 = "P1"
 PROGRAM_PQ = "Pq"
 PROGRAM_P0 = "P0"
 
+# the lq smoothing schedule: mu shrinks by this factor per level, to the floor
+CONTINUATION_FACTOR = 0.7
+SMOOTHING_FLOOR = 1e-10
+
 
 @dataclass(frozen=True)
 class SolverOptions:
     max_iters: int = 20000
     tol: float = 1e-9
-    smoothing_floor: float = 1e-10
-    continuation_factor: float = 0.7
 
     def __post_init__(self):
         if self.max_iters < 1 or self.tol <= 0:
             raise ContractViolation("max_iters >= 1 and tol > 0 required")
-        if self.smoothing_floor <= 0 or not 0.0 < self.continuation_factor < 1.0:
-            raise ContractViolation("bad smoothing schedule")
 
 
 @dataclass(frozen=True)
@@ -311,14 +311,14 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float,
     norm_y = float(np.linalg.norm(y))
     if norm_y <= eps:
         # zero is feasible, and no point beats objective 0
-        return result(np.zeros(a.shape[1]), 1, True, {"note": "zero_feasible"})
+        return result(np.zeros(a.shape[1]), 0, True, {"note": "zero_feasible"})
 
     f0, res0 = least_squares_min_norm(a, y)
     if res0 > eps + _feasibility_tol(eps, opts.tol):
         return result(f0, 0, False, {"note": "no_feasible_point", "min_residual": res0})
 
     f = f0
-    mu = max(float(np.abs(dmat.T @ f0).max()), opts.smoothing_floor)
+    mu = max(float(np.abs(dmat.T @ f0).max()), SMOOTHING_FLOOR)
     lam = None
     total_solves = 0
     level_traces = []
@@ -346,7 +346,7 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float,
                 converged = True
                 break
         f_prev_level = f.copy()
-        mu = max(opts.continuation_factor * mu, opts.smoothing_floor)
+        mu = max(CONTINUATION_FACTOR * mu, SMOOTHING_FLOOR)
 
     return result(f, total_solves, converged, {
         "mu_final": mu, "lambda_final": lam,

@@ -250,6 +250,7 @@ class TestExitCodes:
         '{"n": 8, "d": 12, "m": 64, "s": 2, "bogus": 1}',
         '{"n": 8, "d": 12, "m": 64, "s": 2',
         '{"n": 8, "d": 12, "m": 64, "s": "2"}',
+        '{"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"continuation_factor": 0.5}}',
     ])
     def test_malformed_config_is_one(self, capsys, tmp_path, text):
         path = tmp_path / "exp.json"

@@ -77,6 +77,11 @@ class TestConfig:
         ({"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"tol": "x"}}, "solver.tol"),
         ([8, 12], "config must be a JSON object"),
         ({"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"seed": 0}}, "'seed' in solver"),
+        # the lq smoothing schedule is a pair of solver constants, not config keys
+        ({"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"continuation_factor": 0.5}},
+         "unknown key 'continuation_factor' in solver"),
+        ({"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"smoothing_floor": 1e-9}},
+         "unknown key 'smoothing_floor' in solver"),
     ])
     def test_from_dict_names_the_bad_entry(self, raw, named):
         with pytest.raises(ContractViolation, match=named):

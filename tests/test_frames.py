@@ -108,6 +108,42 @@ class TestConstruction:
     def test_defect_of_tight_matrix(self):
         assert tightness_defect(np.eye(4)) <= 1e-14
 
+    def test_defect_takes_the_larger_end(self):
+        # DD* - I = diag(-0.99, 0.44): the negative end is the defect
+        assert tightness_defect(np.diag([0.1, 1.2])) == pytest.approx(0.99, abs=1e-12)
+
+    def test_defect_of_a_full_two_by_two(self):
+        # D = sqrtm([[2, 1], [1, 2]]) has DD* - I with eigenvalues 0 and 2
+        r = np.sqrt(3.0)
+        m = np.array([[r + 1.0, r - 1.0], [r - 1.0, r + 1.0]]) / 2.0
+        assert tightness_defect(m) == pytest.approx(2.0, abs=1e-12)
+
+    def test_defect_bounds_the_energy_deviation(self):
+        # | ||D* v||^2 - ||v||^2 | <= defect ||v||^2 for every v
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((6, 9)) / 3.0
+        defect = tightness_defect(m)
+        for _ in range(1000):
+            v = rng.standard_normal(6)
+            dev = abs(float(np.sum((m.T @ v) ** 2)) - float(v @ v))
+            assert dev <= defect * float(v @ v) + 1e-8
+
+    def test_defect_of_known_spectrum_dim_256(self):
+        # D = Q diag(sqrt(1 + e)) has DD* - I = Q diag(e) Q^T
+        rng = np.random.default_rng(42)
+        q, _ = np.linalg.qr(rng.standard_normal((256, 256)))
+        eigs = rng.uniform(-0.9, 4.0, size=256)
+        want = max(abs(eigs.min()), abs(eigs.max()))
+        assert tightness_defect(q * np.sqrt(1.0 + eigs)) == pytest.approx(want, rel=1e-10)
+
+    def test_defect_rejects_nan(self):
+        with pytest.raises(ContractViolation):
+            tightness_defect(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_defect_rejects_overflow(self):
+        with np.errstate(over="ignore"), pytest.raises(ContractViolation):
+            tightness_defect(np.full((2, 2), 1e200))
+
 
 class TestTransforms:
     def test_analysis_identity(self):

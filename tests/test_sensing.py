@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from framecs.sensing import (
     concentration_probe,
     gen_bernoulli,
     gen_gaussian,
+    gen_matrix,
     measure,
 )
 
@@ -38,6 +41,23 @@ class TestGenerators:
     def test_reject_bad_dims(self):
         with pytest.raises(ContractViolation):
             gen_gaussian(0, 3, seed=0)
+
+    def test_reject_unknown_kind(self):
+        with pytest.raises(ContractViolation):
+            gen_matrix("rademacher", 3, 3, seed=0)
+
+    @pytest.mark.parametrize("kind, gen, digest", [
+        ("gaussian", gen_gaussian,
+         "9606577bfc00a234161b3b20032a151ec594d2dd00b4144e748b15f387d2d7de"),
+        ("bernoulli", gen_bernoulli,
+         "6a8561e412fcb6b68d70413d5e3d7cf22f2df15555b8b5c2f518ebc082a2c15f"),
+    ])
+    def test_pinned_bits(self, kind, gen, digest):
+        # every bit of a seeded draw is part of the output contract (`sense
+        # gen`, every experiment record); the digests are of float64 bytes
+        a = gen(7, 5, seed=123)
+        assert hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() == digest
+        assert np.array_equal(gen_matrix(kind, 7, 5, seed=123), a)
 
 
 class TestMeasure:
@@ -107,6 +127,20 @@ class TestConcentrationProbe:
         a = concentration_probe("gaussian", 16, 4, nu, 0.3, trials=50, seed=9)
         b = concentration_probe("gaussian", 16, 4, nu, 0.3, trials=50, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("kind, pinned", [
+        ("gaussian", (0.485, 0.40540540540540543)),
+        ("bernoulli", (0.53, 0.5405405405405406)),
+    ])
+    def test_pinned_frequencies(self, kind, pinned):
+        assert concentration_probe(kind, 12, 6, np.arange(1.0, 7.0), 0.25, 200, seed=17) \
+            == pinned[0]
+        assert concentration_probe(kind, 3, 6, np.ones(6), 0.5, 37, seed=5) == pinned[1]
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_rejects_bad_dims(self, m):
+        with pytest.raises(ContractViolation):
+            concentration_probe("gaussian", m, 3, np.ones(3), 0.5, 10, 0)
 
     def test_zero_nu_rejected(self):
         with pytest.raises(ContractViolation):

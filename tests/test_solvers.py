@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from framecs.guarantees import error_bound, constants_general, threshold_general
 from framecs.linalg import least_squares_min_norm
 from framecs.sensing import SensingModel, gen_gaussian, measure
 from framecs.solvers import (
+    CONTINUATION_FACTOR,
+    SMOOTHING_FLOOR,
     SolverOptions,
     _weighted_solve,
     project_l2_ball,
@@ -43,14 +46,16 @@ class TestSolverOptions:
         opts = SolverOptions()
         assert opts.max_iters == 20000
         assert opts.tol == 1e-9
-        assert opts.smoothing_floor == 1e-10
-        assert opts.continuation_factor == 0.7
+        assert [f.name for f in dataclasses.fields(SolverOptions)] == ["max_iters", "tol"]
+        assert (CONTINUATION_FACTOR, SMOOTHING_FLOOR) == (0.7, 1e-10)
 
     def test_validation(self):
         with pytest.raises(ContractViolation):
             SolverOptions(max_iters=0)
         with pytest.raises(ContractViolation):
-            SolverOptions(continuation_factor=1.5)
+            SolverOptions(tol=0.0)
+        with pytest.raises(TypeError):
+            SolverOptions(continuation_factor=0.5)
 
 
 class TestProximalMaps:
@@ -195,6 +200,14 @@ class TestSolvePq:
         model = SensingModel(A=np.eye(2), y=np.ones(2), epsilon=0.0)
         with pytest.raises(ContractViolation):
             solve_pq(make_identity_frame(2), model, 1.0)
+
+    def test_zero_feasible_shortcut(self):
+        # ||y|| <= eps: zero is optimal and no weighted solve is made
+        model = SensingModel(A=np.eye(2), y=np.array([0.1, 0.0]), epsilon=0.5)
+        res = solve_pq(make_identity_frame(2), model, 0.5)
+        assert np.array_equal(res.f_hat, np.zeros(2))
+        assert res.objective == 0.0 and res.converged and res.iterations == 0
+        assert res.diagnostics == {"note": "zero_feasible"}
 
     def test_zero_instance(self):
         model = SensingModel(A=np.eye(3), y=np.zeros(3), epsilon=0.0)
