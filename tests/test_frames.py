@@ -108,6 +108,10 @@ class TestConstruction:
     def test_defect_of_tight_matrix(self):
         assert tightness_defect(np.eye(4)) <= 1e-14
 
+    def test_defect_of_identity(self):
+        # I I* - I = 0: both ends of the spectrum sit at zero
+        assert tightness_defect(np.eye(2)) == pytest.approx(0.0, abs=1e-12)
+
     def test_defect_takes_the_larger_end(self):
         # DD* - I = diag(-0.99, 0.44): the negative end is the defect
         assert tightness_defect(np.diag([0.1, 1.2])) == pytest.approx(0.99, abs=1e-12)
