@@ -44,8 +44,6 @@ from .sensing import SensingModel, concentration_probe, gen_bernoulli, gen_gauss
 from .solvers import (
     RecoveryResult,
     SolverOptions,
-    project_l2_ball,
-    soft_threshold,
     solve_p0_oracle,
     solve_p1,
     solve_pq,

@@ -46,8 +46,9 @@ def _solver_options(args):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--max-iters", type=int, default=20000)
-    p.add_argument("--tol", type=float, default=1e-9)
+    defaults = solvers.SolverOptions()
+    p.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    p.add_argument("--tol", type=float, default=defaults.tol)
 
 
 def build_parser() -> _Parser:
@@ -161,9 +162,7 @@ def _frame_for(args, n):
 def _run(args) -> int:
     if args.command == "frame":
         if args.action == "gen":
-            d = args.d
-            if d is None:
-                d = 2 * args.n if args.kind == "union_dct" else args.n
+            d = experiment.frame_size(args.kind, args.n, args.d)
             fr = experiment.build_frame(args.kind, args.n, d, args.seed)
             frames.save_frame(args.out, fr)
             print("wrote %d x %d frame to %s" % (fr.n, fr.d, args.out))

@@ -16,16 +16,16 @@ Every public function here is a reduction over one kernel,
 on each support T the spectrum is that of the pencil (H_T, Phi_T) of |T| x |T|
 blocks gathered from them, read off after whitening by eigh(Phi_T).  Supports
 whose Phi_T is ill-conditioned (every rank-deficient support among them) take
-an SVD of D_T instead.  A chunk of supports is one batched call per step.  A
-pass keeps only the global extremes of the per-support spectra
-(`SpectrumExtremes`); since scaling A by c maps every spectrum by c^2, one
-pass gives the constant at any scale.
+an SVD of D_T instead; a TightFrame has no zero column, so no D_T has rank 0.
+A chunk of supports is one batched call per step.  A pass keeps only the
+global extremes of the per-support spectra (`SpectrumExtremes`); since scaling
+A by c maps every spectrum by c^2, one pass gives the constant at any scale.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -116,14 +116,11 @@ def _whitened_extremes(h_t: np.ndarray, lam: np.ndarray, v: np.ndarray):
 
 def _svd_spectra(mat: np.ndarray, gram: np.ndarray, idx: np.ndarray):
     """(lo, hi) on an orthonormal basis of range(D_T) from its SVD."""
-    lo = np.full(len(idx), np.inf)
-    hi = np.full(len(idx), -np.inf)
+    lo = np.empty(len(idx))
+    hi = np.empty(len(idx))
     u, sv, _ = np.linalg.svd(mat[:, idx].transpose(1, 0, 2), full_matrices=False)
-    # the package-wide rank rule: sigma > tol * sigma_max, and rank 0 when
-    # sigma_max <= 0
-    top = sv[:, :1]
-    rank = np.count_nonzero(sv > DEFAULT_TOL * top, axis=1)
-    rank[top[:, 0] <= 0.0] = 0
+    # the package-wide rank rule: sigma > tol * sigma_max
+    rank = np.count_nonzero(sv > DEFAULT_TOL * sv[:, :1], axis=1)
     for r in range(1, u.shape[2] + 1):
         sel = np.flatnonzero(rank == r)
         if sel.size:
@@ -134,9 +131,7 @@ def _svd_spectra(mat: np.ndarray, gram: np.ndarray, idx: np.ndarray):
 def _spectra(pencil, idx: np.ndarray):
     """Kernel body: (lo, hi) per row of the support index array `idx`."""
     mat, phi, h, gram = pencil
-    k, t = idx.shape
-    if t == 0:
-        return np.full(k, np.inf), np.full(k, -np.inf)
+    k = len(idx)
     rows, cols = idx[:, :, None], idx[:, None, :]
     lam, v = np.linalg.eigh(phi[rows, cols])
     good = lam[:, 0] * GRAM_COND > lam[:, -1]
@@ -158,14 +153,15 @@ def support_spectra(a, frame: TightFrame, supports) -> Tuple[np.ndarray, np.ndar
 
     These are the eigenvalues of the pencil (H_T, Phi_T) when cond(Phi_T) <=
     GRAM_COND; otherwise the form is restricted to the left singular vectors
-    of D_T with sigma > DEFAULT_TOL * sigma_max.  A rank-zero support has an
-    empty spectrum, reported as (+inf, -inf): it imposes no constraint.
+    of D_T with sigma > DEFAULT_TOL * sigma_max.
     """
     a = as_matrix(a)
     _check_shapes(a, frame)
     idx = np.asarray(supports, dtype=np.intp)
     if idx.ndim != 2:
         raise ContractViolation("supports must be a 2-d array of column indices")
+    if idx.shape[1] == 0:
+        raise ContractViolation("supports must not be empty")
     if idx.size and not (0 <= idx.min() and idx.max() < frame.d):
         raise ContractViolation("support indices must lie in [0, %d)" % frame.d)
     return _spectra(_pencil(a, frame.matrix), idx)
@@ -175,33 +171,24 @@ def support_spectra(a, frame: TightFrame, supports) -> Tuple[np.ndarray, np.ndar
 class SpectrumExtremes:
     """The global extremes of the per-support spectra over a stream of
     supports.  Each `*_at` is (position in the stream, support) of the first
-    support reaching that extreme; `null_at` marks the first rank-zero
-    support, if any, whose deviation is 0 at every scale.
+    support reaching that extreme.
     """
 
     lo: float
     lo_at: Tuple[int, Tuple[int, ...]]
     hi: float
     hi_at: Tuple[int, Tuple[int, ...]]
-    null_at: Optional[Tuple[int, Tuple[int, ...]]]
     supports_examined: int
 
     def spectrum_range(self) -> Tuple[float, float]:
-        """(lambda_min, lambda_max), a rank-zero support counting as (1, 1)."""
-        lo, hi = self.lo, self.hi
-        if self.null_at is not None:
-            lo, hi = min(lo, 1.0), max(hi, 1.0)
-        return float(lo), float(hi)
+        """(lambda_min, lambda_max)."""
+        return float(self.lo), float(self.hi)
 
     def report(self, s: int, scale2: float = 1.0, method: str = METHOD_EXACT) -> RipReport:
         """The constant of A scaled by sqrt(scale2):
         max(scale2 hi - 1, 1 - scale2 lo), the earliest extreme winning ties."""
-        candidates = []
-        if self.null_at is not None:
-            candidates.append((0.0, self.null_at))
-        if math.isfinite(self.hi):
-            candidates.append((scale2 * self.hi - 1.0, self.hi_at))
-            candidates.append((1.0 - scale2 * self.lo, self.lo_at))
+        candidates = ((scale2 * self.hi - 1.0, self.hi_at),
+                      (1.0 - scale2 * self.lo, self.lo_at))
         delta, (_, witness) = max(candidates, key=lambda c: (c[0], -c[1][0]))
         return RipReport(s=int(s), delta=float(delta), witness_support=witness,
                          method=method, supports_examined=self.supports_examined)
@@ -212,7 +199,6 @@ def _scan(a: np.ndarray, frame: TightFrame, s: int, supports: Iterable) -> Spect
     chunk_size = max(1, CHUNK_FLOATS // (max(frame.n, s) * s))
     lo, lo_at = np.inf, (0, ())
     hi, hi_at = -np.inf, (0, ())
-    null_at = None
     stream = iter(supports)
     start = 0
     while True:
@@ -226,13 +212,9 @@ def _scan(a: np.ndarray, frame: TightFrame, s: int, supports: Iterable) -> Spect
         i = int(np.argmax(c_hi))
         if c_hi[i] > hi:
             hi, hi_at = float(c_hi[i]), (start + i, chunk[i])
-        if null_at is None:
-            empty = np.flatnonzero(np.isposinf(c_lo))
-            if empty.size:
-                null_at = (start + int(empty[0]), chunk[empty[0]])
         start += len(chunk)
     return SpectrumExtremes(lo=lo, lo_at=lo_at, hi=hi, hi_at=hi_at,
-                            null_at=null_at, supports_examined=start)
+                            supports_examined=start)
 
 
 def spectrum_extremes(a, frame: TightFrame, s: int) -> SpectrumExtremes:

@@ -50,9 +50,10 @@ class FrameSpec:
 class MatrixSpec:
     kind: str = "gaussian"
     seed: int = 0
-    # a number rescales A by that factor; "auto_min" picks the scale that
-    # minimizes the order-2s constant; {"target_delta": t} lands it at t
-    # exactly when reachable (the constant is recomputed either way)
+    # a positive number rescales A by that factor; "auto_min" picks the scale
+    # that minimizes the order-2s constant; {"target_delta": t}, 0 < t < 1,
+    # lands it at t exactly when reachable (the constant is recomputed either
+    # way).  ExperimentConfig rejects any other value when it is built.
     scale: object = 1.0
 
 
@@ -104,10 +105,11 @@ class ExperimentConfig:
             raise ContractViolation("program 'pq' needs q in (0, 1)")
         if self.drip_mode not in ("exact", "lower"):
             raise ContractViolation("drip_mode must be 'exact' or 'lower'")
-        if self.frame.kind in ("identity", "dct") and self.d != self.n:
-            raise ContractViolation("%s frame needs d == n" % self.frame.kind)
-        if self.frame.kind == "union_dct" and self.d != 2 * self.n:
-            raise ContractViolation("union frame needs d == 2 n")
+        if not _valid_scale(self.matrix.scale):
+            raise ContractViolation(
+                "matrix.scale must be a positive number, \"auto_min\" or "
+                "{\"target_delta\": t} with 0 < t < 1, got %r" % (self.matrix.scale,))
+        frame_size(self.frame.kind, self.n, self.d)
         if self.signal.mode == "analysis" and self.frame.kind not in ("identity", "dct"):
             raise ContractViolation(
                 "exact-analysis-sparse signals are only offered for orthobasis frames"
@@ -143,6 +145,28 @@ def _matches(value, hint) -> bool:
     if hint is float:
         return isinstance(value, (int, float)) and math.isfinite(value)
     return isinstance(value, hint)
+
+
+def _valid_scale(scale) -> bool:
+    if isinstance(scale, dict):
+        t = scale.get("target_delta")
+        return list(scale) == ["target_delta"] and _matches(t, float) and 0.0 < t < 1.0
+    if isinstance(scale, str):
+        return scale == "auto_min"
+    return _matches(scale, float) and scale > 0.0
+
+
+def frame_size(kind: str, n: int, d: Optional[int] = None) -> int:
+    """The size d of a `kind` frame in R^n: the given d (default n) for
+    "random", n for "identity" and "dct", 2 n for "union_dct".  A given d
+    that contradicts the kind is a ContractViolation."""
+    if kind == "random":
+        return n if d is None else d
+    fixed = 2 * n if kind == "union_dct" else n
+    if d is not None and d != fixed:
+        raise ContractViolation("%s frame in R^%d has d = %d, got d = %d"
+                                % (kind, n, fixed, d))
+    return fixed
 
 
 def _from_raw(cls, raw, where: str):
@@ -225,32 +249,21 @@ def build_frame(kind: str, n: int, d: int, seed: int) -> frames.TightFrame:
     return frames.make_random_tight_frame(n, d, seed)
 
 
-def _fixed_scale(spec_scale) -> Optional[float]:
-    """The numeric scale, or None for one picked from the spectrum range."""
-    if isinstance(spec_scale, (int, float)) and not isinstance(spec_scale, bool):
-        if not spec_scale > 0:
-            raise ContractViolation("matrix scale must be positive")
-        return float(spec_scale)
-    return None
-
-
-def _resolve_scale(spec_scale, lo, hi) -> Tuple[float, Optional[str]]:
-    """Scale for A picked from the global spectrum range (lo, hi) of the
-    order-2s forms, and the reason when it is not the scale asked for."""
+def _resolve_scale(spec, lo, hi) -> Tuple[float, Optional[str]]:
+    """Scale for A under the (validated) `matrix.scale` spec, given the
+    global spectrum range (lo, hi) of the order-2s forms, and the reason when
+    it is not the scale asked for."""
+    if not isinstance(spec, (str, dict)):
+        return float(spec), None
     auto = math.sqrt(2.0 / (hi + lo))
-    if isinstance(spec_scale, str) and spec_scale == "auto_min":
+    if spec == "auto_min":
         return auto, None
-    if isinstance(spec_scale, dict) and "target_delta" in spec_scale:
-        t = spec_scale["target_delta"]
-        if not _matches(t, float) or not 0.0 < t < 1.0:
-            raise ContractViolation("target_delta must be a number in (0, 1)")
-        t = float(t)
-        d_min = (hi - lo) / (hi + lo)
-        if t < d_min:
-            return auto, ("target_delta %.6g is below the reachable minimum "
-                          "%.6g; the auto_min scale was used instead" % (t, d_min))
-        return math.sqrt((1.0 + t) / hi), None
-    raise ContractViolation("bad matrix scale %r" % (spec_scale,))
+    t = spec["target_delta"]
+    d_min = (hi - lo) / (hi + lo)
+    if t < d_min:
+        return auto, ("target_delta %.6g is below the reachable minimum "
+                      "%.6g; the auto_min scale was used instead" % (t, d_min))
+    return math.sqrt((1.0 + t) / hi), None
 
 
 def _spectrum(config: ExperimentConfig, a, frame, trial) -> drip.SpectrumExtremes:
@@ -296,11 +309,9 @@ def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
     # one pass picks the scale and, rescaled by scale^2, gives the constant
     # of the scaled matrix
     spectrum = _spectrum(config, a, frame, trial)
-    scale = _fixed_scale(config.matrix.scale)
-    if scale is None:
-        scale, why = _resolve_scale(config.matrix.scale, *spectrum.spectrum_range())
-        if why:
-            reasons.append(why)
+    scale, why = _resolve_scale(config.matrix.scale, *spectrum.spectrum_range())
+    if why:
+        reasons.append(why)
     a = a * scale
     f = _draw_signal(frame, config.s, seeds["signal"])
     model = sensing.measure(a, f, mode=config.noise_mode, level=config.eps,

@@ -24,7 +24,7 @@ import numpy as np
 from .drip import ENUMERATION_LIMIT
 from .errors import ContractViolation, EnumerationLimitError
 from .frames import TightFrame
-from .linalg import DEFAULT_TOL, as_vector, least_squares_min_norm
+from .linalg import DEFAULT_TOL, least_squares_min_norm
 from .sensing import SensingModel
 
 PROGRAM_P1 = "P1"
@@ -73,29 +73,6 @@ class RecoveryResult:
         }
 
 
-def soft_threshold(v, t: float) -> np.ndarray:
-    """Componentwise shrinkage sign(v) * max(|v| - t, 0)."""
-    if t < 0:
-        raise ContractViolation("threshold must be >= 0")
-    v = as_vector(v)
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
-def project_l2_ball(v, center, r: float) -> np.ndarray:
-    """Euclidean projection of v onto the ball of radius r around center."""
-    if r < 0:
-        raise ContractViolation("radius must be >= 0")
-    v = as_vector(v)
-    center = as_vector(center)
-    diff = v - center
-    norm = float(np.linalg.norm(diff))
-    if norm <= r:
-        return v.copy()
-    if norm == 0.0:
-        return center.copy()
-    return center + diff * (r / norm)
-
-
 def _feasibility_tol(eps: float, tol: float) -> float:
     # convergence never certifies more infeasibility than the result
     # invariant residual <= eps (1 + 1e-6) + 1e-9 allows
@@ -114,7 +91,8 @@ def solve_p1(frame: TightFrame, model: SensingModel,
     adjustments, which keeps the product (hence convergence) intact while
     avoiding the long plateaus of fixed steps.  The returned point is the
     best feasible iterate seen, which also makes the recorded objective
-    trace non-increasing.
+    trace non-increasing.  When even the minimum-norm least-squares start
+    misses the eps-ball, no point is feasible and it is returned at once.
     """
     opts = opts or SolverOptions()
     a, y, eps = model.A, model.y, model.epsilon
@@ -129,16 +107,20 @@ def solve_p1(frame: TightFrame, model: SensingModel,
     big_k = math.sqrt(1.0 + (norm_a * (1.0 + 1e-6)) ** 2)
     tau = sigma = 0.99 / big_k
 
-    if float(np.linalg.norm(y)) <= eps:
-        # zero is feasible and no point has a smaller objective
+    def stop(f_hat, converged, residual, note, **extra):
+        objective = float(np.abs(dmat.T @ f_hat).sum())
         return RecoveryResult(
-            f_hat=np.zeros(a.shape[1]), iterations=0, converged=True,
-            residual=float(np.linalg.norm(y)), objective=0.0,
-            program=PROGRAM_P1,
+            f_hat=f_hat, iterations=0, converged=converged, residual=residual,
+            objective=objective, program=PROGRAM_P1,
             diagnostics={"tau": tau, "sigma": sigma, "operator_norm": norm_a,
-                         "final_step": 0.0, "final_violation": 0.0,
-                         "objective_trace": [0.0], "note": "zero_feasible"},
+                         "final_step": 0.0, "final_violation": max(0.0, residual - eps),
+                         "objective_trace": [objective], "note": note, **extra},
         )
+
+    norm_y = float(np.linalg.norm(y))
+    if norm_y <= eps:
+        # zero is feasible and no point has a smaller objective
+        return stop(np.zeros(a.shape[1]), True, norm_y, "zero_feasible")
 
     stacked = np.vstack([dmat.T, a])  # (d + m) x n
     stacked_t = stacked.T
@@ -157,18 +139,18 @@ def solve_p1(frame: TightFrame, model: SensingModel,
         gap = image[d:] - y
         return obj, math.sqrt(gap @ gap)
 
-    best_obj, best_res = math.inf, math.inf
-    best_f = None
-    obj0, res0 = evaluate(f)
-    if res0 - eps <= feas_tol:
-        best_obj, best_res, best_f = obj0, res0, f.copy()
-    trace = [best_obj if best_f is not None else obj0]
+    best_obj, best_res = evaluate(f)
+    if best_res - eps > feas_tol:
+        # f is the minimum-norm least-squares point: nothing comes closer
+        return stop(f, False, best_res, "no_feasible_point", min_residual=best_res)
+    best_f = f.copy()
+    trace = [best_obj]
 
     f_bar = f.copy()
     converged = False
     iterations = 0
     step = math.inf
-    viol = max(0.0, res0 - eps)
+    viol = max(0.0, best_res - eps)
     balance = 0.5  # diminishing rebalancing strength
 
     for iterations in range(1, opts.max_iters + 1):
@@ -214,21 +196,16 @@ def solve_p1(frame: TightFrame, model: SensingModel,
         viol = max(0.0, res - eps)
         if viol <= feas_tol and obj < best_obj:
             best_obj, best_res, best_f = obj, res, f
-        trace.append(best_obj if best_f is not None else obj)
+        trace.append(best_obj)
 
         if step <= opts.tol * ref and viol <= feas_tol:
             converged = True
             break
 
-    if best_f is None:
-        f_hat, residual = f, evaluate(f)[1]
-        converged = False
-    else:
-        f_hat, residual = best_f, best_res
-    objective = float(np.abs(dmat.T @ f_hat).sum())
+    objective = float(np.abs(dmat.T @ best_f).sum())
     return RecoveryResult(
-        f_hat=f_hat, iterations=iterations, converged=converged,
-        residual=residual, objective=objective, program=PROGRAM_P1,
+        f_hat=best_f, iterations=iterations, converged=converged,
+        residual=best_res, objective=objective, program=PROGRAM_P1,
         diagnostics={
             "tau": tau, "sigma": sigma, "operator_norm": norm_a,
             "final_step": step, "final_violation": viol,

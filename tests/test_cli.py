@@ -8,6 +8,11 @@ from framecs.frames import load_frame, load_matrix, save_matrix
 from framecs.experiment import read_csv
 
 
+# every malformed matrix.scale, as JSON; each fails when the config loads
+MALFORMED_SCALES = ('"bogus"', "-1", "0", "true", "NaN", '{"target_delta": 2}',
+                    '{"targt_delta": 0.5}', '{"target_delta": 0.5, "typo": 1}')
+
+
 def run(capsys, *argv):
     code = cli_main(list(argv))
     captured = capsys.readouterr()
@@ -33,6 +38,21 @@ class TestFrameCommands:
                          "--out", str(path))
         assert code == 0
         assert load_frame(path).d == 5
+
+    @pytest.mark.parametrize("kind, n, d, fits", [
+        ("identity", "3", "3", True), ("union_dct", "3", "6", True),
+        ("identity", "3", "5", False), ("dct", "4", "8", False),
+        ("union_dct", "3", "4", False), ("union_dct", "3", "3", False),
+    ])
+    def test_gen_checks_d_against_the_kind(self, tmp_path, capsys, kind, n, d, fits):
+        path = tmp_path / "D.txt"
+        code, _, err = run(capsys, "frame", "gen", "--kind", kind, "--n", n,
+                           "--d", d, "--out", str(path))
+        if fits:
+            assert code == 0 and load_frame(path).d == int(d)
+        else:
+            assert code == 1 and err.startswith("error: ") and "got d = %s" % d in err
+            assert not path.exists()
 
     def test_verify_reports_non_tight(self, tmp_path, capsys):
         save_matrix(tmp_path / "bad.txt", 2.0 * np.eye(3))
@@ -251,7 +271,8 @@ class TestExitCodes:
         '{"n": 8, "d": 12, "m": 64, "s": 2',
         '{"n": 8, "d": 12, "m": 64, "s": "2"}',
         '{"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"continuation_factor": 0.5}}',
-    ])
+    ] + ['{"n": 8, "d": 12, "m": 64, "s": 2, "matrix": {"scale": %s}}' % scale
+         for scale in MALFORMED_SCALES])
     def test_malformed_config_is_one(self, capsys, tmp_path, text):
         path = tmp_path / "exp.json"
         path.write_text(text, encoding="utf-8")

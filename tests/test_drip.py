@@ -1,5 +1,4 @@
 import json
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -209,21 +208,6 @@ class TestSerialization:
 # the batched kernel against a one-support-at-a-time reference
 
 
-@dataclass(frozen=True)
-class RawFrame:
-    """A frame without TightFrame's validation, to plant zero columns."""
-
-    matrix: np.ndarray
-
-    @property
-    def n(self):
-        return self.matrix.shape[0]
-
-    @property
-    def d(self):
-        return self.matrix.shape[1]
-
-
 def orthonormal_range_basis(m, tol=DEFAULT_TOL):
     """Orthonormal columns spanning range(m): columns whose singular value
     is <= tol * sigma_max are dropped; an all-zero input gives zero columns."""
@@ -238,35 +222,27 @@ def orthonormal_range_basis(m, tol=DEFAULT_TOL):
 
 def reference_spectrum(a, mat, support):
     """(lo, hi) on range(D_T) from an SVD basis and eigvalsh, one support at
-    a time; None for a rank-zero support."""
+    a time."""
     basis = orthonormal_range_basis(mat[:, list(support)])
-    if basis.shape[1] == 0:
-        return None
     w = np.linalg.eigvalsh(basis.T @ a.T @ a @ basis)
     return w[0], w[-1]
 
 
 def support_deviation(a, frame, support):
     """The deviation max(hi - 1, 1 - lo) on one support (witness
-    validation), 0 at rank zero."""
-    spec = reference_spectrum(a, frame.matrix, support)
-    return 0.0 if spec is None else max(spec[1] - 1.0, 1.0 - spec[0])
+    validation)."""
+    lo, hi = reference_spectrum(a, frame.matrix, support)
+    return max(hi - 1.0, 1.0 - lo)
 
 
 def reference_drip(a, mat, supports):
     delta, witness = -1.0, ()
     for support in supports:
-        spec = reference_spectrum(a, mat, support)
-        dev = 0.0 if spec is None else max(spec[1] - 1.0, 1.0 - spec[0])
+        lo, hi = reference_spectrum(a, mat, support)
+        dev = max(hi - 1.0, 1.0 - lo)
         if dev > delta:
             delta, witness = dev, tuple(support)
     return delta, witness
-
-
-def zero_column_frame(n, d, seed):
-    mat = np.zeros((n, d))
-    mat[:, 1:] = make_random_tight_frame(n, d - 1, seed=seed).matrix
-    return RawFrame(mat)
 
 
 def check_kernel(a, frame, t):
@@ -274,11 +250,8 @@ def check_kernel(a, frame, t):
     lo, hi = support_spectra(a, frame, supports)
     for support, l, h in zip(supports, lo, hi):
         spec = reference_spectrum(a, frame.matrix, support)
-        if spec is None:
-            assert (l, h) == (np.inf, -np.inf)
-        else:
-            assert l == pytest.approx(spec[0], abs=1e-12)
-            assert h == pytest.approx(spec[1], abs=1e-12)
+        assert l == pytest.approx(spec[0], abs=1e-12)
+        assert h == pytest.approx(spec[1], abs=1e-12)
 
 
 dims = st.tuples(st.integers(2, 5), st.integers(0, 3), st.integers(1, 10),
@@ -300,14 +273,6 @@ class TestSupportSpectra:
         # {i, n + i} spans one direction: rank-deficient supports
         frame = make_union_frame(np.eye(n), np.eye(n))
         check_kernel(gen_gaussian(2 * n, n, seed=seed), frame, t)
-
-    @settings(max_examples=20, deadline=None)
-    @given(dims, st.integers(1, 3))
-    def test_zero_column(self, dim, t):
-        n, extra, m, seed = dim
-        frame = zero_column_frame(n, n + extra + 1, seed)
-        assume(t <= frame.d)
-        check_kernel(gen_gaussian(m, n, seed=seed + 1), frame, t)
 
     def test_matches_the_per_support_basis_at_m_160(self):
         frame = make_random_tight_frame(10, 14, seed=3)
@@ -333,6 +298,11 @@ class TestSupportSpectra:
         frame = make_random_tight_frame(3, 5, seed=1)
         with pytest.raises(ContractViolation):
             support_spectra(np.eye(3), frame, [(0, 5)])
+
+    def test_rejects_an_empty_support(self):
+        frame = make_random_tight_frame(3, 5, seed=1)
+        with pytest.raises(ContractViolation, match="must not be empty"):
+            support_spectra(np.eye(3), frame, np.empty((2, 0), dtype=int))
 
 
 class TestOnePass:
@@ -380,22 +350,9 @@ class TestOnePass:
                 if s < 5:  # at s >= n every support spans R^n: round-off ties
                     assert rep.witness_support == witness
 
-    def test_rank_zero_supports_count_as_one_in_range_and_zero_in_delta(self):
-        frame = zero_column_frame(3, 4, seed=2)
-        a = 2.0 * np.eye(3)
-        ext = spectrum_extremes(a, frame, 1)
-        assert ext.null_at == (0, (0,))
-        assert ext.spectrum_range() == pytest.approx((1.0, 4.0))
-        # at scale 1/2 every nonzero support is an isometry; a rank-zero
-        # support kept as a (1, 1) pair would claim 1 - 1/4
-        assert ext.report(1, 0.25).delta == pytest.approx(0.0, abs=1e-12)
-        assert exact_drip(0.5 * a, frame, 1).delta == pytest.approx(0.0, abs=1e-12)
-        assert exact_drip(2.0 * a, frame, 1).delta == pytest.approx(15.0)
-
     def test_ties_go_to_the_earliest_support(self):
         # every support is an exact isometry: deviation 0 everywhere
-        frame = RawFrame(np.hstack([np.zeros((3, 1)), np.eye(3)]))
-        rep = exact_drip(np.eye(3), frame, 1)
+        rep = exact_drip(np.eye(3), make_identity_frame(3), 1)
         assert (rep.delta, rep.witness_support) == (0.0, (0,))
         assert exact_drip(np.eye(3), make_identity_frame(3), 2).witness_support == (0, 1)
 

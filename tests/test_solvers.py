@@ -15,8 +15,6 @@ from framecs.solvers import (
     SMOOTHING_FLOOR,
     SolverOptions,
     _weighted_solve,
-    project_l2_ball,
-    soft_threshold,
     solve_p0_oracle,
     solve_p1,
     solve_pq,
@@ -58,32 +56,6 @@ class TestSolverOptions:
             SolverOptions(continuation_factor=0.5)
 
 
-class TestProximalMaps:
-    def test_soft_threshold(self):
-        out = soft_threshold(np.array([3.0, -1.0, 0.5]), 1.0)
-        assert np.array_equal(out, [2.0, 0.0, 0.0])
-
-    def test_soft_threshold_zero(self):
-        v = np.array([1.0, -2.0])
-        assert np.array_equal(soft_threshold(v, 0.0), v)
-
-    def test_soft_threshold_kills_everything(self):
-        v = np.array([1.0, -2.0, 0.3])
-        assert np.array_equal(soft_threshold(v, 2.0), [0.0, 0.0, 0.0])
-
-    def test_project_inside(self):
-        v = np.array([3.0, 4.0])
-        assert np.array_equal(project_l2_ball(v, np.zeros(2), 5.0), v)
-
-    def test_project_scales(self):
-        out = project_l2_ball(np.array([3.0, 4.0]), np.zeros(2), 2.5)
-        assert np.allclose(out, [1.5, 2.0], atol=1e-14)
-
-    def test_project_zero_radius(self):
-        c = np.array([1.0, 1.0])
-        assert np.array_equal(project_l2_ball(np.array([5.0, -2.0]), c, 0.0), c)
-
-
 class TestSolveP1:
     def test_pinned_feasible_point(self):
         # D = I, A = I, eps = 0: the constraint pins f = y
@@ -98,6 +70,23 @@ class TestSolveP1:
         res = solve_p1(make_identity_frame(2), model)
         assert res.converged and res.objective == 0.0
         assert np.array_equal(res.f_hat, np.zeros(2))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_no_feasible_point_returns_at_once(self, eps):
+        # a generic y in R^20 lies far from the range of a 20 x 6 A
+        a = gen_gaussian(20, 6, seed=1)
+        y = np.random.default_rng(0).standard_normal(20)
+        model = SensingModel(A=a, y=y, epsilon=eps)
+        res = solve_p1(make_identity_frame(6), model)
+        f0, res0 = least_squares_min_norm(a, y)
+        assert res.iterations == 0 and not res.converged
+        assert res.diagnostics["note"] == "no_feasible_point"
+        assert res.diagnostics["min_residual"] == res.residual
+        assert res.residual == pytest.approx(res0, rel=1e-12) and res0 > eps + 1.0
+        assert np.allclose(res.f_hat, f0, atol=1e-12)
+        assert res.objective == float(np.abs(res.f_hat).sum())
+        pq = solve_pq(make_identity_frame(6), model, 0.5)
+        assert pq.diagnostics["note"] == "no_feasible_point" and pq.iterations == 0
 
     def test_matches_l0_oracle_noiseless(self):
         # orthobasis frame, 2-sparse analysis coefficients, eps = 0
