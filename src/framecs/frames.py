@@ -199,18 +199,42 @@ def save_matrix(path, m) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ContractViolation("bad matrix header in %s" % path)
-        rows, cols = int(header[0]), int(header[1])
-        out = np.empty((rows, cols))
-        for i in range(rows):
-            parts = fh.readline().split()
-            if len(parts) != cols:
-                raise ContractViolation("row %d of %s has %d entries, expected %d"
-                                        % (i, path, len(parts), cols))
+    """Read the text format of `save_matrix`.
+
+    Raises ContractViolation naming the file and line on bytes that are not
+    UTF-8, a header that is not two positive integers, a row with the wrong
+    number of entries or a non-numeric one, and rows missing or past the
+    declared count.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").rstrip().splitlines()
+    except UnicodeDecodeError as err:
+        raise ContractViolation("%s line %d: not UTF-8 text"
+                                % (path, data.count(b"\n", 0, err.start) + 1)) from None
+    try:
+        rows, cols = (int(v) for v in lines[0].split())
+    except (IndexError, ValueError):
+        rows = cols = 0
+    if rows < 1 or cols < 1:
+        raise ContractViolation("%s line 1: the header must be two positive "
+                                "integers, rows and columns" % path)
+    if len(lines) != rows + 1:
+        raise ContractViolation("%s line %d: %d rows declared, %d found"
+                                % (path, min(len(lines), rows + 1) + 1, rows,
+                                   len(lines) - 1))
+    out = np.empty((rows, cols))
+    for i, line in enumerate(lines[1:]):
+        parts = line.split()
+        if len(parts) != cols:
+            raise ContractViolation("%s line %d: %d entries, expected %d"
+                                    % (path, i + 2, len(parts), cols))
+        try:
             out[i] = [float(p) for p in parts]
+        except ValueError:
+            raise ContractViolation("%s line %d: an entry is not a number"
+                                    % (path, i + 2)) from None
     return out
 
 

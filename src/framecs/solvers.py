@@ -59,7 +59,7 @@ class RecoveryResult:
     def to_json_dict(self):
         diag = {}
         for k, v in self.diagnostics.items():
-            if k in ("objective_trace", "level_traces"):
+            if k == "level_traces":
                 continue  # per-iteration traces stay in memory only
             diag[k] = v.tolist() if isinstance(v, np.ndarray) else v
         return {
@@ -79,9 +79,23 @@ def _feasibility_tol(eps: float, tol: float) -> float:
     return min(tol, eps * 1e-6 + 1e-9)
 
 
+def _residual(a, f, y) -> float:
+    gap = a @ f - y
+    return math.sqrt(gap @ gap)
+
+
 def solve_p1(frame: TightFrame, model: SensingModel,
              opts: Optional[SolverOptions] = None) -> RecoveryResult:
     """Primal-dual splitting for the constrained l1 analysis program.
+
+    One thin SVD A = U S V^T gives ||A||_2, the minimum-norm least-squares
+    start f0 = V_r S_r^-1 U_r^T y (singular values s > DEFAULT_TOL * s_max
+    count) and the coordinates the loop runs in.  The eps-ball dual never
+    leaves span(A, y), so the data term is A' = [S V^T; 0], y' = [U^T y;
+    ||y - U U^T y||] with every singular value kept: ||A' f - y'|| =
+    ||A f - y|| for every f, the dual has min(m, n) + 1 entries instead of
+    m, and the iterates are those of the full-space loop in exact
+    arithmetic.
 
     Dual updates are componentwise clipping to [-1, 1] for the l1 block and
     the translated shrink map for the eps-ball block; step sizes satisfy
@@ -89,96 +103,107 @@ def solve_p1(frame: TightFrame, model: SensingModel,
     contributes exactly 1).  tau and sigma are rebalanced on the fly to
     equalize the primal and dual residuals with geometrically diminishing
     adjustments, which keeps the product (hence convergence) intact while
-    avoiding the long plateaus of fixed steps.  The returned point is the
-    best feasible iterate seen, which also makes the recorded objective
-    trace non-increasing.  When even the minimum-norm least-squares start
-    misses the eps-ball, no point is feasible and it is returned at once.
+    avoiding the long plateaus of fixed steps.  The residual is evaluated
+    only on steps that pass the step test; the final iterate is returned
+    with its residual ||A f - y|| in the full space.
+
+    Three cases return f0 or zero at once, with 0 iterations and a note:
+    zero lies in the eps-ball ("zero_feasible"); even f0 misses it, so no
+    point is feasible ("no_feasible_point"); eps = 0 and rank(A) = n, so f0
+    is the only feasible point ("unique_feasible_point").
     """
     opts = opts or SolverOptions()
     a, y, eps = model.A, model.y, model.epsilon
     if a.shape[1] != frame.n:
         raise ContractViolation("matrix columns != frame dimension")
     dmat = frame.matrix
-    d, m = frame.d, a.shape[0]
+    d, n = frame.d, frame.n
 
-    # ||A||_2 comes from the singular values of the minimum-norm start
-    f, _, _, svals = np.linalg.lstsq(a, y, rcond=DEFAULT_TOL)
+    u, svals, vt = np.linalg.svd(a, full_matrices=False)
     norm_a = float(svals[0]) if svals.size else 0.0
     big_k = math.sqrt(1.0 + (norm_a * (1.0 + 1e-6)) ** 2)
     tau = sigma = 0.99 / big_k
 
-    def stop(f_hat, converged, residual, note, **extra):
-        objective = float(np.abs(dmat.T @ f_hat).sum())
+    def result(f_hat, iterations, converged, residual, step, **note):
         return RecoveryResult(
-            f_hat=f_hat, iterations=0, converged=converged, residual=residual,
-            objective=objective, program=PROGRAM_P1,
+            f_hat=f_hat, iterations=iterations, converged=converged,
+            residual=residual, objective=float(np.abs(dmat.T @ f_hat).sum()),
+            program=PROGRAM_P1,
             diagnostics={"tau": tau, "sigma": sigma, "operator_norm": norm_a,
-                         "final_step": 0.0, "final_violation": max(0.0, residual - eps),
-                         "objective_trace": [objective], "note": note, **extra},
+                         "final_step": step,
+                         "final_violation": max(0.0, residual - eps), **note},
         )
 
     norm_y = float(np.linalg.norm(y))
     if norm_y <= eps:
         # zero is feasible and no point has a smaller objective
-        return stop(np.zeros(a.shape[1]), True, norm_y, "zero_feasible")
+        return result(np.zeros(n), 0, True, norm_y, 0.0, note="zero_feasible")
 
-    stacked = np.vstack([dmat.T, a])  # (d + m) x n
-    stacked_t = stacked.T
+    coords = u.T @ y
+    rank = int(np.count_nonzero(svals > DEFAULT_TOL * norm_a))
+    f = vt[:rank].T @ (coords[:rank] / svals[:rank])
+    residual = _residual(a, f, y)
     feas_tol = _feasibility_tol(eps, opts.tol)
-    # the loop writes into these instead of allocating: the images K f and
-    # K f_bar, the product K^T (p, r), and two dual vectors (p, r), the
-    # current one and the next, swapped each step
-    image = np.empty(d + m)
-    image_bar = np.empty(d + m)
-    back = np.empty(a.shape[1])
-    dual, dual_new = np.zeros(d + m), np.empty(d + m)
-
-    def evaluate(candidate):
-        np.matmul(stacked, candidate, out=image)
-        obj = float(np.abs(image[:d]).sum())
-        gap = image[d:] - y
-        return obj, math.sqrt(gap @ gap)
-
-    best_obj, best_res = evaluate(f)
-    if best_res - eps > feas_tol:
+    if residual - eps > feas_tol:
         # f is the minimum-norm least-squares point: nothing comes closer
-        return stop(f, False, best_res, "no_feasible_point", min_residual=best_res)
-    best_f = f.copy()
-    trace = [best_obj]
+        return result(f, 0, False, residual, 0.0, note="no_feasible_point",
+                      min_residual=residual)
+    if eps == 0.0 and rank == n:
+        # A is injective: A f = y has no other solution
+        return result(f, 0, True, residual, 0.0, note="unique_feasible_point")
 
+    # K' = [D*; S V^T; 0] and y' = [U^T y; ||y_perp||]
+    k = svals.size
+    y_perp = y - u @ coords
+    y_red = np.append(coords, math.sqrt(y_perp @ y_perp))
+    stacked = np.zeros((d + k + 1, n))
+    stacked[:d] = dmat.T
+    stacked[d:d + k] = svals[:, None] * vt
+    stacked_t = stacked.T
+    # the loop writes into these instead of allocating; (dual, p, r) and
+    # (dual_new, p_new, r_new), like f and f_new, swap each step
+    image = np.empty(d + k + 1)
+    image_p, image_r = image[:d], image[d:]
+    dual, dual_new = np.zeros(d + k + 1), np.empty(d + k + 1)
+    p, r, p_new, r_new = dual[:d], dual[d:], dual_new[:d], dual_new[d:]
+    dual_step = np.empty(d + k + 1)
+    back, f_new, move = np.empty(n), np.empty(n), np.empty(n)
     f_bar = f.copy()
+    tol = opts.tol
     converged = False
-    iterations = 0
-    step = math.inf
-    viol = max(0.0, best_res - eps)
     balance = 0.5  # diminishing rebalancing strength
 
     for iterations in range(1, opts.max_iters + 1):
-        np.matmul(stacked, f_bar, out=image_bar)
+        stacked.dot(f_bar, out=image)
         # p_new = clip(p + sigma K_1 f_bar, -1, 1)
-        p_new = dual_new[:d]
-        np.multiply(image_bar[:d], sigma, out=p_new)
-        p_new += dual[:d]
+        np.multiply(image_p, sigma, out=p_new)
+        p_new += p
         np.minimum(np.maximum(p_new, -1.0, out=p_new), 1.0, out=p_new)
-        # r_new = shrink(r + sigma (A f_bar - y)) onto the eps-ball dual
-        w = dual_new[d:]
-        np.subtract(image_bar[d:], y, out=w)
-        w *= sigma
-        w += dual[d:]
-        norm_w = math.sqrt(w @ w)
+        # r_new = shrink(r + sigma (A' f_bar - y')) onto the eps-ball dual
+        np.subtract(image_r, y_red, out=r_new)
+        r_new *= sigma
+        r_new += r
+        norm_w = math.sqrt(r_new.dot(r_new))
         if norm_w > 0.0 and eps > 0.0:
-            w *= max(0.0, 1.0 - sigma * eps / norm_w)
-        np.matmul(stacked_t, dual_new, out=back)
+            r_new *= max(0.0, 1.0 - sigma * eps / norm_w)
+        stacked_t.dot(dual_new, out=back)
         back *= tau
-        f_new = f - back
-        move = f_new - f
-        step = math.sqrt(move @ move)
-        ref = 1.0 + math.sqrt(f @ f)
+        np.subtract(f, back, out=f_new)
+        np.subtract(f_new, f, out=move)
+        step = math.sqrt(move.dot(move))
 
         if iterations % 10 == 0 and balance > 1e-4:
-            dual_step = dual - dual_new
-            primal_res = np.linalg.norm((f - f_new) / tau - stacked_t @ dual_step)
-            dual_res = np.linalg.norm(dual_step / sigma - stacked @ (f - f_new))
+            # f_bar is free until it is rebuilt below
+            np.subtract(dual, dual_new, out=dual_step)
+            np.subtract(f, f_new, out=f_bar)
+            stacked.dot(f_bar, out=image)
+            f_bar /= tau
+            stacked_t.dot(dual_step, out=back)
+            f_bar -= back
+            primal_res = math.sqrt(f_bar.dot(f_bar))
+            dual_step /= sigma
+            dual_step -= image
+            dual_res = math.sqrt(dual_step.dot(dual_step))
             if primal_res > 2.0 * dual_res:
                 tau *= 1.0 + balance
                 sigma /= 1.0 + balance
@@ -188,30 +213,20 @@ def solve_p1(frame: TightFrame, model: SensingModel,
                 sigma *= 1.0 + balance
                 balance *= 0.95
 
-        f_bar = 2.0 * f_new - f
-        f = f_new
-        dual, dual_new = dual_new, dual
+        if step <= tol * (1.0 + math.sqrt(f.dot(f))):
+            residual = _residual(a, f_new, y)
+            if residual - eps <= feas_tol:
+                f = f_new
+                converged = True
+                break
+        np.multiply(f_new, 2.0, out=f_bar)
+        f_bar -= f
+        f, f_new = f_new, f
+        dual, dual_new, p, p_new, r, r_new = dual_new, dual, p_new, p, r_new, r
 
-        obj, res = evaluate(f)
-        viol = max(0.0, res - eps)
-        if viol <= feas_tol and obj < best_obj:
-            best_obj, best_res, best_f = obj, res, f
-        trace.append(best_obj)
-
-        if step <= opts.tol * ref and viol <= feas_tol:
-            converged = True
-            break
-
-    objective = float(np.abs(dmat.T @ best_f).sum())
-    return RecoveryResult(
-        f_hat=best_f, iterations=iterations, converged=converged,
-        residual=best_res, objective=objective, program=PROGRAM_P1,
-        diagnostics={
-            "tau": tau, "sigma": sigma, "operator_norm": norm_a,
-            "final_step": step, "final_violation": viol,
-            "objective_trace": trace,
-        },
-    )
+    if not converged:
+        residual = _residual(a, f, y)
+    return result(f, iterations, converged, residual, step)
 
 
 def _smoothed_objective(coeffs: np.ndarray, mu: float, q: float) -> float:

@@ -12,6 +12,20 @@ from framecs.experiment import read_csv
 MALFORMED_SCALES = ('"bogus"', "-1", "0", "true", "NaN", '{"target_delta": 2}',
                     '{"targt_delta": 0.5}', '{"target_delta": 0.5, "typo": 1}')
 
+# malformed matrix files, each with the line its error names
+MALFORMED_MATRICES = ((b"x y\n1 2\n", 1), (b"-1 2\n", 1), (b"0 2\n", 1), (b"", 1),
+                      (b"1 2\n1 abc\n", 2), (b"1 2\n1 2 3\n", 2),
+                      (b"1 2\n1 2\n3 4\n", 3), (b"2 2\n1 2\n", 3),
+                      (b"1 2\n1 \xff\n", 2))
+
+# every command that reads a matrix file, with {} for the file
+MATRIX_COMMANDS = (
+    ("frame", "verify", "--frame", "{}"),
+    ("drip", "exact", "--matrix", "{}", "--s", "1"),
+    ("solve", "l1", "--matrix", "{}", "--y", "{}"),
+    ("lemmas", "audit", "--matrix", "{}", "--f", "{}", "--fhat", "{}", "--s", "1"),
+)
+
 
 def run(capsys, *argv):
     code = cli_main(list(argv))
@@ -280,6 +294,16 @@ class TestExitCodes:
                            "--out", str(tmp_path / "run.csv"))
         assert code == 1
         assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", MATRIX_COMMANDS, ids=lambda a: " ".join(a[:2]))
+    @pytest.mark.parametrize("data, line", MALFORMED_MATRICES)
+    def test_malformed_matrix_file_is_one(self, capsys, tmp_path, argv, data, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        code, _, err = run(capsys, *(arg.format(path) for arg in argv))
+        assert code == 1
+        assert err.startswith("error: %s line %d: " % (path, line))
         assert "Traceback" not in err
 
     def test_help_exits_zero(self, capsys):

@@ -3,8 +3,10 @@
 ``tests/data/golden.csv`` holds the CSV rows of the configs below, written
 by the per-support reference implementation of the isometry constants
 (three rows whose status or audit counts later moved on purpose were
-rewritten by the batched kernel, and the two ``drip_mode: "lower"`` rows
-when their scale came to be picked from the random pass; see CHANGES.md).  A change that only
+rewritten by the batched kernel, the two ``drip_mode: "lower"`` rows when
+their scale came to be picked from the random pass, and ``err_l2`` and
+``iters`` of the eight noiseless P1 rows when ``solve_p1`` began to return
+the unique feasible point of an injective A at once; see CHANGES.md).  A change that only
 re-associates floating-point work (batched SVDs and eigensolvers, a Gram
 matrix in place of A @ U) must reproduce it: ints and strings exactly, reals
 to |delta| <= 1e-9 * max(1, |x|).  The absolute floor matters: noiseless

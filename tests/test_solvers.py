@@ -88,6 +88,36 @@ class TestSolveP1:
         pq = solve_pq(make_identity_frame(6), model, 0.5)
         assert pq.diagnostics["note"] == "no_feasible_point" and pq.iterations == 0
 
+    def test_unique_feasible_point(self):
+        # eps = 0 and m >= n: A is injective, so f0 is the only feasible point
+        frame, a, f, model = normalized_instance(2, eps=0.0)
+        res = solve_p1(frame, model)
+        assert res.iterations == 0 and res.converged
+        assert res.diagnostics["note"] == "unique_feasible_point"
+        assert np.linalg.norm(res.f_hat - f) <= 1e-14
+        assert res.residual == np.linalg.norm(a @ res.f_hat - model.y)
+
+    def test_noiseless_undersampled_iterates(self):
+        # eps = 0 and m < n: a whole affine line is feasible, so the loop runs
+        frame = make_dct_frame(16)
+        a = gen_gaussian(10, 16, seed=0)
+        rng = np.random.default_rng(1)
+        x = np.zeros(16)
+        x[rng.choice(16, 2, replace=False)] = \
+            rng.standard_normal(2) + np.sign(rng.standard_normal(2))
+        model = measure(a, frame.matrix @ x, "none")
+        res = solve_p1(frame, model)
+        assert res.converged and res.iterations > 0
+        assert "note" not in res.diagnostics
+        assert res.residual == np.linalg.norm(a @ res.f_hat - model.y) <= 1e-9
+        assert res.iterations == reference_p1_loop(frame, model)[1]
+
+    def test_max_iters_returns_the_last_iterate(self):
+        frame, a, f, model = normalized_instance(7)
+        res = solve_p1(frame, model, SolverOptions(max_iters=1))
+        assert res.iterations == 1 and not res.converged
+        assert res.residual == np.linalg.norm(model.A @ res.f_hat - model.y)
+
     def test_matches_l0_oracle_noiseless(self):
         # orthobasis frame, 2-sparse analysis coefficients, eps = 0
         frame = make_dct_frame(12)
@@ -129,12 +159,6 @@ class TestSolveP1:
         tail = best_s_term(coeffs, 2).tail_l1
         bound = error_bound(c0, c1, tail, 2, model.epsilon)
         assert np.linalg.norm(res.f_hat - f) <= bound * (1 + 1e-6)
-
-    def test_monotone_recorded_objective(self):
-        frame, a, f, model = normalized_instance(13)
-        res = solve_p1(frame, model)
-        trace = np.asarray(res.diagnostics["objective_trace"][50:])
-        assert np.all(np.diff(trace) <= 1e-10)
 
     def test_perturbation_optimality_probe(self):
         frame, a, f, model = normalized_instance(17, eps=0.05)
@@ -428,21 +452,29 @@ def reference_p1_loop(frame, model, opts=SolverOptions()):
 
 
 class TestLeanP1Step:
+    # tolerances fixed before measuring: solve_p1 runs the loop in span(A, y)
+    # coordinates and returns its final iterate, the reference loop runs in
+    # the full space and returns its best feasible iterate
+    OBJECTIVE_RTOL = 1e-12
+    F_HAT_TOL = 1e-9
+
     @pytest.mark.parametrize("kwargs", [
         dict(seed=0, n=8, d=12, m=128, eps=0.05),
         dict(seed=1, n=6, d=9, m=48, eps=0.1),
-        dict(seed=2, n=8, d=12, m=128, eps=0.0),
         # m = 2n: tau grows 7 times and shrinks 16 times
         dict(seed=5, n=5, d=7, m=10, s=1, eps=0.05),
+        # the shape of a p1_auto trial
+        dict(seed=3, n=10, d=14, m=160, eps=0.05),
     ])
-    def test_matches_the_reference_loop_bit_for_bit(self, kwargs):
+    def test_matches_the_reference_loop(self, kwargs):
         frame, a, f, model = normalized_instance(**kwargs)
         res = solve_p1(frame, model)
-        f_hat, iterations, objective, trace, tau = reference_p1_loop(frame, model)
-        assert res.f_hat.tobytes() == f_hat.tobytes()
+        f_hat, iterations, objective, _, tau = reference_p1_loop(frame, model)
         assert res.iterations == iterations
-        assert res.objective == objective
-        assert res.diagnostics["objective_trace"] == trace
+        assert abs(res.objective - objective) <= self.OBJECTIVE_RTOL * objective
+        assert np.linalg.norm(res.f_hat - f_hat) <= self.F_HAT_TOL * (
+            1.0 + np.linalg.norm(f_hat))
         # the rebalancing moved the steps, in both loops alike
-        assert res.diagnostics["tau"] == tau != 0.99 / math.sqrt(
+        assert res.diagnostics["tau"] == pytest.approx(tau, rel=1e-12)
+        assert tau != 0.99 / math.sqrt(
             1.0 + (res.diagnostics["operator_norm"] * (1.0 + 1e-6)) ** 2)
