@@ -45,12 +45,6 @@ def _solver_options(args):
     return solvers.SolverOptions(max_iters=args.max_iters, tol=args.tol)
 
 
-def _add_solver_flags(p):
-    defaults = solvers.SolverOptions()
-    p.add_argument("--max-iters", type=int, default=defaults.max_iters)
-    p.add_argument("--tol", type=float, default=defaults.tol)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="framecs",
                      description="Compressed sensing with coherent tight frames: "
@@ -123,7 +117,9 @@ def build_parser() -> _Parser:
         if name == "l0":
             e.add_argument("--s-max", type=int, required=True)
             e.add_argument("--feas-tol", type=float, default=1e-9)
-        _add_solver_flags(e)
+        else:
+            e.add_argument("--max-iters", type=int, default=solvers.SolverOptions().max_iters)
+            e.add_argument("--tol", type=float, default=solvers.SolverOptions().tol)
 
     p = sub.add_parser("lemmas", help="audit the guarantee inequality chain")
     lsub = p.add_subparsers(dest="action", required=True)

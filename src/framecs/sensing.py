@@ -35,8 +35,8 @@ class SensingModel:
         y = as_vector(self.y)
         if y.shape[0] != a.shape[0]:
             raise ContractViolation("y length %d != m=%d" % (y.shape[0], a.shape[0]))
-        if self.epsilon < 0:
-            raise ContractViolation("epsilon must be >= 0")
+        if not 0 <= self.epsilon < np.inf:
+            raise ContractViolation("epsilon must be finite and >= 0")
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "y", y)
         if self.f_true is not None and self.z is not None:

@@ -10,8 +10,8 @@
   P0 (oracle):     min ||D* f||_0      s.t. A f = y
                    exhaustive support search, noiseless only.
 
-Both iterative solvers start from the minimum-norm feasible point and are
-fully deterministic.
+Both iterative solvers start from one thin SVD of A (`_span_coordinates`),
+share its three early exits and are fully deterministic.
 """
 
 import math
@@ -42,8 +42,8 @@ class SolverOptions:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.tol <= 0:
-            raise ContractViolation("max_iters >= 1 and tol > 0 required")
+        if self.max_iters < 1 or not 0 < self.tol < math.inf:
+            raise ContractViolation("max_iters >= 1 and a finite tol > 0 required")
 
 
 @dataclass(frozen=True)
@@ -84,18 +84,49 @@ def _residual(a, f, y) -> float:
     return math.sqrt(gap @ gap)
 
 
+def _span_coordinates(model: SensingModel, tol: float):
+    """(A', y', f0, ||A||_2, exit) from one thin SVD A = U S V^T.
+
+    A' = [S V^T; 0] and y' = [U^T y; ||y - U U^T y||] keep every singular
+    value, so ||A' f - y'|| = ||A f - y|| for every f on min(m, n) + 1 rows.
+    f0 is the minimum-norm least-squares point V_r S_r^-1 U_r^T y (singular
+    values s > DEFAULT_TOL * s_max count).  exit is None, or the note of a
+    case the solvers return at once with f0: zero lies in the eps-ball
+    ("zero_feasible", and f0 is zero); f0 misses it, so no point is feasible
+    ("no_feasible_point"); eps = 0 and rank(A) = n ("unique_feasible_point").
+    """
+    a, y, eps = model.A, model.y, model.epsilon
+    u, svals, vt = np.linalg.svd(a, full_matrices=False)
+    norm_a = float(svals[0]) if svals.size else 0.0
+    coords = u.T @ y
+    y_perp = y - u @ coords
+    a_red = np.vstack([svals[:, None] * vt, np.zeros(a.shape[1])])
+    y_red = np.append(coords, math.sqrt(y_perp @ y_perp))
+    if float(np.linalg.norm(y)) <= eps:
+        # zero is feasible and no point has a smaller objective
+        return a_red, y_red, np.zeros(a.shape[1]), norm_a, {"note": "zero_feasible"}
+
+    rank = int(np.count_nonzero(svals > DEFAULT_TOL * norm_a))
+    f0 = vt[:rank].T @ (coords[:rank] / svals[:rank])
+    residual = _residual(a, f0, y)
+    exit_note = None
+    if residual - eps > _feasibility_tol(eps, tol):
+        # f0 is the minimum-norm least-squares point: nothing comes closer
+        exit_note = {"note": "no_feasible_point", "min_residual": residual}
+    elif eps == 0.0 and rank == a.shape[1]:
+        # A is injective: A f = y has no other solution
+        exit_note = {"note": "unique_feasible_point"}
+    return a_red, y_red, f0, norm_a, exit_note
+
+
 def solve_p1(frame: TightFrame, model: SensingModel,
              opts: Optional[SolverOptions] = None) -> RecoveryResult:
     """Primal-dual splitting for the constrained l1 analysis program.
 
-    One thin SVD A = U S V^T gives ||A||_2, the minimum-norm least-squares
-    start f0 = V_r S_r^-1 U_r^T y (singular values s > DEFAULT_TOL * s_max
-    count) and the coordinates the loop runs in.  The eps-ball dual never
-    leaves span(A, y), so the data term is A' = [S V^T; 0], y' = [U^T y;
-    ||y - U U^T y||] with every singular value kept: ||A' f - y'|| =
-    ||A f - y|| for every f, the dual has min(m, n) + 1 entries instead of
-    m, and the iterates are those of the full-space loop in exact
-    arithmetic.
+    The loop starts from f0 of `_span_coordinates` and runs on its data
+    term: the eps-ball dual never leaves span(A, y), so with
+    K' = [D*; A'] the dual has min(m, n) + 1 entries instead of m, and the
+    iterates are those of the full-space loop in exact arithmetic.
 
     Dual updates are componentwise clipping to [-1, 1] for the l1 block and
     the translated shrink map for the eps-ball block; step sizes satisfy
@@ -105,12 +136,8 @@ def solve_p1(frame: TightFrame, model: SensingModel,
     adjustments, which keeps the product (hence convergence) intact while
     avoiding the long plateaus of fixed steps.  The residual is evaluated
     only on steps that pass the step test; the final iterate is returned
-    with its residual ||A f - y|| in the full space.
-
-    Three cases return f0 or zero at once, with 0 iterations and a note:
-    zero lies in the eps-ball ("zero_feasible"); even f0 misses it, so no
-    point is feasible ("no_feasible_point"); eps = 0 and rank(A) = n, so f0
-    is the only feasible point ("unique_feasible_point").
+    with its residual ||A f - y|| in the full space.  The three exits of
+    `_span_coordinates` return f0 with 0 iterations and their note.
     """
     opts = opts or SolverOptions()
     a, y, eps = model.A, model.y, model.epsilon
@@ -119,8 +146,7 @@ def solve_p1(frame: TightFrame, model: SensingModel,
     dmat = frame.matrix
     d, n = frame.d, frame.n
 
-    u, svals, vt = np.linalg.svd(a, full_matrices=False)
-    norm_a = float(svals[0]) if svals.size else 0.0
+    a_red, y_red, f, norm_a, exit_note = _span_coordinates(model, opts.tol)
     big_k = math.sqrt(1.0 + (norm_a * (1.0 + 1e-6)) ** 2)
     tau = sigma = 0.99 / big_k
 
@@ -134,39 +160,20 @@ def solve_p1(frame: TightFrame, model: SensingModel,
                          "final_violation": max(0.0, residual - eps), **note},
         )
 
-    norm_y = float(np.linalg.norm(y))
-    if norm_y <= eps:
-        # zero is feasible and no point has a smaller objective
-        return result(np.zeros(n), 0, True, norm_y, 0.0, note="zero_feasible")
+    if exit_note:
+        return result(f, 0, exit_note["note"] != "no_feasible_point",
+                      _residual(a, f, y), 0.0, **exit_note)
 
-    coords = u.T @ y
-    rank = int(np.count_nonzero(svals > DEFAULT_TOL * norm_a))
-    f = vt[:rank].T @ (coords[:rank] / svals[:rank])
-    residual = _residual(a, f, y)
     feas_tol = _feasibility_tol(eps, opts.tol)
-    if residual - eps > feas_tol:
-        # f is the minimum-norm least-squares point: nothing comes closer
-        return result(f, 0, False, residual, 0.0, note="no_feasible_point",
-                      min_residual=residual)
-    if eps == 0.0 and rank == n:
-        # A is injective: A f = y has no other solution
-        return result(f, 0, True, residual, 0.0, note="unique_feasible_point")
-
-    # K' = [D*; S V^T; 0] and y' = [U^T y; ||y_perp||]
-    k = svals.size
-    y_perp = y - u @ coords
-    y_red = np.append(coords, math.sqrt(y_perp @ y_perp))
-    stacked = np.zeros((d + k + 1, n))
-    stacked[:d] = dmat.T
-    stacked[d:d + k] = svals[:, None] * vt
+    stacked = np.vstack([dmat.T, a_red])
     stacked_t = stacked.T
     # the loop writes into these instead of allocating; (dual, p, r) and
     # (dual_new, p_new, r_new), like f and f_new, swap each step
-    image = np.empty(d + k + 1)
+    image = np.empty(stacked.shape[0])
     image_p, image_r = image[:d], image[d:]
-    dual, dual_new = np.zeros(d + k + 1), np.empty(d + k + 1)
+    dual, dual_new = np.zeros_like(image), np.empty_like(image)
     p, r, p_new, r_new = dual[:d], dual[d:], dual_new[:d], dual_new[d:]
-    dual_step = np.empty(d + k + 1)
+    dual_step = np.empty_like(image)
     back, f_new, move = np.empty(n), np.empty(n), np.empty(n)
     f_bar = f.copy()
     tol = opts.tol
@@ -278,10 +285,11 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float,
     """Iteratively reweighted least squares for the lq analysis program.
 
     Weights w_i = ((D* f)_i^2 + mu^2)^(q/2 - 1) at smoothing level mu, which
-    decays geometrically to the floor.  Each weighted subproblem
-    min ||sqrt(W) D* f||_2 s.t. ||A f - y||_2 <= eps is solved in closed
-    form by `_weighted_solve`, on the boundary ||A f - y||_2 = eps when
-    eps > 0 and on the least-squares set of A f = y when eps = 0.
+    decays geometrically to the floor.  Start and exits are those of
+    `solve_p1` (`_span_coordinates`).  Each weighted subproblem
+    min ||sqrt(W) D* f||_2 s.t. ||A' f - y'||_2 <= eps is solved in closed
+    form by `_weighted_solve`, which factors A' Q S^-1 (min(m, n) + 1 rows),
+    on the boundary when eps > 0 and on the least-squares set when eps = 0.
     """
     if not 0.0 < q < 1.0:
         raise ContractViolation("solve_pq needs 0 < q < 1")
@@ -300,17 +308,11 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float,
             program=PROGRAM_PQ, diagnostics=extra,
         )
 
-    norm_y = float(np.linalg.norm(y))
-    if norm_y <= eps:
-        # zero is feasible, and no point beats objective 0
-        return result(np.zeros(a.shape[1]), 0, True, {"note": "zero_feasible"})
+    a_red, y_red, f, _, exit_note = _span_coordinates(model, opts.tol)
+    if exit_note:
+        return result(f, 0, exit_note["note"] != "no_feasible_point", exit_note)
 
-    f0, res0 = least_squares_min_norm(a, y)
-    if res0 > eps + _feasibility_tol(eps, opts.tol):
-        return result(f0, 0, False, {"note": "no_feasible_point", "min_residual": res0})
-
-    f = f0
-    mu = max(float(np.abs(dmat.T @ f0).max()), SMOOTHING_FLOOR)
+    mu = max(float(np.abs(dmat.T @ f).max()), SMOOTHING_FLOOR)
     lam = None
     total_solves = 0
     level_traces = []
@@ -323,7 +325,7 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float,
         for _ in range(inner_cap):
             coeffs = dmat.T @ f
             weights = (coeffs * coeffs + mu * mu) ** (q / 2.0 - 1.0)
-            f_new, lam = _weighted_solve(dmat, a, y, eps, weights)
+            f_new, lam = _weighted_solve(dmat, a_red, y_red, eps, weights)
             total_solves += 1
             level_trace.append(_smoothed_objective(dmat.T @ f_new, mu, q))
             inner_step = float(np.linalg.norm(f_new - f))
@@ -361,8 +363,8 @@ def solve_p0_oracle(frame: TightFrame, model: SensingModel, s_max: int,
     if a.shape[1] != frame.n:
         raise ContractViolation("matrix columns != frame dimension")
     d = frame.d
-    if not 0 <= s_max <= d:
-        raise ContractViolation("s_max must be in [0, d]")
+    if not 0 <= s_max <= d or not 0 < tol < math.inf:
+        raise ContractViolation("s_max in [0, d] and a finite tol > 0 required")
     budget = sum(math.comb(d, k) for k in range(s_max + 1))
     if budget > ENUMERATION_LIMIT:
         raise EnumerationLimitError(

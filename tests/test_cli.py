@@ -18,6 +18,15 @@ MALFORMED_MATRICES = ((b"x y\n1 2\n", 1), (b"-1 2\n", 1), (b"0 2\n", 1), (b"", 1
                       (b"1 2\n1 2\n3 4\n", 3), (b"2 2\n1 2\n", 3),
                       (b"1 2\n1 \xff\n", 2))
 
+# solve commands with a noise budget or tolerance that is not a finite
+# number (or, for --feas-tol, not positive); l0 takes no --tol
+NON_FINITE_SOLVES = [(program, flag, value)
+                     for program in ("l1", "lq", "l0")
+                     for flag, value in (("--eps", "nan"), ("--eps", "inf"),
+                                         ("--tol", "nan"))] + [
+    ("l0", "--feas-tol", "nan"), ("l0", "--feas-tol", "-1")]
+SOLVE_FLAGS = {"l1": (), "lq": ("--q", "0.5"), "l0": ("--s-max", "1")}
+
 # every command that reads a matrix file, with {} for the file
 MATRIX_COMMANDS = (
     ("frame", "verify", "--frame", "{}"),
@@ -304,6 +313,18 @@ class TestExitCodes:
         code, _, err = run(capsys, *(arg.format(path) for arg in argv))
         assert code == 1
         assert err.startswith("error: %s line %d: " % (path, line))
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("program, flag, value", NON_FINITE_SOLVES)
+    def test_non_finite_budget_is_one(self, capsys, tmp_path, program, flag, value):
+        a = np.random.default_rng(0).standard_normal((8, 6))
+        save_matrix(tmp_path / "A.txt", a)
+        save_matrix(tmp_path / "y.txt", (a @ np.ones(6)).reshape(-1, 1))
+        code, out, err = run(capsys, "solve", program, "--matrix", str(tmp_path / "A.txt"),
+                             "--y", str(tmp_path / "y.txt"), *SOLVE_FLAGS[program],
+                             flag, value)
+        assert code == 1 and out == ""
+        assert "\nerror: " in "\n" + err
         assert "Traceback" not in err
 
     def test_help_exits_zero(self, capsys):

@@ -6,12 +6,13 @@ by the per-support reference implementation of the isometry constants
 rewritten by the batched kernel, the two ``drip_mode: "lower"`` rows when
 their scale came to be picked from the random pass, and ``err_l2`` and
 ``iters`` of the eight noiseless P1 rows when ``solve_p1`` began to return
-the unique feasible point of an injective A at once; see CHANGES.md).  A change that only
-re-associates floating-point work (batched SVDs and eigensolvers, a Gram
-matrix in place of A @ U) must reproduce it: ints and strings exactly, reals
-to |delta| <= 1e-9 * max(1, |x|).  The absolute floor matters: noiseless
-recovery errors sit at 1e-15, where round-off alone moves them by over 10 %
-relative.
+the unique feasible point of an injective A at once, and of the two
+noiseless lq rows when ``solve_pq`` took the same exit; see CHANGES.md).  A
+change that only re-associates floating-point work (batched SVDs and
+eigensolvers, a Gram matrix in place of A @ U) must reproduce it: ints and
+strings exactly, reals to |delta| <= 1e-9 * max(1, |x|).  The absolute floor
+matters: noiseless recovery errors sit at 1e-15, where round-off alone moves
+them by over 10 % relative.
 
 Regenerate (only on purpose, and record why in CHANGES.md) with
 

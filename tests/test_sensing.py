@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -91,13 +92,17 @@ class TestMeasure:
         assert np.array_equal(model.y, model.A @ model.f_true + model.z)
 
     def test_negative_level_rejected(self):
-        with pytest.raises(ContractViolation):
-            measure(np.eye(2), np.ones(2), "bounded", -0.1)
+        for level in (-0.1, math.nan, math.inf):
+            with pytest.raises(ContractViolation):
+                measure(np.eye(2), np.ones(2), "bounded", level)
 
     def test_model_validates_budget(self):
         with pytest.raises(ContractViolation):
             SensingModel(A=np.eye(2), y=np.ones(2), epsilon=0.0,
                          f_true=np.zeros(2), z=np.ones(2))
+        for eps in (-0.1, math.nan, math.inf):
+            with pytest.raises(ContractViolation):
+                SensingModel(A=np.eye(2), y=np.ones(2), epsilon=eps)
 
 
 class TestConcentrationProbe:

@@ -14,6 +14,7 @@ from framecs.solvers import (
     CONTINUATION_FACTOR,
     SMOOTHING_FLOOR,
     SolverOptions,
+    _span_coordinates,
     _weighted_solve,
     solve_p0_oracle,
     solve_p1,
@@ -50,8 +51,9 @@ class TestSolverOptions:
     def test_validation(self):
         with pytest.raises(ContractViolation):
             SolverOptions(max_iters=0)
-        with pytest.raises(ContractViolation):
-            SolverOptions(tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ContractViolation):
+                SolverOptions(tol=tol)
         with pytest.raises(TypeError):
             SolverOptions(continuation_factor=0.5)
 
@@ -96,6 +98,10 @@ class TestSolveP1:
         assert res.diagnostics["note"] == "unique_feasible_point"
         assert np.linalg.norm(res.f_hat - f) <= 1e-14
         assert res.residual == np.linalg.norm(a @ res.f_hat - model.y)
+        pq = solve_pq(frame, model, 0.5)
+        assert pq.iterations == 0 and pq.converged
+        assert pq.diagnostics == {"note": "unique_feasible_point"}
+        assert pq.f_hat.tobytes() == res.f_hat.tobytes()
 
     def test_noiseless_undersampled_iterates(self):
         # eps = 0 and m < n: a whole affine line is feasible, so the loop runs
@@ -257,13 +263,17 @@ class TestSolvePq:
         assert res.residual <= model.epsilon * (1 + 1e-6) + 1e-9
 
     def test_descent_within_levels(self):
-        # classical majorize-minimize property at fixed smoothing
-        frame, a, f, model = normalized_instance(31, eps=0.0)
+        # classical majorize-minimize property at fixed smoothing, on a noisy
+        # instance: the feasible set is a ball, so the iterates move
+        frame, a, f, model = normalized_instance(31, eps=0.05)
         res = solve_pq(frame, model, 0.5)
+        descents = 0
         for level in res.diagnostics["level_traces"]:
             diffs = np.diff(np.asarray(level))
             if diffs.size:
                 assert np.all(diffs <= 1e-10)
+                descents += bool(diffs.min() < -1e-10)
+        assert descents > 0
 
     def test_undersampled_dct(self):
         # the paper's regime m < n: noiseless recovery agrees with the l0
@@ -313,6 +323,25 @@ def _null_space_oracle(dmat, a, y, weights):
     return f0 + null_basis @ c
 
 
+class TestSpanCoordinates:
+    @pytest.mark.parametrize("m, n, equal_columns", [
+        (5, 8, False), (20, 8, False), (20, 8, True)])
+    def test_keeps_the_residual(self, m, n, equal_columns):
+        a = gen_gaussian(m, n, seed=m + n)
+        if equal_columns:
+            a[:, 1] = a[:, 0]
+        rng = np.random.default_rng(m)
+        # y outside range(A) whenever A has fewer than m independent columns
+        model = SensingModel(A=a, y=rng.standard_normal(m), epsilon=0.1)
+        a_red, y_red, _, norm_a, _ = _span_coordinates(model, 1e-9)
+        assert a_red.shape == (min(m, n) + 1, n) and y_red.shape == (min(m, n) + 1,)
+        assert norm_a == pytest.approx(np.linalg.norm(a, 2), rel=1e-13)
+        for _ in range(5):
+            f = rng.standard_normal(n)
+            full = np.linalg.norm(a @ f - model.y)
+            assert abs(np.linalg.norm(a_red @ f - y_red) - full) <= 1e-12 * full
+
+
 class TestWeightedSolve:
     @pytest.mark.parametrize("m", [5, 20])
     @pytest.mark.parametrize("spread", [1.0, 4.0])
@@ -328,6 +357,11 @@ class TestWeightedSolve:
         assert 0.1 * (1 - 1e-9) <= residual <= 0.1 * (1 + 1e-12)
         oracle = _penalized_oracle(frame.matrix, a, model.y, weights, lam)
         assert np.linalg.norm(f - oracle) <= 1e-8 * np.linalg.norm(oracle)
+        # the span(A, y) data term gives the same solve
+        a_red, y_red = _span_coordinates(model, 1e-9)[:2]
+        f_red, lam_red = _weighted_solve(frame.matrix, a_red, y_red, 0.1, weights)
+        assert np.linalg.norm(f_red - f) <= 1e-12 * np.linalg.norm(f)
+        assert lam_red == pytest.approx(lam, rel=1e-10)
 
     @pytest.mark.parametrize("spread", [1.0, 4.0])
     def test_noiseless_matches_null_space(self, spread):
@@ -340,6 +374,11 @@ class TestWeightedSolve:
         assert lam is None
         oracle = _null_space_oracle(frame.matrix, a, y, weights)
         assert np.linalg.norm(f - oracle) <= 1e-8 * np.linalg.norm(oracle)
+        # the span(A, y) data term gives the same solve
+        a_red, y_red = _span_coordinates(SensingModel(A=a, y=y, epsilon=0.0), 1e-9)[:2]
+        f_red, lam_red = _weighted_solve(frame.matrix, a_red, y_red, 0.0, weights)
+        assert lam_red is None
+        assert np.linalg.norm(f_red - f) <= 1e-12 * np.linalg.norm(f)
 
 
 class TestSolveP0:
