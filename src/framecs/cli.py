@@ -140,8 +140,6 @@ def build_parser() -> _Parser:
     r.add_argument("--config", required=True, help="JSON config file")
     r.add_argument("--out", help="output path (overrides config)")
     r.add_argument("--format", choices=("csv", "json"), default="csv")
-    r.add_argument("--workers", type=int, default=1,
-                   help="trials run serially; the value is accepted and does not change output")
 
     p = sub.add_parser("compare", help="constants at delta = 1/14 vs the reported pair")
     p.add_argument("--out")
@@ -200,12 +198,12 @@ def _run(args) -> int:
             report = drip.exact_drip(a, fr, args.s)
         else:
             report = drip.random_lower_bound(a, fr, args.s, args.trials, args.seed)
-        _emit(report.to_json(), args.out)
+        _emit(json_dumps(report), args.out)
         return 0
 
     if args.command == "certify":
         certs = guarantees.certify(args.delta, args.n, args.s, q_opt=args.q)
-        _emit(json_dumps([c.to_json_dict() for c in certs]), args.out)
+        _emit(json_dumps(certs), args.out)
         return 0
 
     if args.command == "solve":
@@ -219,7 +217,7 @@ def _run(args) -> int:
             res = solvers.solve_pq(fr, model, args.q, _solver_options(args))
         else:
             res = solvers.solve_p0_oracle(fr, model, args.s_max, args.feas_tol)
-        _emit(json_dumps(res.to_json_dict()), args.out)
+        _emit(json_dumps(res), args.out)
         return 0
 
     if args.command == "lemmas":
@@ -233,7 +231,7 @@ def _run(args) -> int:
                                           args.eps, rip.delta, y=y)
         payload = {
             "delta_2s": rip.delta,
-            "records": [r.to_json_dict() for r in records],
+            "records": records,
             "holds": sum(1 for r in records if r.holds),
             "total": len(records),
         }
@@ -242,11 +240,10 @@ def _run(args) -> int:
 
     if args.command == "experiment":
         config = experiment.ExperimentConfig.from_json_file(args.config)
-        records = experiment.run_experiment(config, workers=args.workers)
+        records = experiment.run_experiment(config)
         out = args.out or config.out
         if args.format == "json":
-            text = json_dumps([r.to_json_dict() for r in records])
-            _emit(text, out)
+            _emit(json_dumps(records), out)
         else:
             if not out:
                 raise ContractViolation("CSV output needs --out or config 'out'")

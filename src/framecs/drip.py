@@ -33,7 +33,6 @@ from .errors import ContractViolation, EnumerationLimitError
 from .frames import TightFrame
 from .linalg import DEFAULT_TOL, as_matrix
 from .rng import rng_from_seed
-from .serialize import json_dumps
 
 # Keeps exact computation under minutes at desk scale; past this only the
 # randomized lower bound is offered -- never a silently approximate "exact".
@@ -61,21 +60,9 @@ METHOD_LOWER = "random_lower_bound"
 class RipReport:
     s: int
     delta: float
-    witness_support: Tuple[int, ...]
     method: str
+    witness_support: Tuple[int, ...]
     supports_examined: int
-
-    def to_json_dict(self):
-        return {
-            "s": self.s,
-            "delta": self.delta,
-            "method": self.method,
-            "witness_support": list(self.witness_support),
-            "supports_examined": self.supports_examined,
-        }
-
-    def to_json(self) -> str:
-        return json_dumps(self.to_json_dict())
 
 
 def _check_shapes(a: np.ndarray, frame: TightFrame):
@@ -171,7 +158,8 @@ def support_spectra(a, frame: TightFrame, supports) -> Tuple[np.ndarray, np.ndar
 class SpectrumExtremes:
     """The global extremes of the per-support spectra over a stream of
     supports.  Each `*_at` is (position in the stream, support) of the first
-    support reaching that extreme.
+    support reaching that extreme; `method` says whether the stream was every
+    support (METHOD_EXACT) or a random sample (METHOD_LOWER).
     """
 
     lo: float
@@ -179,22 +167,24 @@ class SpectrumExtremes:
     hi: float
     hi_at: Tuple[int, Tuple[int, ...]]
     supports_examined: int
+    method: str
 
     def spectrum_range(self) -> Tuple[float, float]:
         """(lambda_min, lambda_max)."""
         return float(self.lo), float(self.hi)
 
-    def report(self, s: int, scale2: float = 1.0, method: str = METHOD_EXACT) -> RipReport:
+    def report(self, s: int, scale2: float = 1.0) -> RipReport:
         """The constant of A scaled by sqrt(scale2):
         max(scale2 hi - 1, 1 - scale2 lo), the earliest extreme winning ties."""
         candidates = ((scale2 * self.hi - 1.0, self.hi_at),
                       (1.0 - scale2 * self.lo, self.lo_at))
         delta, (_, witness) = max(candidates, key=lambda c: (c[0], -c[1][0]))
-        return RipReport(s=int(s), delta=float(delta), witness_support=witness,
-                         method=method, supports_examined=self.supports_examined)
+        return RipReport(s=int(s), delta=float(delta), method=self.method,
+                         witness_support=witness, supports_examined=self.supports_examined)
 
 
-def _scan(a: np.ndarray, frame: TightFrame, s: int, supports: Iterable) -> SpectrumExtremes:
+def _scan(a: np.ndarray, frame: TightFrame, s: int, supports: Iterable,
+          method: str) -> SpectrumExtremes:
     pencil = _pencil(a, frame.matrix)
     chunk_size = max(1, CHUNK_FLOATS // (max(frame.n, s) * s))
     lo, lo_at = np.inf, (0, ())
@@ -214,7 +204,7 @@ def _scan(a: np.ndarray, frame: TightFrame, s: int, supports: Iterable) -> Spect
             hi, hi_at = float(c_hi[i]), (start + i, chunk[i])
         start += len(chunk)
     return SpectrumExtremes(lo=lo, lo_at=lo_at, hi=hi, hi_at=hi_at,
-                            supports_examined=start)
+                            supports_examined=start, method=method)
 
 
 def spectrum_extremes(a, frame: TightFrame, s: int) -> SpectrumExtremes:
@@ -227,7 +217,7 @@ def spectrum_extremes(a, frame: TightFrame, s: int) -> SpectrumExtremes:
             "C(%d, %d) = %d supports exceeds the exact budget %d; "
             "use random_lower_bound instead" % (d, s, count, ENUMERATION_LIMIT)
         )
-    return _scan(a, frame, s, combinations(range(d), s))
+    return _scan(a, frame, s, combinations(range(d), s), METHOD_EXACT)
 
 
 def exact_drip(a, frame: TightFrame, s: int) -> RipReport:
@@ -264,8 +254,8 @@ def exact_rip(a, s: int) -> RipReport:
         if dev > delta:
             delta = dev
             witness = support
-    return RipReport(s=int(s), delta=float(delta), witness_support=witness,
-                     method=METHOD_EXACT, supports_examined=count)
+    return RipReport(s=int(s), delta=float(delta), method=METHOD_EXACT,
+                     witness_support=witness, supports_examined=count)
 
 
 def random_spectrum_extremes(a, frame: TightFrame, s: int, trials: int,
@@ -278,10 +268,10 @@ def random_spectrum_extremes(a, frame: TightFrame, s: int, trials: int,
     rng = rng_from_seed(seed)
     draws = (tuple(sorted(rng.choice(frame.d, size=s, replace=False).tolist()))
              for _ in range(trials))
-    return _scan(a, frame, s, draws)
+    return _scan(a, frame, s, draws, METHOD_LOWER)
 
 
 def random_lower_bound(a, frame: TightFrame, s: int, trials: int, seed: int) -> RipReport:
     """Lower bound on the exact constant from seeded random supports."""
-    return random_spectrum_extremes(a, frame, s, trials, seed).report(s, method=METHOD_LOWER)
+    return random_spectrum_extremes(a, frame, s, trials, seed).report(s)
 

@@ -14,8 +14,3 @@ class EnumerationLimitError(ContractViolation):
 class NotApplicableError(ContractViolation):
     """A guarantee's constants were requested outside the regime where the
     guarantee holds."""
-
-    def __init__(self, message, delta=None, threshold=None):
-        super().__init__(message)
-        self.delta = delta
-        self.threshold = threshold

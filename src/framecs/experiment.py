@@ -2,8 +2,7 @@
 certificates -> solvers -> audits, with CSV/JSON reporting.
 
 Runs are reproducible byte-for-byte: every random draw comes from a
-substream keyed by (config seed, trial index).  Trials run serially;
-`workers` is accepted and does not change output.  A record only asserts its
+substream keyed by (config seed, trial index).  A record only asserts its
 error bound when the isometry constant was computed exactly and the
 certificate was applicable -- there is no silent downgrade.
 """
@@ -228,9 +227,6 @@ class ExperimentRecord:
     def to_csv_row(self) -> "CsvRow":
         return CsvRow(*(getattr(self, name) for name in CSV_COLUMNS))
 
-    def to_json_dict(self):
-        return dataclasses.asdict(self)
-
 
 _RECORD_TYPES = {f.name: f.type for f in fields(ExperimentRecord)}
 CsvRow = dataclasses.make_dataclass(
@@ -317,9 +313,8 @@ def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
     model = sensing.measure(a, f, mode=config.noise_mode, level=config.eps,
                             seed=seeds["noise"])
 
-    exact = config.drip_mode == "exact"
-    rip = spectrum.report(order, scale * scale,
-                          drip.METHOD_EXACT if exact else drip.METHOD_LOWER)
+    rip = spectrum.report(order, scale * scale)
+    exact = rip.method == drip.METHOD_EXACT
 
     q = config.q if config.program == "pq" else None
     certs = {c.regime: c for c in guarantees.certify(rip.delta, config.n, config.s,
@@ -341,7 +336,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
     coeffs_true = frame.matrix.T @ f
     qq = q if q is not None else 1.0
     approx = frames.best_s_term(coeffs_true, config.s, qq)
-    tail = approx.tail_l1 if q is None else approx.tail_lq
+    tail = approx.tail_lq
     err = float(np.linalg.norm(res.f_hat - f))
 
     gate = guarantees.surrogate_gate(frame.matrix.T @ res.f_hat, coeffs_true, qq)[0]
@@ -384,10 +379,8 @@ def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
     )
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> List[ExperimentRecord]:
-    """Run the trials serially; `workers` is accepted and does not change output."""
-    if workers < 1:
-        raise ContractViolation("workers must be >= 1")
+def run_experiment(config: ExperimentConfig) -> List[ExperimentRecord]:
+    """Run the trials in order."""
     return [run_trial(config, t) for t in range(config.trials)]
 
 

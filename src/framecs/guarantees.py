@@ -19,8 +19,9 @@ reconstruction error obeys  C0 * tail / s^(1/q - 1/2) + C1 * eps  with
 and a regime-specific C0.
 """
 
+import bisect
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -97,24 +98,18 @@ def q_zero(delta: float) -> float:
     """Largest q in (0, 1] with rho_q(delta, q) < 1 for all smaller q.
 
     Returns 1 when rho_q(delta, 1) < 1; otherwise the root of
-    rho_q(delta, .) = 1, located by a grid scan (which would pick the
-    smallest root if the factor were ever non-monotone) refined by
-    bisection to absolute tolerance 1e-9.
+    rho_q(delta, .) = 1, bracketed by the first point of a fixed grid with
+    rho_q >= 1 (found by binary search: rho_q(delta, .) is increasing in q)
+    and refined by bisection to absolute tolerance 1e-9.
     """
     if not 0.0 <= delta < 0.5:
         raise ContractViolation("q_zero needs 0 <= delta < 1/2, got %g" % delta)
     if rho_q(delta, 1.0) < 1.0:
         return 1.0
+    # grid[-1] is exactly 1.0, where rho_q >= 1, so the search finds a point
     grid = np.linspace(1e-6, 1.0, 2049)
-    lo = grid[0]
-    hi = None
-    for qv in grid[1:]:
-        if rho_q(delta, float(qv)) >= 1.0:
-            hi = float(qv)
-            break
-        lo = float(qv)
-    if hi is None:
-        return 1.0
+    k = bisect.bisect_left(grid, True, lo=1, key=lambda qv: rho_q(delta, float(qv)) >= 1.0)
+    lo, hi = float(grid[k - 1]), float(grid[k])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if rho_q(delta, mid) < 1.0:
@@ -138,9 +133,7 @@ def constants_general(delta: float) -> Tuple[float, float]:
     thr = threshold_general()
     if not 0.0 <= delta < thr:
         raise NotApplicableError(
-            "general l1 guarantee needs delta < %.10g, got %.10g" % (thr, delta),
-            delta=delta, threshold=thr,
-        )
+            "general l1 guarantee needs delta < %.10g, got %.10g" % (thr, delta))
     rho = rho_general(delta)
     c0 = 4.0 / (1.0 - rho) * math.sqrt(
         2.0 * (2.0 - delta) / ((1.0 - delta) * (32.0 - 25.0 * delta))
@@ -152,9 +145,7 @@ def constants_special(delta: float) -> Tuple[float, float]:
     thr = threshold_special()
     if not 0.0 <= delta < thr:
         raise NotApplicableError(
-            "special-case guarantee needs delta < %.10g, got %.10g" % (thr, delta),
-            delta=delta, threshold=thr,
-        )
+            "special-case guarantee needs delta < %.10g, got %.10g" % (thr, delta))
     rho = rho_special(delta)
     c0 = math.sqrt(2.0) / ((1.0 - rho) * math.sqrt(1.0 - delta))
     return c0, _c1_from_c0(c0, delta)
@@ -163,15 +154,11 @@ def constants_special(delta: float) -> Tuple[float, float]:
 def constants_q(delta: float, q: float) -> Tuple[float, float]:
     if not 0.0 <= delta < 0.5:
         raise NotApplicableError(
-            "lq guarantee needs delta < 1/2, got %.10g" % delta,
-            delta=delta, threshold=0.5,
-        )
+            "lq guarantee needs delta < 1/2, got %.10g" % delta)
     q0 = q_zero(delta)
     if not _lq_admissible(q, q0):
         raise NotApplicableError(
-            "lq guarantee needs q < q0(delta) = %.10g, got q = %.10g" % (q0, q),
-            delta=delta, threshold=q0,
-        )
+            "lq guarantee needs q < q0(delta) = %.10g, got q = %.10g" % (q0, q))
     rho_pow_q = rho_q(delta, q) ** q
     lead = 2.0 ** (1.0 / q - 1.0) / (1.0 - rho_pow_q) ** (1.0 / q)
     inner = ((2.0 - delta) * (2.0 - q) ** ((2.0 - q) / q) * q + 2.0 ** (2.0 / q) * delta) / (
@@ -215,16 +202,17 @@ class GuaranteeCertificate:
     applicable: bool
     precondition_text: str
 
-    def to_json_dict(self):
-        return asdict(self)
+
+def _check_finite_nonnegative(name: str, value: float):
+    if not 0.0 <= value < math.inf:
+        raise ContractViolation("%s must be a finite number >= 0, got %r" % (name, value))
 
 
 def certify(delta_2s: float, n: int, s: int, q_opt: Optional[float] = None
             ) -> List[GuaranteeCertificate]:
     """One certificate per regime; inapplicable regimes are reported with
     applicable=False, never as errors."""
-    if delta_2s < 0:
-        raise ContractViolation("delta_2s must be >= 0")
+    _check_finite_nonnegative("delta_2s", delta_2s)
     if n < 1 or s < 1:
         raise ContractViolation("n and s must be >= 1")
     certs = []
@@ -290,8 +278,7 @@ class BlockPartition:
         return len(self.blocks) - 1
 
 
-def block_partition(x_f, x_h, s: int, norm: str = "l1",
-                    q: Optional[float] = None) -> BlockPartition:
+def block_partition(x_f, x_h, s: int, q: float = 1.0) -> BlockPartition:
     x_f = as_vector(x_f)
     x_h = as_vector(x_h)
     d = x_f.shape[0]
@@ -299,14 +286,8 @@ def block_partition(x_f, x_h, s: int, norm: str = "l1",
         raise ContractViolation("x_f and x_h must have equal length")
     if not 1 <= s <= d:
         raise ContractViolation("s must satisfy 1 <= s <= d")
-    if norm not in ("l1", "lq"):
-        raise ContractViolation("norm must be 'l1' or 'lq'")
-    if norm == "lq":
-        if q is None or not 0.0 < q <= 1.0:
-            raise ContractViolation("norm 'lq' needs q in (0, 1]")
-        power = float(q)
-    else:
-        power = 1.0
+    if not 0.0 < q <= 1.0:
+        raise ContractViolation("q must be in (0, 1]")
 
     head = np.argsort(-np.abs(x_f), kind="stable")[:s]
     t0 = tuple(sorted(int(i) for i in head))
@@ -320,12 +301,12 @@ def block_partition(x_f, x_h, s: int, norm: str = "l1",
         chunk = rest[start:start + s]
         blocks.append(tuple(sorted(int(i) for i in chunk)))
 
-    mass = np.abs(x_h[rest]) ** power
+    mass = np.abs(x_h[rest]) ** q
     total = float(mass.sum())
     if total == 0.0 or len(blocks) == 1:
         omega = 0.0
     else:
-        first = float(np.sum(np.abs(x_h[list(blocks[1])]) ** power))
+        first = float(np.sum(np.abs(x_h[list(blocks[1])]) ** q))
         omega = min(1.0, first / total)
     return BlockPartition(s=int(s), blocks=tuple(blocks), omega=omega)
 
@@ -342,9 +323,6 @@ class InequalityAuditRecord:
     slack: float
     holds: bool
     intermediates: Dict[str, float] = field(default_factory=dict)
-
-    def to_json_dict(self):
-        return asdict(self)
 
 
 def _record(lemma_id: str, lhs: float, rhs: float, **intermediates) -> InequalityAuditRecord:
@@ -406,8 +384,8 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
     f_hat = as_vector(f_hat)
     if not 0.0 < q <= 1.0:
         raise ContractViolation("q must be in (0, 1]")
-    if eps < 0 or delta_2s < 0:
-        raise ContractViolation("eps and delta_2s must be >= 0")
+    _check_finite_nonnegative("eps", eps)
+    _check_finite_nonnegative("delta_2s", delta_2s)
     if a.shape[1] != frame.n or f.shape[0] != frame.n or f_hat.shape[0] != frame.n:
         raise ContractViolation("shape mismatch between matrix, frame, and signals")
 
@@ -446,9 +424,9 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
             % (norm, lqq_hat, norm, lqq_true)
         )
 
-    part = block_partition(xf, xh, s, "l1")
+    part = block_partition(xf, xh, s)
     omega1 = part.omega
-    omega_q = block_partition(xf, xh, s, "lq", q).omega if q < 1.0 else omega1
+    omega_q = block_partition(xf, xh, s, q).omega if q < 1.0 else omega1
     blocks = part.blocks
     l = part.l
 

@@ -1,9 +1,13 @@
 """JSON and text emission with a fixed 17-significant-digit real format.
 
 All reals written by this package go through :func:`format_real`, which is
-enough digits for a float64 to round-trip bit-exactly through text.
+enough digits for a float64 to round-trip bit-exactly through text.  A
+dataclass record is written as an object of its fields in declaration order,
+unless it defines a `to_json_dict` hook.
 """
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -19,7 +23,7 @@ def format_real(x) -> str:
 
 
 def json_dumps(obj) -> str:
-    """Serialize nested dicts/lists/scalars to JSON text.
+    """Serialize nested dicts/lists/scalars and dataclass records to JSON text.
 
     Unlike :func:`json.dumps`, reals are always written at 17 significant
     digits so serialized output is reproducible and exact.
@@ -41,13 +45,13 @@ def _emit(obj, out):
     elif isinstance(obj, (float, np.floating)):
         out.append(format_real(obj))
     elif isinstance(obj, str):
-        out.append(_escape(obj))
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
                 out.append(", ")
-            out.append(_escape(str(k)))
+            out.append(json.dumps(str(k), ensure_ascii=False))
             out.append(": ")
             _emit(v, out)
         out.append("}")
@@ -61,29 +65,7 @@ def _emit(obj, out):
         out.append("]")
     elif hasattr(obj, "to_json_dict"):
         _emit(obj.to_json_dict(), out)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _emit({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out)
     else:
         raise TypeError("cannot serialize %r" % type(obj))
-
-
-_ESCAPES = {
-    '"': '\\"',
-    "\\": "\\\\",
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-    "\b": "\\b",
-    "\f": "\\f",
-}
-
-
-def _escape(s: str) -> str:
-    parts = ['"']
-    for ch in s:
-        if ch in _ESCAPES:
-            parts.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            parts.append("\\u%04x" % ord(ch))
-        else:
-            parts.append(ch)
-    parts.append('"')
-    return "".join(parts)

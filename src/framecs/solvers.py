@@ -57,20 +57,9 @@ class RecoveryResult:
     diagnostics: Dict = field(default_factory=dict)
 
     def to_json_dict(self):
-        diag = {}
-        for k, v in self.diagnostics.items():
-            if k == "level_traces":
-                continue  # per-iteration traces stay in memory only
-            diag[k] = v.tolist() if isinstance(v, np.ndarray) else v
-        return {
-            "f_hat": [float(v) for v in self.f_hat],
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "residual": self.residual,
-            "objective": self.objective,
-            "program": self.program,
-            "diagnostics": diag,
-        }
+        # per-iteration traces stay in memory only
+        diag = {k: v for k, v in self.diagnostics.items() if k != "level_traces"}
+        return {**vars(self), "diagnostics": diag}
 
 
 def _feasibility_tol(eps: float, tol: float) -> float:

@@ -327,6 +327,35 @@ class TestExitCodes:
         assert "\nerror: " in "\n" + err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ("nan", "inf"))
+    def test_non_finite_delta_is_one(self, capsys, value):
+        code, out, err = run(capsys, "certify", "--delta", value, "--n", "4", "--s", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: delta_2s must be a finite number >= 0")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("with_y", (False, True))
+    @pytest.mark.parametrize("value", ("nan", "inf"))
+    def test_non_finite_eps_is_one(self, capsys, tmp_path, value, with_y):
+        a = np.random.default_rng(1).standard_normal((12, 4)) / np.sqrt(12)
+        f = np.array([1.0, 0.0, 0.0, -2.0])
+        save_matrix(tmp_path / "A.txt", a)
+        save_matrix(tmp_path / "f.txt", f.reshape(-1, 1))
+        save_matrix(tmp_path / "y.txt", (a @ f).reshape(-1, 1))
+        y = ("--y", str(tmp_path / "y.txt")) if with_y else ()
+        code, out, err = run(capsys, "lemmas", "audit", "--matrix", str(tmp_path / "A.txt"),
+                             "--f", str(tmp_path / "f.txt"), "--fhat", str(tmp_path / "f.txt"),
+                             "--s", "1", "--eps", value, *y)
+        assert code == 1 and out == ""
+        assert err.startswith("error: eps must be a finite number >= 0")
+        assert "Traceback" not in err
+
+    def test_workers_is_unknown(self, capsys, tmp_path):
+        code, _, err = run(capsys, "experiment", "run", "--config",
+                           str(tmp_path / "exp.json"), "--workers", "1")
+        assert code == 1
+        assert "unrecognized arguments: --workers 1" in err
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 

@@ -11,6 +11,7 @@ from framecs.drip import (
     exact_drip,
     exact_rip,
     random_lower_bound,
+    random_spectrum_extremes,
     spectrum_extremes,
     support_spectra,
     support_spectrum_range,
@@ -24,6 +25,7 @@ from framecs.frames import (
 from framecs.linalg import DEFAULT_TOL, as_matrix
 from framecs.rng import rng_from_seed
 from framecs.sensing import gen_gaussian
+from framecs.serialize import json_dumps
 
 
 class TestExactDrip:
@@ -196,7 +198,9 @@ class TestSupportSpectrumRange:
 class TestSerialization:
     def test_json_fields(self):
         rep = exact_drip(np.diag([1.0, 0.5]), make_identity_frame(2), 1)
-        payload = json.loads(rep.to_json())
+        payload = json.loads(json_dumps(rep))
+        assert list(payload) == ["s", "delta", "method", "witness_support",
+                                 "supports_examined"]
         assert payload["s"] == 1
         assert payload["method"] == "exact"
         assert payload["witness_support"] == [1]
@@ -306,6 +310,15 @@ class TestSupportSpectra:
 
 
 class TestOnePass:
+    def test_report_names_the_pass_it_came_from(self):
+        frame = make_random_tight_frame(6, 9, seed=0)
+        a = gen_gaussian(6, 6, seed=0)
+        lower = random_spectrum_extremes(a, frame, 2, 10, seed=0).report(2)
+        exact = spectrum_extremes(a, frame, 2).report(2)
+        assert lower.method == "random_lower_bound"
+        assert exact.method == "exact"
+        assert lower.delta <= exact.delta
+
     @settings(max_examples=40, deadline=None)
     @given(dims, st.integers(1, 4), st.floats(0.3, 3.0))
     def test_rescaled_report_is_exact_drip_of_scaled_matrix(self, dim, s, c):

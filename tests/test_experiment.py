@@ -1,3 +1,4 @@
+import json
 import struct
 import tempfile
 from pathlib import Path
@@ -19,7 +20,7 @@ from framecs.experiment import (
     run_experiment,
     write_csv,
 )
-from framecs.serialize import format_real
+from framecs.serialize import format_real, json_dumps
 from framecs.solvers import SolverOptions
 
 
@@ -117,10 +118,10 @@ class TestRunExperiment:
                                     rec.q if rec.q is not None else 1.0)
                 assert again == rec.bound
 
-    def test_deterministic_across_workers(self, tmp_path):
+    def test_deterministic_across_runs(self, tmp_path):
         cfg = small_config()
-        a = run_experiment(cfg, workers=1)
-        b = run_experiment(cfg, workers=3)
+        a = run_experiment(cfg)
+        b = run_experiment(cfg)
         write_csv(a, tmp_path / "a.csv")
         write_csv(b, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -155,8 +156,8 @@ class TestRunExperiment:
             matrix=MatrixSpec(kind="gaussian", seed=6, scale="auto_min")))[0]
         assert rec.delta_2s == auto.delta_2s > 0.01
         assert "target_delta 0.01 is below the reachable minimum" in rec.reason
-        assert rec.to_json_dict()["reason"] == rec.reason
-        assert auto.reason is None and auto.to_json_dict()["reason"] is None
+        assert json.loads(json_dumps(rec))["reason"] == rec.reason
+        assert auto.reason is None and json.loads(json_dumps(auto))["reason"] is None
 
     def test_reachable_target_delta_has_no_reason(self):
         cfg = small_config(trials=1, matrix=MatrixSpec(
