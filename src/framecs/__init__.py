@@ -14,13 +14,11 @@ from .frames import (
     TightFrame,
     analysis,
     best_s_term,
-    coherence,
     make_dct_frame,
     make_identity_frame,
     make_random_tight_frame,
     make_union_frame,
     synthesize,
-    verify_tight,
 )
 from .guarantees import (
     BlockPartition,

@@ -56,6 +56,14 @@ METHOD_EXACT = "exact"
 METHOD_LOWER = "random_lower_bound"
 
 
+def check_budget(count: int, what: str, advice: str = "") -> None:
+    """Refuse an exact enumeration of `count` supports (`what` says which)
+    past ENUMERATION_LIMIT, appending `advice` to the error."""
+    if count > ENUMERATION_LIMIT:
+        raise EnumerationLimitError("%s = %d supports exceed the exact budget %d%s"
+                                    % (what, count, ENUMERATION_LIMIT, advice))
+
+
 @dataclass(frozen=True)
 class RipReport:
     s: int
@@ -211,12 +219,7 @@ def spectrum_extremes(a, frame: TightFrame, s: int) -> SpectrumExtremes:
     """One exact pass over all C(d, s) supports, in lexicographic order."""
     a = _checked(a, frame, s)
     d = frame.d
-    count = math.comb(d, s)
-    if count > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            "C(%d, %d) = %d supports exceeds the exact budget %d; "
-            "use random_lower_bound instead" % (d, s, count, ENUMERATION_LIMIT)
-        )
+    check_budget(math.comb(d, s), "C(%d, %d)" % (d, s), "; use random_lower_bound instead")
     return _scan(a, frame, s, combinations(range(d), s), METHOD_EXACT)
 
 
@@ -239,11 +242,7 @@ def exact_rip(a, s: int) -> RipReport:
     if not 1 <= s <= n:
         raise ContractViolation("s must satisfy 1 <= s <= n")
     count = math.comb(n, s)
-    if count > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            "C(%d, %d) = %d supports exceeds the exact budget %d"
-            % (n, s, count, ENUMERATION_LIMIT)
-        )
+    check_budget(count, "C(%d, %d)" % (n, s))
     gram = a.T @ a
     delta = -1.0
     witness: Tuple[int, ...] = ()

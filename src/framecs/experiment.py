@@ -102,6 +102,8 @@ class ExperimentConfig:
             raise ContractViolation("program must be one of %s" % (PROGRAMS,))
         if self.program == "pq" and (self.q is None or not 0.0 < self.q < 1.0):
             raise ContractViolation("program 'pq' needs q in (0, 1)")
+        if self.program == "p1" and self.q is not None:
+            raise ContractViolation("program 'p1' needs q null or absent, got %r" % (self.q,))
         if self.drip_mode not in ("exact", "lower"):
             raise ContractViolation("drip_mode must be 'exact' or 'lower'")
         if not _valid_scale(self.matrix.scale):
@@ -316,22 +318,13 @@ def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
     rip = spectrum.report(order, scale * scale)
     exact = rip.method == drip.METHOD_EXACT
 
-    q = config.q if config.program == "pq" else None
-    certs = {c.regime: c for c in guarantees.certify(rip.delta, config.n, config.s,
-                                                     q_opt=q)}
-    if config.program == "pq":
-        cert = certs[guarantees.REGIME_LQ]
-    elif certs[guarantees.REGIME_GENERAL].applicable:
-        cert = certs[guarantees.REGIME_GENERAL]
-    elif certs[guarantees.REGIME_SPECIAL].applicable:
-        cert = certs[guarantees.REGIME_SPECIAL]
-    else:
-        cert = certs[guarantees.REGIME_GENERAL]
+    # pq reads the lq certificate; p1 the first applicable l1 one, else general
+    q = config.q
+    certs = guarantees.certify(rip.delta, config.n, config.s, q_opt=q)
+    cert = certs[-1] if q is not None else next((c for c in certs if c.applicable), certs[0])
 
-    if config.program == "pq":
-        res = solvers.solve_pq(frame, model, config.q, config.solver)
-    else:
-        res = solvers.solve_p1(frame, model, config.solver)
+    res = (solvers.solve_p1(frame, model, config.solver) if q is None
+           else solvers.solve_pq(frame, model, q, config.solver))
 
     coeffs_true = frame.matrix.T @ f
     qq = q if q is not None else 1.0

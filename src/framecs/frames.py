@@ -51,10 +51,6 @@ class TightFrame:
     def d(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def redundancy(self) -> float:
-        return self.d / self.n
-
 
 @dataclass(frozen=True)
 class SparseApprox:
@@ -124,11 +120,6 @@ def make_random_tight_frame(n: int, d: int, seed: int) -> TightFrame:
     return TightFrame(q[:n, :])
 
 
-def verify_tight(frame: TightFrame) -> float:
-    """Spectral-norm defect ||DD* - I|| of the frame's matrix."""
-    return tightness_defect(frame.matrix)
-
-
 def column_coherence(m) -> float:
     """Largest normalized inner product between distinct columns."""
     m = as_matrix(m)
@@ -141,10 +132,6 @@ def column_coherence(m) -> float:
     gram = np.abs(normalized.T @ normalized)
     np.fill_diagonal(gram, 0.0)
     return min(1.0, float(gram.max()))
-
-
-def coherence(frame: TightFrame) -> float:
-    return column_coherence(frame.matrix)
 
 
 def analysis(frame: TightFrame, f) -> np.ndarray:

@@ -17,6 +17,10 @@ reconstruction error obeys  C0 * tail / s^(1/q - 1/2) + C1 * eps  with
   C1 = 2 (1 + C0 / sqrt(2)) / sqrt(1 - d)
 
 and a regime-specific C0.
+
+A regime's precondition on d (and q) is tested only by its constants_*,
+which raise NotApplicableError outside it; certify builds its certificates
+from them, and audit_lemmas and experiment.run_trial read those.
 """
 
 import bisect
@@ -156,7 +160,8 @@ def constants_q(delta: float, q: float) -> Tuple[float, float]:
         raise NotApplicableError(
             "lq guarantee needs delta < 1/2, got %.10g" % delta)
     q0 = q_zero(delta)
-    if not _lq_admissible(q, q0):
+    # at q0 == 1 the factor stays below 1 on all of (0, 1]: q = 1 is admitted
+    if not (0.0 < q < q0 or (q0 == 1.0 and 0.0 < q <= 1.0)):
         raise NotApplicableError(
             "lq guarantee needs q < q0(delta) = %.10g, got q = %.10g" % (q0, q))
     rho_pow_q = rho_q(delta, q) ** q
@@ -166,13 +171,6 @@ def constants_q(delta: float, q: float) -> Tuple[float, float]:
     )
     c0 = lead * math.sqrt(inner)
     return c0, _c1_from_c0(c0, delta)
-
-
-def _lq_admissible(q: float, q0: float) -> bool:
-    """Whether the lq guarantee covers q: 0 < q < q0, or any q in (0, 1]
-    when q0 == 1 (the factor then stays below 1 on all of (0, 1], and q = 1
-    is a legitimate, degenerate evaluation point)."""
-    return 0.0 < q < q0 or (q0 == 1.0 and 0.0 < q <= 1.0)
 
 
 def error_bound(c0: float, c1: float, tail: float, s: int, eps: float,
@@ -208,46 +206,47 @@ def _check_finite_nonnegative(name: str, value: float):
         raise ContractViolation("%s must be a finite number >= 0, got %r" % (name, value))
 
 
+_NOT_APPLICABLE = {"C0": None, "C1": None, "applicable": False}
+
+
+def _constant_fields(constants, *args) -> Dict:
+    """C0, C1 and applicable of a certificate, from one constants_* call."""
+    try:
+        c0, c1 = constants(*args)
+    except NotApplicableError:
+        return _NOT_APPLICABLE
+    return {"C0": c0, "C1": c1, "applicable": True}
+
+
 def certify(delta_2s: float, n: int, s: int, q_opt: Optional[float] = None
             ) -> List[GuaranteeCertificate]:
-    """One certificate per regime; inapplicable regimes are reported with
-    applicable=False, never as errors."""
+    """One certificate per regime: general, special, then lq when q_opt is
+    given.  Inapplicable regimes are reported with applicable=False, never
+    as errors."""
     _check_finite_nonnegative("delta_2s", delta_2s)
     if n < 1 or s < 1:
         raise ContractViolation("n and s must be >= 1")
-    certs = []
-
-    thr = threshold_general()
-    ok = delta_2s < thr
-    rho = rho_general(delta_2s) if delta_2s < 2.0 / 3.0 else None
-    c0, c1 = constants_general(delta_2s) if ok else (None, None)
-    certs.append(GuaranteeCertificate(
-        regime=REGIME_GENERAL, delta_2s=delta_2s, s=s, q=1.0, rho=rho,
-        C0=c0, C1=c1, q0=None, applicable=ok,
+    if q_opt is not None and not 0.0 < q_opt <= 1.0:
+        raise ContractViolation("q must be in (0, 1]")
+    certs = [GuaranteeCertificate(
+        regime=REGIME_GENERAL, delta_2s=delta_2s, s=s, q=1.0,
+        rho=rho_general(delta_2s) if delta_2s < 2.0 / 3.0 else None, q0=None,
         precondition_text="delta_2s < (77 - sqrt(1337))/82 ~ 0.4931",
-    ))
-
-    thr_sp = threshold_special()
-    ok = n <= 4 * s and delta_2s < thr_sp
-    rho = rho_special(delta_2s) if delta_2s < 1.0 else None
-    c0, c1 = constants_special(delta_2s) if ok else (None, None)
-    certs.append(GuaranteeCertificate(
-        regime=REGIME_SPECIAL, delta_2s=delta_2s, s=s, q=1.0, rho=rho,
-        C0=c0, C1=c1, q0=None, applicable=ok,
+        **_constant_fields(constants_general, delta_2s),
+    ), GuaranteeCertificate(
+        regime=REGIME_SPECIAL, delta_2s=delta_2s, s=s, q=1.0,
+        rho=rho_special(delta_2s) if delta_2s < 1.0 else None, q0=None,
         precondition_text="n <= 4 s and delta_2s < 4 sqrt(2) - 5 ~ 0.656",
-    ))
-
+        # n <= 4 s is the one precondition that is not about delta
+        **(_constant_fields(constants_special, delta_2s) if n <= 4 * s else _NOT_APPLICABLE),
+    )]
     if q_opt is not None:
-        if not 0.0 < q_opt <= 1.0:
-            raise ContractViolation("q must be in (0, 1]")
-        q0 = q_zero(delta_2s) if delta_2s < 0.5 else None
-        ok = q0 is not None and _lq_admissible(q_opt, q0)
-        rho = rho_q(delta_2s, q_opt) if delta_2s < 1.0 else None
-        c0, c1 = constants_q(delta_2s, q_opt) if ok else (None, None)
         certs.append(GuaranteeCertificate(
-            regime=REGIME_LQ, delta_2s=delta_2s, s=s, q=q_opt, rho=rho,
-            C0=c0, C1=c1, q0=q0, applicable=bool(ok),
+            regime=REGIME_LQ, delta_2s=delta_2s, s=s, q=q_opt,
+            rho=rho_q(delta_2s, q_opt) if delta_2s < 1.0 else None,
+            q0=q_zero(delta_2s) if delta_2s < 0.5 else None,
             precondition_text="delta_2s < 1/2 and q < q0(delta_2s)",
+            **_constant_fields(constants_q, delta_2s, q_opt),
         ))
     return certs
 
@@ -376,16 +375,16 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
         l1 for q = 1, lq^q for q < 1.
 
     Inequalities whose extra hypotheses fail (the surrogate of the *other*
-    norm, a regime threshold, or the short-partition requirement of the
-    n <= 4s chain) are skipped rather than reported as violations.
+    norm, a regime whose certify certificate is not applicable, or the
+    short-partition requirement of the n <= 4s chain) are skipped rather
+    than reported as violations.
     """
     a = as_matrix(a)
     f = as_vector(f)
     f_hat = as_vector(f_hat)
-    if not 0.0 < q <= 1.0:
-        raise ContractViolation("q must be in (0, 1]")
+    # certify also rejects a bad delta_2s, s or q
+    general, special, lq = certify(delta_2s, frame.n, s, q_opt=q)
     _check_finite_nonnegative("eps", eps)
-    _check_finite_nonnegative("delta_2s", delta_2s)
     if a.shape[1] != frame.n or f.shape[0] != frame.n or f_hat.shape[0] != frame.n:
         raise ContractViolation("shape mismatch between matrix, frame, and signals")
 
@@ -520,11 +519,11 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
         records.append(_record("cone_l1", sum_l1_blocks, rhs_cone,
                                objective_gap=l1_true - l1_hat))
 
-        if delta_2s < threshold_general():
-            rho = rho_general(delta_2s)
+        if general.applicable:
             records.append(_record("block_mass_contraction_l1", sum_l1_blocks,
-                                   contraction_rhs_l1(rho), N=math.sqrt(max(lhs_32, 0.0)),
-                                   rho=rho, omega=omega1))
+                                   contraction_rhs_l1(general.rho),
+                                   N=math.sqrt(max(lhs_32, 0.0)),
+                                   rho=general.rho, omega=omega1))
 
     # short-partition chain (meaningful whenever at most three tail blocks)
     z23 = np.zeros_like(xh)
@@ -545,12 +544,12 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
                                lhs_34a - float(adz01 @ adz01),
                                rhs_34b - (1.0 - delta_2s) * l2_z01_sq))
 
-    if l1_gate and l <= 3 and delta_2s < threshold_special():
-        rho = rho_special(delta_2s)
+    # l <= 3 means d <= 4s, and so n <= 4s
+    if l1_gate and l <= 3 and special.applicable:
         records.append(_record("block_mass_contraction_short", sum_l1_blocks,
-                               contraction_rhs_l1(rho),
+                               contraction_rhs_l1(special.rho),
                                N=math.sqrt(1.0 + delta_2s) * float(np.linalg.norm(z23)),
-                               rho=rho, omega=omega1))
+                               rho=special.rho, omega=omega1))
 
     # lq chain (at q = 1 it coincides with the l1 chain)
     exp_tail = (2.0 - q) / q
@@ -572,16 +571,13 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
         records.append(_record("cone_lq", sum_lqq_blocks, rhs_cone_q,
                                objective_gap=lqq_true - lqq_hat))
 
-        if delta_2s < 0.5:
-            q0 = q_zero(delta_2s)
-            if _lq_admissible(q, q0):
-                rho = rho_q(delta_2s, q)
-                denom = (1.0 - rho ** q) ** (1.0 / q)
-                big_n = math.sqrt(max(lhs_32, 0.0))
-                rhs = (2.0 ** (2.0 / q - 1.0) / denom * tail_lq
-                       + 2.0 ** (2.0 / q - 0.5) * s ** (1.0 / q - 0.5) * eps
-                       / (denom * math.sqrt(1.0 - delta_2s)))
-                records.append(_record("block_mass_contraction_lq", sum_lqq_blocks ** (1.0 / q), rhs,
-                                       N=big_n, rho_q=rho, omega_q=omega_q, q0=q0))
+        if lq.applicable:
+            denom = (1.0 - lq.rho ** q) ** (1.0 / q)
+            rhs = (2.0 ** (2.0 / q - 1.0) / denom * tail_lq
+                   + 2.0 ** (2.0 / q - 0.5) * s ** (1.0 / q - 0.5) * eps
+                   / (denom * math.sqrt(1.0 - delta_2s)))
+            records.append(_record("block_mass_contraction_lq", sum_lqq_blocks ** (1.0 / q), rhs,
+                                   N=math.sqrt(max(lhs_32, 0.0)), rho_q=lq.rho,
+                                   omega_q=omega_q, q0=lq.q0))
 
     return records

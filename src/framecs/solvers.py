@@ -21,8 +21,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .drip import ENUMERATION_LIMIT
-from .errors import ContractViolation, EnumerationLimitError
+from .drip import check_budget
+from .errors import ContractViolation
 from .frames import TightFrame
 from .linalg import DEFAULT_TOL, least_squares_min_norm
 from .sensing import SensingModel
@@ -354,11 +354,8 @@ def solve_p0_oracle(frame: TightFrame, model: SensingModel, s_max: int,
     d = frame.d
     if not 0 <= s_max <= d or not 0 < tol < math.inf:
         raise ContractViolation("s_max in [0, d] and a finite tol > 0 required")
-    budget = sum(math.comb(d, k) for k in range(s_max + 1))
-    if budget > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            "%d supports exceed the exact budget %d" % (budget, ENUMERATION_LIMIT)
-        )
+    check_budget(sum(math.comb(d, k) for k in range(s_max + 1)),
+                 "sum of C(%d, k) over k <= %d" % (d, s_max))
     dmat = frame.matrix
     tested = 0
     for size in range(s_max + 1):

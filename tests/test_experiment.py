@@ -75,6 +75,8 @@ class TestConfig:
         ({"n": 8, "d": 12, "m": 64, "s": 2, "matrix": []}, "matrix must be a JSON object"),
         ({"n": 8, "d": 12, "m": 64, "s": 2, "eps": True}, "eps must be float"),
         ({"n": 8, "d": 12, "m": 64, "s": 2, "q": "0.5"}, "q must be float or null"),
+        # p1 never reads q, so a q there is refused rather than dropped
+        ({"n": 8, "d": 12, "m": 64, "s": 2, "q": 0.5}, "program 'p1' needs q null"),
         ({"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"tol": "x"}}, "solver.tol"),
         ([8, 12], "config must be a JSON object"),
         ({"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"seed": 0}}, "'seed' in solver"),

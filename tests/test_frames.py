@@ -9,7 +9,6 @@ from framecs.frames import (
     tightness_defect,
     analysis,
     best_s_term,
-    coherence,
     column_coherence,
     load_frame,
     load_matrix,
@@ -20,7 +19,6 @@ from framecs.frames import (
     save_frame,
     save_matrix,
     synthesize,
-    verify_tight,
 )
 
 
@@ -39,7 +37,7 @@ class TestConstruction:
         f = make_identity_frame(3)
         assert f.n == f.d == 3
         assert np.array_equal(f.matrix, np.eye(3))
-        assert verify_tight(f) <= 1e-14
+        assert tightness_defect(f.matrix) <= 1e-14
 
     def test_identity_scalar(self):
         f = make_identity_frame(1)
@@ -54,20 +52,20 @@ class TestConstruction:
     def test_dct_orthonormal(self):
         for n in (1, 2, 5, 16):
             f = make_dct_frame(n)
-            assert verify_tight(f) <= 1e-10
+            assert tightness_defect(f.matrix) <= 1e-10
             g = f.matrix.T @ f.matrix
             assert np.abs(g - np.eye(n)).max() <= 1e-10
 
     def test_union_of_identical_bases(self):
         f = make_union_frame(np.eye(3), np.eye(3))
         assert f.d == 6
-        assert verify_tight(f) <= 1e-12
-        assert coherence(f) == pytest.approx(1.0, abs=1e-12)
+        assert tightness_defect(f.matrix) <= 1e-12
+        assert column_coherence(f.matrix) == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(np.linalg.norm(f.matrix, axis=0), 1 / np.sqrt(2))
 
     def test_union_identity_dct(self):
         f = make_union_frame(np.eye(4), make_dct_frame(4).matrix)
-        assert verify_tight(f) <= 1e-10
+        assert tightness_defect(f.matrix) <= 1e-10
 
     def test_union_rejects_non_orthonormal(self):
         with pytest.raises(ContractViolation):
@@ -75,12 +73,12 @@ class TestConstruction:
 
     def test_random_tight(self):
         f = make_random_tight_frame(4, 8, seed=1)
-        assert verify_tight(f) <= 1e-10
+        assert tightness_defect(f.matrix) <= 1e-10
 
     def test_random_square_is_orthonormal(self):
         f = make_random_tight_frame(5, 5, seed=4)
-        assert verify_tight(f) <= 1e-10
-        assert coherence(f) <= 1e-8
+        assert tightness_defect(f.matrix) <= 1e-10
+        assert column_coherence(f.matrix) <= 1e-8
 
     def test_random_deterministic(self):
         a = make_random_tight_frame(4, 8, seed=7)
@@ -179,12 +177,12 @@ class TestTransforms:
 
 class TestCoherence:
     def test_identity_zero(self):
-        assert coherence(make_identity_frame(4)) == pytest.approx(0.0, abs=1e-14)
+        assert column_coherence(make_identity_frame(4).matrix) == pytest.approx(0.0, abs=1e-14)
 
     def test_union_identity_dct_n2(self):
         # the largest inner product is the largest DCT entry, 1/sqrt(2)
         f = make_union_frame(np.eye(2), make_dct_frame(2).matrix)
-        assert coherence(f) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+        assert column_coherence(f.matrix) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(9)
@@ -194,7 +192,7 @@ class TestCoherence:
 
     def test_needs_two_columns(self):
         with pytest.raises(ContractViolation):
-            coherence(make_identity_frame(1))
+            column_coherence(make_identity_frame(1).matrix)
 
 
 # small integers give ties and zeros; magnitudes stay clear of underflow
