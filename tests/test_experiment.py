@@ -75,8 +75,6 @@ class TestConfig:
         ({"n": 8, "d": 12, "m": 64, "s": 2, "matrix": []}, "matrix must be a JSON object"),
         ({"n": 8, "d": 12, "m": 64, "s": 2, "eps": True}, "eps must be float"),
         ({"n": 8, "d": 12, "m": 64, "s": 2, "q": "0.5"}, "q must be float or null"),
-        # p1 never reads q, so a q there is refused rather than dropped
-        ({"n": 8, "d": 12, "m": 64, "s": 2, "q": 0.5}, "program 'p1' needs q null"),
         ({"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"tol": "x"}}, "solver.tol"),
         ([8, 12], "config must be a JSON object"),
         ({"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"seed": 0}}, "'seed' in solver"),
@@ -91,6 +89,11 @@ class TestConfig:
     def test_from_dict_names_the_bad_entry(self, raw, named):
         with pytest.raises(ContractViolation, match=named):
             ExperimentConfig.from_dict(raw)
+
+    def test_from_dict_refuses_q_for_p1(self):
+        # p1 never reads q, so a q there is refused rather than dropped
+        with pytest.raises(ContractViolation, match="program 'p1' needs q null"):
+            ExperimentConfig.from_dict({"n": 8, "d": 12, "m": 64, "s": 2, "q": 0.5})
 
     def test_from_json_file_reports_parse_errors(self, tmp_path):
         path = tmp_path / "cut.json"
