@@ -12,13 +12,11 @@ from .errors import ContractViolation, EnumerationLimitError, NotApplicableError
 from .frames import (
     SparseApprox,
     TightFrame,
-    analysis,
     best_s_term,
     make_dct_frame,
     make_identity_frame,
     make_random_tight_frame,
     make_union_frame,
-    synthesize,
 )
 from .guarantees import (
     BlockPartition,
@@ -38,7 +36,7 @@ from .guarantees import (
     threshold_general,
     threshold_special,
 )
-from .sensing import SensingModel, concentration_probe, gen_bernoulli, gen_gaussian, measure
+from .sensing import SensingModel, concentration_probe, gen_gaussian, measure
 from .solvers import (
     RecoveryResult,
     SolverOptions,

@@ -149,7 +149,7 @@ def build_parser() -> _Parser:
 
 def _frame_for(args, n):
     if args.frame:
-        return frames.load_frame(args.frame)
+        return frames.TightFrame(frames.load_matrix(args.frame))
     return frames.make_identity_frame(n)
 
 
@@ -158,7 +158,7 @@ def _run(args) -> int:
         if args.action == "gen":
             d = experiment.frame_size(args.kind, args.n, args.d)
             fr = experiment.build_frame(args.kind, args.n, d, args.seed)
-            frames.save_frame(args.out, fr)
+            frames.save_matrix(args.out, fr.matrix)
             print("wrote %d x %d frame to %s" % (fr.n, fr.d, args.out))
         else:
             m = frames.load_matrix(args.frame)

@@ -10,8 +10,9 @@ certificate was applicable -- there is no silent downgrade.
 import dataclasses
 import json
 import math
+import types
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -22,7 +23,7 @@ from .rng import derive_seed, rng_from_seed
 from .serialize import format_real
 
 # the ExperimentRecord fields that form the CSV, in column order: a fixed
-# contract from which the header, CsvRow and both CSV directions derive
+# contract from which the header and both CSV directions derive
 CSV_COLUMNS = ("trial", "n", "d", "m", "s", "q", "eps", "delta_2s", "regime",
                "rho", "C0", "C1", "q0", "tail", "err_l2", "bound",
                "within_bound", "iters", "status", "audit_pass", "audit_total")
@@ -104,6 +105,8 @@ class ExperimentConfig:
             raise ContractViolation("program 'pq' needs q in (0, 1)")
         if self.program == "p1" and self.q is not None:
             raise ContractViolation("program 'p1' needs q null or absent, got %r" % (self.q,))
+        if self.noise_mode == "none" and self.eps > 0:
+            raise ContractViolation("noise_mode 'none' needs eps 0, got eps %r" % (self.eps,))
         if self.drip_mode not in ("exact", "lower"):
             raise ContractViolation("drip_mode must be 'exact' or 'lower'")
         if not _valid_scale(self.matrix.scale):
@@ -226,15 +229,9 @@ class ExperimentRecord:
     # CSV columns are a fixed contract)
     reason: Optional[str] = None
 
-    def to_csv_row(self) -> "CsvRow":
-        return CsvRow(*(getattr(self, name) for name in CSV_COLUMNS))
-
-
-_RECORD_TYPES = {f.name: f.type for f in fields(ExperimentRecord)}
-CsvRow = dataclasses.make_dataclass(
-    "CsvRow", [(name, _RECORD_TYPES[name]) for name in CSV_COLUMNS], frozen=True,
-    namespace={"__module__": __name__,
-               "__doc__": "Exactly the fields that appear in the CSV, in column order."})
+    def to_csv_row(self) -> types.SimpleNamespace:
+        """The CSV columns of the record, as `read_csv` returns them."""
+        return types.SimpleNamespace(**{name: getattr(self, name) for name in CSV_COLUMNS})
 
 
 def build_frame(kind: str, n: int, d: int, seed: int) -> frames.TightFrame:
@@ -395,7 +392,7 @@ def _cell(value) -> str:
 
 def write_csv(records, path) -> None:
     """CSV with the fixed header, UTF-8, LF endings, 17-digit reals; takes
-    ExperimentRecords or CsvRows."""
+    ExperimentRecords or the rows of `read_csv`."""
     lines = [CSV_HEADER]
     for rec in records:
         lines.append(",".join(_cell(getattr(rec, name)) for name in CSV_COLUMNS))
@@ -415,11 +412,13 @@ def _parse_cell(cell: str, hint):
     return hint(cell)
 
 
-def read_csv(path) -> List[CsvRow]:
+def read_csv(path) -> List[types.SimpleNamespace]:
+    """Rows of `write_csv`: the CSV columns, typed as ExperimentRecord's."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if not lines or lines[0] != CSV_HEADER:
         raise ContractViolation("unexpected CSV header in %s" % path)
+    hints = typing.get_type_hints(ExperimentRecord)
     rows = []
     for line in lines[1:]:
         if not line:
@@ -427,8 +426,8 @@ def read_csv(path) -> List[CsvRow]:
         cells = line.split(",")
         if len(cells) != len(CSV_COLUMNS):
             raise ContractViolation("bad CSV row: %r" % line)
-        rows.append(CsvRow(*(_parse_cell(c, f.type)
-                             for c, f in zip(cells, fields(CsvRow)))))
+        rows.append(types.SimpleNamespace(**{name: _parse_cell(c, hints[name])
+                                             for name, c in zip(CSV_COLUMNS, cells)}))
     return rows
 
 

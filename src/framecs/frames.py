@@ -1,5 +1,4 @@
-"""Tight frames: construction, validation, transforms, and best s-term
-approximation.
+"""Tight frames: construction, validation, and best s-term approximation.
 
 A tight frame is an n x d matrix D (columns are the frame vectors) with
 D D* = I_n, so analysis followed by synthesis reconstructs exactly:
@@ -56,10 +55,8 @@ class TightFrame:
 class SparseApprox:
     """Best s-term approximation of a coefficient vector and its tails."""
 
-    s: int
     x_best: np.ndarray
     tail_l1: float
-    q: float
     tail_lq: float
 
 
@@ -134,22 +131,6 @@ def column_coherence(m) -> float:
     return min(1.0, float(gram.max()))
 
 
-def analysis(frame: TightFrame, f) -> np.ndarray:
-    """Analysis coefficients D* f."""
-    f = as_vector(f)
-    if f.shape[0] != frame.n:
-        raise ContractViolation("signal length %d != n=%d" % (f.shape[0], frame.n))
-    return frame.matrix.T @ f
-
-
-def synthesize(frame: TightFrame, v) -> np.ndarray:
-    """Synthesis D v of a coefficient vector."""
-    v = as_vector(v)
-    if v.shape[0] != frame.d:
-        raise ContractViolation("coefficient length %d != d=%d" % (v.shape[0], frame.d))
-    return frame.matrix @ v
-
-
 def best_s_term(x, s: int, q: float = 1.0) -> SparseApprox:
     """Keep the s largest-magnitude entries of x (ties: lowest index wins).
 
@@ -167,11 +148,8 @@ def best_s_term(x, s: int, q: float = 1.0) -> SparseApprox:
     x_best[keep] = x[keep]
     tail = x - x_best
     tail_l1 = float(np.abs(tail).sum())
-    if q == 1.0:
-        tail_lq = tail_l1
-    else:
-        tail_lq = float(np.sum(np.abs(tail) ** q) ** (1.0 / q))
-    return SparseApprox(s=int(s), x_best=x_best, tail_l1=tail_l1, q=float(q), tail_lq=tail_lq)
+    tail_lq = float(np.sum(np.abs(tail) ** q) ** (1.0 / q))
+    return SparseApprox(x_best=x_best, tail_l1=tail_l1, tail_lq=tail_lq)
 
 
 def save_matrix(path, m) -> None:
@@ -223,11 +201,3 @@ def load_matrix(path) -> np.ndarray:
             raise ContractViolation("%s line %d: an entry is not a number"
                                     % (path, i + 2)) from None
     return out
-
-
-def save_frame(path, frame: TightFrame) -> None:
-    save_matrix(path, frame.matrix)
-
-
-def load_frame(path) -> TightFrame:
-    return TightFrame(load_matrix(path))

@@ -164,13 +164,18 @@ def constants_q(delta: float, q: float) -> Tuple[float, float]:
     if not (0.0 < q < q0 or (q0 == 1.0 and 0.0 < q <= 1.0)):
         raise NotApplicableError(
             "lq guarantee needs q < q0(delta) = %.10g, got q = %.10g" % (q0, q))
-    rho_pow_q = rho_q(delta, q) ** q
-    lead = 2.0 ** (1.0 / q - 1.0) / (1.0 - rho_pow_q) ** (1.0 / q)
-    inner = ((2.0 - delta) * (2.0 - q) ** ((2.0 - q) / q) * q + 2.0 ** (2.0 / q) * delta) / (
-        1.0 - delta
-    )
-    c0 = lead * math.sqrt(inner)
-    return c0, _c1_from_c0(c0, delta)
+    try:
+        rho_pow_q = rho_q(delta, q) ** q
+        lead = 2.0 ** (1.0 / q - 1.0) / (1.0 - rho_pow_q) ** (1.0 / q)
+        inner = ((2.0 - delta) * (2.0 - q) ** ((2.0 - q) / q) * q
+                 + 2.0 ** (2.0 / q) * delta) / (1.0 - delta)
+        c0 = lead * math.sqrt(inner)
+    except (OverflowError, ZeroDivisionError):
+        c0 = math.inf
+    c1 = _c1_from_c0(c0, delta)  # finite only when c0 is
+    if not math.isfinite(c1):  # the regime applies; its constants leave the floats
+        raise ContractViolation("lq constants overflow at q = %.10g, delta = %.10g" % (q, delta))
+    return c0, c1
 
 
 def error_bound(c0: float, c1: float, tail: float, s: int, eps: float,

@@ -49,14 +49,6 @@ class SensingModel:
             object.__setattr__(self, "f_true", f)
             object.__setattr__(self, "z", z)
 
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[1]
-
 
 # measurement-matrix kind -> its m x n draw from a generator: i.i.d.
 # N(0, 1/m) or +-1/sqrt(m) entries
@@ -78,11 +70,6 @@ def gen_matrix(kind: str, m: int, n: int, seed: int) -> np.ndarray:
 def gen_gaussian(m: int, n: int, seed: int) -> np.ndarray:
     """i.i.d. N(0, 1/m) entries; deterministic given the seed."""
     return gen_matrix("gaussian", m, n, seed)
-
-
-def gen_bernoulli(m: int, n: int, seed: int) -> np.ndarray:
-    """i.i.d. +-1/sqrt(m) entries with equal probability."""
-    return gen_matrix("bernoulli", m, n, seed)
 
 
 def measure(a, f, mode: str = "none", level: float = 0.0, seed: int = 0) -> SensingModel:

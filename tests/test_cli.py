@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from framecs.cli import cli_main
-from framecs.frames import load_frame, load_matrix, save_matrix
+from framecs.frames import TightFrame, load_matrix, save_matrix
 from framecs.experiment import read_csv
 
 
@@ -60,7 +60,7 @@ class TestFrameCommands:
         code, _, _ = run(capsys, "frame", "gen", "--kind", "dct", "--n", "5",
                          "--out", str(path))
         assert code == 0
-        assert load_frame(path).d == 5
+        assert TightFrame(load_matrix(path)).d == 5
 
     @pytest.mark.parametrize("kind, n, d, fits", [
         ("identity", "3", "3", True), ("union_dct", "3", "6", True),
@@ -72,7 +72,7 @@ class TestFrameCommands:
         code, _, err = run(capsys, "frame", "gen", "--kind", kind, "--n", n,
                            "--d", d, "--out", str(path))
         if fits:
-            assert code == 0 and load_frame(path).d == int(d)
+            assert code == 0 and TightFrame(load_matrix(path)).d == int(d)
         else:
             assert code == 1 and err.startswith("error: ") and "got d = %s" % d in err
             assert not path.exists()
@@ -186,7 +186,7 @@ class TestSolveCommands:
         code, _, _ = run(capsys, "frame", "gen", "--kind", "dct", "--n", "6",
                          "--out", str(tmp_path / "D.txt"))
         assert code == 0
-        frame = load_frame(tmp_path / "D.txt")
+        frame = TightFrame(load_matrix(tmp_path / "D.txt"))
         rng = np.random.default_rng(5)
         a = rng.standard_normal((18, 6)) / np.sqrt(18)
         x = np.zeros(6)
@@ -333,6 +333,13 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error: delta_2s must be a finite number >= 0")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("q", ("0.005", "0.0005", "0.0084"))
+    def test_lq_constant_overflow_is_one(self, capsys, q):
+        code, out, err = run(capsys, "certify", "--delta", "0.1", "--n", "8",
+                             "--s", "2", "--q", q)
+        assert code == 1 and out == ""
+        assert err == "error: lq constants overflow at q = %s, delta = 0.1\n" % q
 
     @pytest.mark.parametrize("with_y", (False, True))
     @pytest.mark.parametrize("value", ("nan", "inf"))

@@ -95,6 +95,14 @@ class TestConfig:
         with pytest.raises(ContractViolation, match="program 'p1' needs q null"):
             ExperimentConfig.from_dict({"n": 8, "d": 12, "m": 64, "s": 2, "q": 0.5})
 
+    def test_from_dict_refuses_eps_without_noise(self):
+        # noise_mode "none" never reads eps, so a budget there is refused
+        # rather than dropped
+        raw = {"n": 8, "d": 12, "m": 64, "s": 2, "eps": 0.05, "noise_mode": "none"}
+        with pytest.raises(ContractViolation, match="noise_mode 'none' needs eps 0, got eps 0.05"):
+            ExperimentConfig.from_dict(raw)
+        assert ExperimentConfig.from_dict(dict(raw, eps=0.0)).eps == 0.0
+
     def test_from_json_file_reports_parse_errors(self, tmp_path):
         path = tmp_path / "cut.json"
         path.write_text('{"n": 8, "d": 12', encoding="utf-8")

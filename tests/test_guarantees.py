@@ -220,6 +220,21 @@ class TestConstantsQ:
         with pytest.raises(NotApplicableError):
             constants_q(0.5, 0.5)
 
+    # inside the regime, but C0 leaves the floats: at 0.005 (1 - rho^q)^(1/q)
+    # underflows, at 0.0005 2^(1/q) overflows, at 0.0084 C0 rounds to inf
+    @pytest.mark.parametrize("delta, q", [(0.1, 0.005), (0.1, 0.0005), (0.1, 0.0084),
+                                          (0.0, 1e-10), (0.45, 0.002)])
+    def test_overflow_names_q_and_delta(self, delta, q):
+        assert q < q_zero(delta)
+        with pytest.raises(ContractViolation, match="q = %.10g, delta = %.10g"
+                           % (q, delta)) as info:
+            constants_q(delta, q)
+        assert not isinstance(info.value, NotApplicableError)
+
+    def test_small_q_still_finite(self):
+        c0, c1 = constants_q(0.1, 0.01)
+        assert math.isfinite(c0) and math.isfinite(c1) and c1 > c0 > 0
+
 
 class TestErrorBound:
     def test_exact_recovery_regime(self):
