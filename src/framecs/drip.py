@@ -20,6 +20,17 @@ an SVD of D_T instead; a TightFrame has no zero column, so no D_T has rank 0.
 A chunk of supports is one batched call per step.  A pass keeps only the
 global extremes of the per-support spectra (`SpectrumExtremes`); since scaling
 A by c maps every spectrum by c^2, one pass gives the constant at any scale.
+
+A pass solves only the supports that could move those extremes.  In each
+chunk it first solves the few supports whose diagonal quotients H_tt / Phi_tt
+reach furthest out.  It skips any other support T once H_T - t Phi_T is proved
+negative definite at t just below the highest eigenvalue so far, and
+t Phi_T - H_T at t just above the lowest (Gershgorin's discs or a trace bound,
+on the block or its diagonal scaling: arithmetic, no factorization); failing
+that, the same bounds on its whitened block may still skip its eigvalsh.  A
+skipped support lies inside the extremes by the relative margin INSIDE_RTOL,
+far above round-off, so it could neither move nor tie one: the pass returns,
+to the bit, the `SpectrumExtremes` of solving every support.
 """
 
 import math
@@ -40,8 +51,9 @@ ENUMERATION_LIMIT = 10**7
 
 # Bound on the floats of the kernel's largest temporaries (for a chunk of k
 # supports of size s: the gathered s x s blocks, and the stacked n x s D_T
-# and bases U_T of the SVD path), k * max(n, s) * s: chunks amortize the
-# per-call overhead while peak memory stays flat in C(d, s) and in m.
+# and bases U_T of the SVD path), k * max(n, s) * s; the exclusion test holds
+# two s x s blocks per support.  Chunks amortize the per-call overhead while
+# peak memory stays flat in C(d, s) and in m.
 CHUNK_FLOATS = 2**15
 
 # Largest condition number of Phi_T = D_T^T D_T whitened by its eigh.  The
@@ -51,6 +63,13 @@ CHUNK_FLOATS = 2**15
 # ask of the SVD reference (0 of 20 hypothesis seeds failed them; at 1e3, 3).
 # Supports past it (every rank-deficient support is) take the SVD of D_T.
 GRAM_COND = 1e2
+
+# How far inside the extremes so far (relative to the larger) a skipped
+# support is proved to lie: far above the kernel's round-off (~1e-14).
+INSIDE_RTOL = 1e-9
+
+# Supports per chunk solved first, for each of the two extremes.
+SEEDS = 4
 
 METHOD_EXACT = "exact"
 METHOD_LOWER = "random_lower_bound"
@@ -89,24 +108,15 @@ def _checked(a, frame: TightFrame, s: int) -> np.ndarray:
     return a
 
 
-def _extreme(lo: float, hi: float) -> float:
-    return max(hi - 1.0, 1.0 - lo)
-
-
 def _pencil(a: np.ndarray, mat: np.ndarray):
     """What a pass computes once: D, Phi = D^T D, H = (A D)^T (A D), A^T A."""
     ad = a @ mat
     return mat, mat.T @ mat, ad.T @ ad, a.T @ a
 
 
-def _restricted_extremes(form: np.ndarray, basis: np.ndarray):
-    w = np.linalg.eigvalsh(basis.transpose(0, 2, 1) @ form @ basis)
+def _form_extremes(form: np.ndarray):
+    w = np.linalg.eigvalsh(form)
     return w[:, 0], w[:, -1]
-
-
-def _whitened_extremes(h_t: np.ndarray, lam: np.ndarray, v: np.ndarray):
-    w = v / np.sqrt(lam)[:, None, :]
-    return _restricted_extremes(h_t, w)
 
 
 def _svd_spectra(mat: np.ndarray, gram: np.ndarray, idx: np.ndarray):
@@ -119,26 +129,70 @@ def _svd_spectra(mat: np.ndarray, gram: np.ndarray, idx: np.ndarray):
     for r in range(1, u.shape[2] + 1):
         sel = np.flatnonzero(rank == r)
         if sel.size:
-            lo[sel], hi[sel] = _restricted_extremes(gram, u[sel, :, :r])
+            basis = u[sel, :, :r]
+            lo[sel], hi[sel] = _form_extremes(basis.transpose(0, 2, 1) @ gram @ basis)
     return lo, hi
 
 
-def _spectra(pencil, idx: np.ndarray):
-    """Kernel body: (lo, hi) per row of the support index array `idx`."""
+def _spectrum_bounds(x: np.ndarray):
+    """(below, above): bounds on the eigenvalues of each symmetric k x k
+    block x[:, :, j...] (blocks on the two leading axes, where numpy reduces
+    fastest), the tighter of Gershgorin's discs and the trace bound of
+    Wolkowicz & Styan (1980), mean +- sqrt((k - 1)(||x||_F^2 / k - mean^2))
+    with mean = tr(x) / k."""
+    k = x.shape[0]
+    diag = np.einsum("ii...->i...", x)
+    radius = np.abs(x).sum(axis=1) - np.abs(diag)
+    mean = diag.sum(axis=0) / k
+    spread = np.einsum("ij...,ij...->...", x, x) / k - mean * mean
+    spread = np.sqrt((k - 1) * np.maximum(spread, 0.0))
+    return (np.maximum((diag - radius).min(axis=0), mean - spread),
+            np.minimum((diag + radius).max(axis=0), mean + spread))
+
+
+def _pencil_inside(h, phi, idx: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
+    """Where the pencil (H_T, Phi_T) of a support (a row of `idx`) is proved
+    to have every eigenvalue in (t_lo, t_hi): H_T - t_hi Phi_T < 0 and
+    H_T - t_lo Phi_T > 0, each shown on the block or on its scaling by
+    diag(Phi_T)^(-1/2) on both sides.  A singular Phi_T never passes: both
+    differences vanish on its null vectors."""
+    rows, cols = idx.T[:, None, :], idx.T[None, :, :]
+    x = np.stack([h - t_hi * phi, h - t_lo * phi], axis=-1)[rows, cols]
+    below, above = _spectrum_bounds(x)
+    r = 1.0 / np.sqrt(np.diagonal(phi))[idx.T]
+    x *= r[:, None, :, None]
+    x *= r[None, :, :, None]
+    scaled_below, scaled_above = _spectrum_bounds(x)
+    return ((np.minimum(above[:, 0], scaled_above[:, 0]) < 0)
+            & (np.maximum(below[:, 1], scaled_below[:, 1]) > 0))
+
+
+def _spectra(pencil, idx: np.ndarray, inside=None):
+    """Kernel body: (lo, hi) per row of the support index array `idx`.  With
+    `inside` = (t_lo, t_hi), a support proved to have its spectrum in there,
+    before its eigh or before its eigvalsh, is not solved: (inf, -inf)."""
     mat, phi, h, gram = pencil
     k = len(idx)
+    lo = np.full(k, np.inf)
+    hi = np.full(k, -np.inf)
     rows, cols = idx[:, :, None], idx[:, None, :]
-    lam, v = np.linalg.eigh(phi[rows, cols])
+    todo = np.arange(k)
+    if inside is not None:
+        todo = np.flatnonzero(~_pencil_inside(h, phi, idx, *inside))
+    lam, w = np.linalg.eigh(phi[rows[todo], cols[todo]])
     good = lam[:, 0] * GRAM_COND > lam[:, -1]
-    if good.all():
-        return _whitened_extremes(h[rows, cols], lam, v)
-    lo = np.empty(k)
-    hi = np.empty(k)
-    sel = np.flatnonzero(good)
+    sel = todo[good]
+    w = w[good]
+    w /= np.sqrt(lam[good])[:, None, :]
+    form = w.transpose(0, 2, 1) @ h[rows[sel], cols[sel]] @ w
+    if inside is not None:
+        below, above = _spectrum_bounds(np.ascontiguousarray(form.transpose(1, 2, 0)))
+        keep = (below <= inside[0]) | (above >= inside[1])
+        sel, form = sel[keep], form[keep]
+    lo[sel], hi[sel] = _form_extremes(form)
+    sel = todo[~good]
     if sel.size:
-        lo[sel], hi[sel] = _whitened_extremes(h[rows[sel], cols[sel]], lam[sel], v[sel])
-    sel = np.flatnonzero(~good)
-    lo[sel], hi[sel] = _svd_spectra(mat, gram, idx[sel])
+        lo[sel], hi[sel] = _svd_spectra(mat, gram, idx[sel])
     return lo, hi
 
 
@@ -194,6 +248,8 @@ class SpectrumExtremes:
 def _scan(a: np.ndarray, frame: TightFrame, s: int, supports: Iterable,
           method: str) -> SpectrumExtremes:
     pencil = _pencil(a, frame.matrix)
+    _, phi, h, _ = pencil
+    quotient = np.diagonal(h) / np.diagonal(phi)
     chunk_size = max(1, CHUNK_FLOATS // (max(frame.n, s) * s))
     lo, lo_at = np.inf, (0, ())
     hi, hi_at = -np.inf, (0, ())
@@ -203,7 +259,22 @@ def _scan(a: np.ndarray, frame: TightFrame, s: int, supports: Iterable,
         chunk = list(islice(stream, chunk_size))
         if not chunk:
             break
-        c_lo, c_hi = _spectra(pencil, np.array(chunk, dtype=np.intp))
+        idx = np.array(chunk, dtype=np.intp)
+        # solve first the supports whose diagonal quotients H_tt / Phi_tt
+        # (each a Rayleigh quotient of the pencil) reach furthest out, then
+        # the rest, skipping those proved inside the extremes so far; a
+        # skipped support comes back as (inf, -inf) and wins no reduction
+        q = quotient[idx]
+        first = np.zeros(len(idx), dtype=bool)
+        first[np.argsort(-q.max(axis=1), kind="stable")[:SEEDS]] = True
+        first[np.argsort(q.min(axis=1), kind="stable")[:SEEDS]] = True
+        c_lo, c_hi = np.empty((2, len(idx)))
+        c_lo[first], c_hi[first] = _spectra(pencil, idx[first])
+        t_lo = min(lo, c_lo[first].min())
+        t_hi = max(hi, c_hi[first].max())
+        margin = INSIDE_RTOL * max(abs(t_lo), abs(t_hi))
+        c_lo[~first], c_hi[~first] = _spectra(pencil, idx[~first],
+                                              (t_lo + margin, t_hi - margin))
         i = int(np.argmin(c_lo))
         if c_lo[i] < lo:
             lo, lo_at = float(c_lo[i]), (start + i, chunk[i])
@@ -233,28 +304,6 @@ def support_spectrum_range(a, frame: TightFrame, s: int) -> Tuple[float, float]:
     order s.  Useful for rescaling a measurement matrix to a target constant:
     scaling A by c maps the range to (c^2 lambda_min, c^2 lambda_max)."""
     return spectrum_extremes(a, frame, s).spectrum_range()
-
-
-def exact_rip(a, s: int) -> RipReport:
-    """Classical restricted isometry constant (identity dictionary)."""
-    a = as_matrix(a)
-    n = a.shape[1]
-    if not 1 <= s <= n:
-        raise ContractViolation("s must satisfy 1 <= s <= n")
-    count = math.comb(n, s)
-    check_budget(count, "C(%d, %d)" % (n, s))
-    gram = a.T @ a
-    delta = -1.0
-    witness: Tuple[int, ...] = ()
-    for support in combinations(range(n), s):
-        idx = list(support)
-        w = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])
-        dev = _extreme(float(w[0]), float(w[-1]))
-        if dev > delta:
-            delta = dev
-            witness = support
-    return RipReport(s=int(s), delta=float(delta), method=METHOD_EXACT,
-                     witness_support=witness, supports_examined=count)
 
 
 def random_spectrum_extremes(a, frame: TightFrame, s: int, trials: int,

@@ -229,10 +229,6 @@ class ExperimentRecord:
     # CSV columns are a fixed contract)
     reason: Optional[str] = None
 
-    def to_csv_row(self) -> types.SimpleNamespace:
-        """The CSV columns of the record, as `read_csv` returns them."""
-        return types.SimpleNamespace(**{name: getattr(self, name) for name in CSV_COLUMNS})
-
 
 def build_frame(kind: str, n: int, d: int, seed: int) -> frames.TightFrame:
     if kind == "identity":

@@ -129,6 +129,15 @@ def q_zero(delta: float) -> float:
 # error-bound constants
 
 
+def _contracting(rho: float, regime: str, delta: float) -> float:
+    """`rho` if below 1: the rounded thresholds and q0 admit a few floats where
+    it is not, and there the regime does not apply."""
+    if not rho < 1.0:
+        raise NotApplicableError("%s guarantee needs rho < 1, got rho = %r at delta = %r"
+                                 % (regime, rho, delta))
+    return rho
+
+
 def _c1_from_c0(c0: float, delta: float) -> float:
     return 2.0 / math.sqrt(1.0 - delta) * (1.0 + c0 / math.sqrt(2.0))
 
@@ -138,7 +147,7 @@ def constants_general(delta: float) -> Tuple[float, float]:
     if not 0.0 <= delta < thr:
         raise NotApplicableError(
             "general l1 guarantee needs delta < %.10g, got %.10g" % (thr, delta))
-    rho = rho_general(delta)
+    rho = _contracting(rho_general(delta), "general l1", delta)
     c0 = 4.0 / (1.0 - rho) * math.sqrt(
         2.0 * (2.0 - delta) / ((1.0 - delta) * (32.0 - 25.0 * delta))
     )
@@ -150,7 +159,7 @@ def constants_special(delta: float) -> Tuple[float, float]:
     if not 0.0 <= delta < thr:
         raise NotApplicableError(
             "special-case guarantee needs delta < %.10g, got %.10g" % (thr, delta))
-    rho = rho_special(delta)
+    rho = _contracting(rho_special(delta), "special-case", delta)
     c0 = math.sqrt(2.0) / ((1.0 - rho) * math.sqrt(1.0 - delta))
     return c0, _c1_from_c0(c0, delta)
 
@@ -164,8 +173,9 @@ def constants_q(delta: float, q: float) -> Tuple[float, float]:
     if not (0.0 < q < q0 or (q0 == 1.0 and 0.0 < q <= 1.0)):
         raise NotApplicableError(
             "lq guarantee needs q < q0(delta) = %.10g, got q = %.10g" % (q0, q))
+    rho = _contracting(rho_q(delta, q), "lq", delta)
     try:
-        rho_pow_q = rho_q(delta, q) ** q
+        rho_pow_q = rho ** q
         lead = 2.0 ** (1.0 / q - 1.0) / (1.0 - rho_pow_q) ** (1.0 / q)
         inner = ((2.0 - delta) * (2.0 - q) ** ((2.0 - q) / q) * q
                  + 2.0 ** (2.0 / q) * delta) / (1.0 - delta)

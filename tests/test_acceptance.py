@@ -18,6 +18,7 @@ from framecs.experiment import (
     run_experiment,
     write_csv,
 )
+from rip_reference import exact_rip
 
 mp.mp.dps = 40
 
@@ -127,7 +128,7 @@ def test_criterion_3_drip_correctness():
         a = sensing.gen_gaussian(m, n, seed=seed)
         frame = frames.make_identity_frame(n)
         rep_d = drip.exact_drip(a, frame, s)
-        rep_r = drip.exact_rip(a, s)
+        rep_r = exact_rip(a, s)
         assert abs(rep_d.delta - rep_r.delta) <= 1e-10
         lower = drip.random_lower_bound(a, frame, s, trials=30, seed=seed)
         assert lower.delta <= rep_d.delta + 1e-10

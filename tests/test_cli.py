@@ -341,6 +341,19 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: lq constants overflow at q = %s, delta = 0.1\n" % q
 
+    # just below the float special threshold (rho = 1 + 2e-16, rho = 1) and just
+    # below the reported q0 (rho_q = 1 + 1.3e-10): the regime does not apply
+    @pytest.mark.parametrize("delta, q", [("0.6568542494923804", None),
+                                          ("0.6568542494923802", None),
+                                          ("0.4236683417085427", "0.9835536248401773")])
+    def test_rho_at_least_one_is_not_applicable(self, capsys, delta, q):
+        code, out, err = run(capsys, "certify", "--delta", delta, "--n", "8", "--s", "2",
+                             *(("--q", q) if q else ()))
+        assert code == 0 and err == ""
+        last = json.loads(out)[-1]
+        assert last["regime"] == ("lq" if q else "special_n_le_4s")
+        assert (last["applicable"], last["C0"], last["C1"]) == (False, None, None)
+
     @pytest.mark.parametrize("with_y", (False, True))
     @pytest.mark.parametrize("value", ("nan", "inf"))
     def test_non_finite_eps_is_one(self, capsys, tmp_path, value, with_y):

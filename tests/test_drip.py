@@ -1,15 +1,17 @@
 import json
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from framecs import drip
 from framecs.drip import (
     GRAM_COND,
+    SpectrumExtremes,
     exact_drip,
-    exact_rip,
     random_lower_bound,
     random_spectrum_extremes,
     spectrum_extremes,
@@ -17,15 +19,17 @@ from framecs.drip import (
     support_spectrum_range,
 )
 from framecs.errors import ContractViolation, EnumerationLimitError
+from framecs.experiment import build_frame
 from framecs.frames import (
     make_identity_frame,
     make_random_tight_frame,
     make_union_frame,
 )
 from framecs.linalg import DEFAULT_TOL, as_matrix
-from framecs.rng import rng_from_seed
-from framecs.sensing import gen_gaussian
+from framecs.rng import derive_seed, rng_from_seed
+from framecs.sensing import gen_gaussian, gen_matrix
 from framecs.serialize import json_dumps
+from rip_reference import exact_rip
 
 
 class TestExactDrip:
@@ -370,15 +374,102 @@ class TestOnePass:
         assert exact_drip(np.eye(3), make_identity_frame(3), 2).witness_support == (0, 1)
 
 
+def reference_extremes(a, frame, supports, method):
+    """The pass's result from every support's spectrum, none skipped."""
+    supports = [tuple(sup) for sup in supports]
+    lo, hi = support_spectra(a, frame, supports)
+    i, j = int(np.argmin(lo)), int(np.argmax(hi))
+    return SpectrumExtremes(lo=float(lo[i]), lo_at=(i, supports[i]),
+                            hi=float(hi[j]), hi_at=(j, supports[j]),
+                            supports_examined=len(supports), method=method)
+
+
+def random_draws(d, s, trials, seed):
+    """The supports random_spectrum_extremes draws, in draw order."""
+    rng = rng_from_seed(seed)
+    return [tuple(sorted(rng.choice(d, size=s, replace=False).tolist()))
+            for _ in range(trials)]
+
+
+class TestSkippedSupports:
+    """A pass skips the eigensolves of supports proved inside the extremes so
+    far; its result must be the reduction over every support's spectrum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims, st.integers(1, 8), st.sampled_from(["random", "union", "lower"]),
+           st.sampled_from([None, 64, 256]))
+    def test_equals_the_reduction_over_every_support(self, dim, s, kind, chunk):
+        n, extra, m, seed = dim
+        if kind == "union":  # duplicate columns: rank-deficient supports
+            frame = make_union_frame(np.eye(n), np.eye(n))
+        else:
+            frame = make_random_tight_frame(n, n + extra, seed=seed)
+        assume(s <= frame.d)  # s > n covers 2s > n
+        a = gen_gaussian(m, n, seed=seed + 1)
+        # a small chunk budget carries the extremes across chunks of a few
+        # (64) to a few dozen (256) supports
+        with mock.patch.object(drip, "CHUNK_FLOATS", chunk or drip.CHUNK_FLOATS):
+            if kind == "lower":
+                got = random_spectrum_extremes(a, frame, s, 50, seed)
+                want = reference_extremes(a, frame, random_draws(frame.d, s, 50, seed),
+                                          "random_lower_bound")
+            else:
+                got = spectrum_extremes(a, frame, s)
+                want = reference_extremes(a, frame, combinations(range(frame.d), s),
+                                          "exact")
+        assert got == want
+
+    @staticmethod
+    def near_tie_instance(gap):
+        # identity frame, H = A^T A block diagonal.  Column 0 alone reaches
+        # 1.9 (its pairs are solved first, by their diagonal quotient); the
+        # coupled pairs {2, 3} and {6, 7} reach 1.9 (1 + gap) with diagonal
+        # quotients of only 1, so they are solved only if not skipped
+        h = np.diag([1.9, 1.0, 1.0, 1.0, 0.01, 1.0, 1.0, 1.0])
+        b = 1.9 * (1.0 + gap) - 1.0
+        h[2, 3] = h[3, 2] = h[6, 7] = h[7, 6] = b
+        return np.linalg.cholesky(h).T, make_identity_frame(8)
+
+    @pytest.mark.parametrize("gap", [1e-12, 0.0])
+    def test_a_support_at_the_running_extreme_is_solved(self, gap):
+        a, frame = self.near_tie_instance(gap)
+        got = spectrum_extremes(a, frame, 2)
+        want = reference_extremes(a, frame, combinations(range(8), 2), "exact")
+        assert got == want
+        if gap:
+            # {2, 3} exceeds 1.9 by about 2e-12 and comes first of the two
+            assert got.hi_at == (list(combinations(range(8), 2)).index((2, 3)), (2, 3))
+            assert got.hi > 1.9 * (1.0 + 0.5 * gap)
+
+    def test_most_supports_skip_their_eigensolves(self, monkeypatch):
+        # the largest p1_auto benchmark instance: (n, d, m) = (16, 24, 320),
+        # order 4, 10 626 supports; a pass that solves every support takes
+        # 10 626 eigh and 10 626 eigvalsh matrices
+        frame = build_frame("random", 16, 24, derive_seed(109, 9))
+        a = gen_matrix("gaussian", 320, 16, derive_seed(209, 9))
+        counts = {"eigh": 0, "eigvalsh": 0}
+        for name in counts:
+            real = getattr(np.linalg, name)
+
+            def counted(x, *args, _real=real, _name=name, **kwargs):
+                counts[_name] += len(x)
+                return _real(x, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        ext = spectrum_extremes(a, frame, 4)
+        monkeypatch.undo()
+        assert ext.supports_examined == 10626
+        assert ext == reference_extremes(a, frame, combinations(range(24), 4), "exact")
+        assert counts["eigh"] <= 0.25 * 10626
+        assert counts["eigvalsh"] <= counts["eigh"]
+
+
 class TestRandomLowerBoundDraws:
     @pytest.mark.parametrize("seed", [0, 16, 99])
     def test_same_supports_and_delta_as_the_per_draw_loop(self, seed):
         frame = make_random_tight_frame(5, 9, seed=seed)
         a = gen_gaussian(11, 5, seed=seed + 1)
-        rng = rng_from_seed(seed + 2)
-        draws = [tuple(sorted(rng.choice(9, size=3, replace=False).tolist()))
-                 for _ in range(600)]
-        delta, witness = reference_drip(a, frame.matrix, draws)
+        delta, witness = reference_drip(a, frame.matrix, random_draws(9, 3, 600, seed + 2))
         rep = random_lower_bound(a, frame, 3, trials=600, seed=seed + 2)
         assert rep.delta == pytest.approx(delta, abs=1e-12)
         assert rep.witness_support == witness

@@ -2,6 +2,7 @@ import json
 import struct
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from framecs.errors import ContractViolation
 from framecs.experiment import (
+    CSV_COLUMNS,
     CSV_HEADER,
     ExperimentConfig,
     ExperimentRecord,
@@ -255,6 +257,11 @@ records = st.builds(
 )
 
 
+def csv_row(rec):
+    """The CSV columns of a record, as `read_csv` returns them."""
+    return SimpleNamespace(**{c: getattr(rec, c) for c in CSV_COLUMNS})
+
+
 class TestCsv:
     def test_header(self, tmp_path):
         write_csv([], tmp_path / "empty.csv")
@@ -274,7 +281,7 @@ class TestCsv:
             first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
             write_csv(recs, first)
             rows = read_csv(first)
-            assert rows == [r.to_csv_row() for r in recs]
+            assert rows == [csv_row(r) for r in recs]
             # == does not tell -0.0 from 0.0; the bytes do
             write_csv(rows, second)
             assert first.read_bytes() == second.read_bytes()
@@ -289,7 +296,7 @@ class TestCsv:
         path = tmp_path / "run.csv"
         write_csv(records, path)
         rows = read_csv(path)
-        assert rows == [r.to_csv_row() for r in records]
+        assert rows == [csv_row(r) for r in records]
         write_csv(rows, tmp_path / "run2.csv")
         assert path.read_bytes() == (tmp_path / "run2.csv").read_bytes()
 
@@ -298,7 +305,7 @@ class TestCsv:
         path = tmp_path / "runq.csv"
         write_csv(records, path)
         rows = read_csv(path)
-        assert rows == [r.to_csv_row() for r in records]
+        assert rows == [csv_row(r) for r in records]
         assert all(r.q == 0.5 for r in rows)
 
     def test_missing_q_is_empty_not_nan(self, tmp_path):

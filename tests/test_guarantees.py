@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from framecs.drip import exact_drip
 from framecs.errors import ContractViolation, NotApplicableError
 from framecs.frames import make_random_tight_frame
 from framecs.guarantees import (
+    _record,
     audit_lemmas,
     block_partition,
     certify,
@@ -28,6 +30,7 @@ from framecs.guarantees import (
 from framecs.sensing import gen_gaussian, measure
 from framecs.serialize import json_dumps
 from framecs.solvers import solve_p1
+from test_acceptance import mp_rho_general, mp_rho_q, mp_rho_special
 
 
 # Frozen from a 40-digit mpmath evaluation of the closed forms.
@@ -236,6 +239,76 @@ class TestConstantsQ:
         assert math.isfinite(c0) and math.isfinite(c1) and c1 > c0 > 0
 
 
+def _applicable(constants, *args):
+    try:
+        c0, c1 = constants(*args)
+    except NotApplicableError:
+        return False
+    assert 0.0 < c0 < math.inf and 0.0 < c1 < math.inf
+    return True
+
+
+def _floats_around(x, ulps):
+    for _ in range(ulps):
+        x = math.nextafter(x, -math.inf)
+    for _ in range(2 * ulps + 1):
+        yield x
+        x = math.nextafter(x, math.inf)
+
+
+class TestContractionInFloats:
+    """A regime applies only where rho < 1 at the float delta (and q) given,
+    as a 50-digit evaluation of rho (criterion 2's oracle) says; the rounded
+    thresholds and q0 admit floats where it is not (rho_special = 1 + 2e-16
+    just below the special threshold, rho_q = 1 + 1.4e-10 just below q0)."""
+
+    @pytest.mark.parametrize("threshold, constants, mp_rho", [
+        (threshold_general(), constants_general, mp_rho_general),
+        (threshold_special(), constants_special, mp_rho_special),
+    ])
+    def test_floats_near_the_thresholds(self, threshold, constants, mp_rho):
+        applicable = [d for d in _floats_around(threshold, 10) if _applicable(constants, d)]
+        assert len(applicable) >= 5
+        with mp.workdps(50):
+            assert all(mp_rho(mp.mpf(d)) < 1 for d in applicable)
+
+    def test_q_near_q0(self):
+        checked = 0
+        for delta in np.linspace(0.0, 0.45, 5):  # criterion 2's lq grid
+            delta = float(delta)
+            q0 = q_zero(delta)
+            for k in range(-20, 21):
+                q = q0 + k * 5e-11
+                if 0.0 < q <= 1.0 and _applicable(constants_q, delta, q):
+                    with mp.workdps(50):
+                        assert mp_rho_q(delta, q) < 1
+                    checked += 1
+        assert checked >= 80
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.floats(0.0, 1.2),
+                     st.sampled_from([threshold_general(), threshold_special(), 0.5])
+                     .flatmap(lambda t: st.integers(-40, 40).map(
+                         lambda k: max(0.0, t + k * math.ulp(t))))),
+           st.integers(1, 12), st.integers(1, 4),
+           st.one_of(st.none(), st.floats(1e-3, 1.0), st.integers(-40, 40)))
+    def test_applicable_certificates_contract(self, delta, n, s, q):
+        if isinstance(q, int):  # q within 4e-9 of q0
+            if delta >= 0.5:
+                q = None
+            else:
+                q = min(1.0, q_zero(delta) + q * 1e-10)
+        try:
+            certs = certify(delta, n, s, q_opt=q)
+        except ContractViolation as err:  # small q, or q0 small near delta = 1/2
+            assert str(err).startswith("lq constants overflow")
+            return
+        for cert in certs:
+            if cert.applicable:
+                assert 0.0 <= cert.rho < 1.0
+                assert 0.0 < cert.C0 < math.inf and 0.0 < cert.C1 < math.inf
+
+
 class TestErrorBound:
     def test_exact_recovery_regime(self):
         assert error_bound(3.0, 7.0, 0.0, 2, 0.0) == 0.0
@@ -370,6 +443,12 @@ def _audited_instance(seed, eps=0.05, n=6, d=9, m=40, s=2):
 
 
 class TestAuditLemmas:
+    @pytest.mark.parametrize("rhs", [1.0, 250.0])
+    def test_a_record_short_by_1e_7_fails(self, rhs):
+        # 10x the round-off allowance: no looser audit may pass it
+        assert not _record("planted", rhs + 1e-7 * rhs, rhs).holds
+        assert _record("planted", rhs + 1e-9 * rhs, rhs).holds
+
     def test_zero_difference(self):
         frame, a, f, model = _audited_instance(1, eps=0.0)
         delta = exact_drip(a, frame, 4).delta

@@ -214,6 +214,18 @@ class TestSolveP1:
         assert res.iterations <= 50
 
 
+class TestFeasibleAtLooseTol:
+    # at tol = 1e-4 the feasibility tolerance eps 1e-6 + 1e-9, not tol, is
+    # what lets a noisy solve stop; the default tol of 1e-9 would hide it
+    @pytest.mark.parametrize("seed", range(3))
+    def test_residual_within_the_invariant(self, seed):
+        frame, a, _, model = normalized_instance(seed, eps=0.05)
+        opts = SolverOptions(tol=1e-4)
+        for res in (solve_p1(frame, model, opts), solve_pq(frame, model, 0.5, opts)):
+            residual = np.linalg.norm(a @ res.f_hat - model.y)
+            assert residual <= model.epsilon * (1 + 1e-6) + 1e-9
+
+
 class TestSolvePq:
     def test_q_domain(self):
         model = SensingModel(A=np.eye(2), y=np.ones(2), epsilon=0.0)
