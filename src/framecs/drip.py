@@ -23,10 +23,11 @@ A by c maps every spectrum by c^2, one pass gives the constant at any scale.
 
 A pass solves only the supports that could move those extremes.  In each
 chunk it first solves the few supports whose diagonal quotients H_tt / Phi_tt
-reach furthest out.  It skips any other support T once H_T - t Phi_T is proved
-negative definite at t just below the highest eigenvalue so far, and
-t Phi_T - H_T at t just above the lowest (Gershgorin's discs or a trace bound,
-on the block or its diagonal scaling: arithmetic, no factorization); failing
+reach furthest out.  It skips any other support T once K_T - t G_T, congruent
+to H_T - t Phi_T in the pencil (K, G) = (R H R, R Phi R), R = diag(Phi)^-1/2,
+formed once per pass, is proved negative definite at t just below the highest
+eigenvalue so far and positive definite at t just above the lowest
+(Gershgorin's discs or a trace bound: arithmetic, no factorization); failing
 that, the same bounds on its whitened block may still skip its eigvalsh.  A
 skipped support lies inside the extremes by the relative margin INSIDE_RTOL,
 far above round-off, so it could neither move nor tie one: the pass returns,
@@ -68,8 +69,8 @@ GRAM_COND = 1e2
 # support is proved to lie: far above the kernel's round-off (~1e-14).
 INSIDE_RTOL = 1e-9
 
-# Supports per chunk solved first, for each of the two extremes.
-SEEDS = 4
+# Supports per chunk solved first for each extreme (fewest matrices on held-out instances).
+SEEDS = 12
 
 METHOD_EXACT = "exact"
 METHOD_LOWER = "random_lower_bound"
@@ -150,27 +151,23 @@ def _spectrum_bounds(x: np.ndarray):
             np.minimum((diag + radius).max(axis=0), mean + spread))
 
 
-def _pencil_inside(h, phi, idx: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
+def _pencil_inside(unit, idx: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
     """Where the pencil (H_T, Phi_T) of a support (a row of `idx`) is proved
-    to have every eigenvalue in (t_lo, t_hi): H_T - t_hi Phi_T < 0 and
-    H_T - t_lo Phi_T > 0, each shown on the block or on its scaling by
-    diag(Phi_T)^(-1/2) on both sides.  A singular Phi_T never passes: both
+    to have every eigenvalue in (t_lo, t_hi): K_T - t_hi G_T < 0 and
+    K_T - t_lo G_T > 0 in `unit` = (K, G) = (R H R, R Phi R), whose blocks are
+    congruent to H_T - t Phi_T.  A singular Phi_T never passes: both
     differences vanish on its null vectors."""
+    k, g = unit
     rows, cols = idx.T[:, None, :], idx.T[None, :, :]
-    x = np.stack([h - t_hi * phi, h - t_lo * phi], axis=-1)[rows, cols]
+    x = np.stack([k - t_hi * g, k - t_lo * g], axis=-1)[rows, cols]
     below, above = _spectrum_bounds(x)
-    r = 1.0 / np.sqrt(np.diagonal(phi))[idx.T]
-    x *= r[:, None, :, None]
-    x *= r[None, :, :, None]
-    scaled_below, scaled_above = _spectrum_bounds(x)
-    return ((np.minimum(above[:, 0], scaled_above[:, 0]) < 0)
-            & (np.maximum(below[:, 1], scaled_below[:, 1]) > 0))
+    return (above[:, 0] < 0) & (below[:, 1] > 0)
 
 
 def _spectra(pencil, idx: np.ndarray, inside=None):
     """Kernel body: (lo, hi) per row of the support index array `idx`.  With
-    `inside` = (t_lo, t_hi), a support proved to have its spectrum in there,
-    before its eigh or before its eigvalsh, is not solved: (inf, -inf)."""
+    `inside` = (unit, t_lo, t_hi), a support proved to have its spectrum in
+    there, before its eigh or its eigvalsh, is not solved: (inf, -inf)."""
     mat, phi, h, gram = pencil
     k = len(idx)
     lo = np.full(k, np.inf)
@@ -178,7 +175,8 @@ def _spectra(pencil, idx: np.ndarray, inside=None):
     rows, cols = idx[:, :, None], idx[:, None, :]
     todo = np.arange(k)
     if inside is not None:
-        todo = np.flatnonzero(~_pencil_inside(h, phi, idx, *inside))
+        unit, t_lo, t_hi = inside
+        todo = np.flatnonzero(~_pencil_inside(unit, idx, t_lo, t_hi))
     lam, w = np.linalg.eigh(phi[rows[todo], cols[todo]])
     good = lam[:, 0] * GRAM_COND > lam[:, -1]
     sel = todo[good]
@@ -187,7 +185,7 @@ def _spectra(pencil, idx: np.ndarray, inside=None):
     form = w.transpose(0, 2, 1) @ h[rows[sel], cols[sel]] @ w
     if inside is not None:
         below, above = _spectrum_bounds(np.ascontiguousarray(form.transpose(1, 2, 0)))
-        keep = (below <= inside[0]) | (above >= inside[1])
+        keep = (below <= t_lo) | (above >= t_hi)
         sel, form = sel[keep], form[keep]
     lo[sel], hi[sel] = _form_extremes(form)
     sel = todo[~good]
@@ -231,10 +229,6 @@ class SpectrumExtremes:
     supports_examined: int
     method: str
 
-    def spectrum_range(self) -> Tuple[float, float]:
-        """(lambda_min, lambda_max)."""
-        return float(self.lo), float(self.hi)
-
     def report(self, s: int, scale2: float = 1.0) -> RipReport:
         """The constant of A scaled by sqrt(scale2):
         max(scale2 hi - 1, 1 - scale2 lo), the earliest extreme winning ties."""
@@ -249,7 +243,8 @@ def _scan(a: np.ndarray, frame: TightFrame, s: int, supports: Iterable,
           method: str) -> SpectrumExtremes:
     pencil = _pencil(a, frame.matrix)
     _, phi, h, _ = pencil
-    quotient = np.diagonal(h) / np.diagonal(phi)
+    r = 1.0 / np.sqrt(np.diagonal(phi))
+    unit = (r[:, None] * h * r, r[:, None] * phi * r)
     chunk_size = max(1, CHUNK_FLOATS // (max(frame.n, s) * s))
     lo, lo_at = np.inf, (0, ())
     hi, hi_at = -np.inf, (0, ())
@@ -260,11 +255,11 @@ def _scan(a: np.ndarray, frame: TightFrame, s: int, supports: Iterable,
         if not chunk:
             break
         idx = np.array(chunk, dtype=np.intp)
-        # solve first the supports whose diagonal quotients H_tt / Phi_tt
+        # solve first the supports whose diagonal quotients K_tt = H_tt / Phi_tt
         # (each a Rayleigh quotient of the pencil) reach furthest out, then
         # the rest, skipping those proved inside the extremes so far; a
         # skipped support comes back as (inf, -inf) and wins no reduction
-        q = quotient[idx]
+        q = np.diagonal(unit[0])[idx]
         first = np.zeros(len(idx), dtype=bool)
         first[np.argsort(-q.max(axis=1), kind="stable")[:SEEDS]] = True
         first[np.argsort(q.min(axis=1), kind="stable")[:SEEDS]] = True
@@ -274,7 +269,7 @@ def _scan(a: np.ndarray, frame: TightFrame, s: int, supports: Iterable,
         t_hi = max(hi, c_hi[first].max())
         margin = INSIDE_RTOL * max(abs(t_lo), abs(t_hi))
         c_lo[~first], c_hi[~first] = _spectra(pencil, idx[~first],
-                                              (t_lo + margin, t_hi - margin))
+                                              (unit, t_lo + margin, t_hi - margin))
         i = int(np.argmin(c_lo))
         if c_lo[i] < lo:
             lo, lo_at = float(c_lo[i]), (start + i, chunk[i])
@@ -303,7 +298,8 @@ def support_spectrum_range(a, frame: TightFrame, s: int) -> Tuple[float, float]:
     """Global (lambda_min, lambda_max) of the per-support quadratic forms at
     order s.  Useful for rescaling a measurement matrix to a target constant:
     scaling A by c maps the range to (c^2 lambda_min, c^2 lambda_max)."""
-    return spectrum_extremes(a, frame, s).spectrum_range()
+    ext = spectrum_extremes(a, frame, s)
+    return ext.lo, ext.hi
 
 
 def random_spectrum_extremes(a, frame: TightFrame, s: int, trials: int,

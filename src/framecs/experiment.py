@@ -300,7 +300,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
     # one pass picks the scale and, rescaled by scale^2, gives the constant
     # of the scaled matrix
     spectrum = _spectrum(config, a, frame, trial)
-    scale, why = _resolve_scale(config.matrix.scale, *spectrum.spectrum_range())
+    scale, why = _resolve_scale(config.matrix.scale, spectrum.lo, spectrum.hi)
     if why:
         reasons.append(why)
     a = a * scale

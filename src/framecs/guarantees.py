@@ -23,7 +23,6 @@ which raise NotApplicableError outside it; certify builds its certificates
 from them, and audit_lemmas and experiment.run_trial read those.
 """
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -33,6 +32,7 @@ import numpy as np
 from .errors import ContractViolation, NotApplicableError
 from .frames import TightFrame
 from .linalg import as_matrix, as_vector
+from .solvers import feasibility_slack
 
 REGIME_GENERAL = "general_l1"
 REGIME_SPECIAL = "special_n_le_4s"
@@ -99,30 +99,26 @@ def rho_q(delta: float, q: float) -> float:
 
 
 def q_zero(delta: float) -> float:
-    """Largest q in (0, 1] with rho_q(delta, q) < 1 for all smaller q.
+    """Largest q in (0, 1] with rho_q(delta, q) < 1 for all smaller q, to
+    within 1e-9 from below.
 
-    Returns 1 when rho_q(delta, 1) < 1; otherwise the root of
-    rho_q(delta, .) = 1, bracketed by the first point of a fixed grid with
-    rho_q >= 1 (found by binary search: rho_q(delta, .) is increasing in q)
-    and refined by bisection to absolute tolerance 1e-9.
+    Returns 1 when rho_q(delta, 1) < 1; otherwise the lower end of a
+    bisection bracket of the root of rho_q(delta, .) = 1 on [1e-6, 1], of
+    width 1e-9 (rho_q(delta, .) is increasing in q), so rho_q(delta, q0) < 1.
     """
     if not 0.0 <= delta < 0.5:
         raise ContractViolation("q_zero needs 0 <= delta < 1/2, got %g" % delta)
     if rho_q(delta, 1.0) < 1.0:
         return 1.0
-    # grid[-1] is exactly 1.0, where rho_q >= 1, so the search finds a point
-    grid = np.linspace(1e-6, 1.0, 2049)
-    k = bisect.bisect_left(grid, True, lo=1, key=lambda qv: rho_q(delta, float(qv)) >= 1.0)
-    lo, hi = float(grid[k - 1]), float(grid[k])
-    for _ in range(60):
+    # at 1e-6 the q term of rho_q^2 underflows to 0, leaving delta / (1 - delta) < 1
+    lo, hi = 1e-6, 1.0
+    while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if rho_q(delta, mid) < 1.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-9:
-            break
-    return 0.5 * (lo + hi)
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +404,7 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
     xf = dmat.T @ f
     xh = dmat.T @ h
 
-    feas_slack = eps * 1e-6 + 1e-9
+    feas_slack = feasibility_slack(eps)
     if y is not None:
         y = as_vector(y)
         res_hat = float(np.linalg.norm(a @ f_hat - y))
@@ -581,18 +577,17 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
         * sum_lqq_blocks ** (2.0 / q)
     records.append(_record("weighted_tail_energy_lq", lhs_32, rhs_42, omega_q=omega_q))
 
-    if lq_gate:
-        rhs_cone_q = 2.0 * _lq_q(np.delete(xf, list(blocks[0])), q) + block_lqq(0)
-        records.append(_record("cone_lq", sum_lqq_blocks, rhs_cone_q,
-                               objective_gap=lqq_true - lqq_hat))
+    rhs_cone_q = 2.0 * _lq_q(np.delete(xf, list(blocks[0])), q) + block_lqq(0)
+    records.append(_record("cone_lq", sum_lqq_blocks, rhs_cone_q,
+                           objective_gap=lqq_true - lqq_hat))
 
-        if lq.applicable:
-            denom = (1.0 - lq.rho ** q) ** (1.0 / q)
-            rhs = (2.0 ** (2.0 / q - 1.0) / denom * tail_lq
-                   + 2.0 ** (2.0 / q - 0.5) * s ** (1.0 / q - 0.5) * eps
-                   / (denom * math.sqrt(1.0 - delta_2s)))
-            records.append(_record("block_mass_contraction_lq", sum_lqq_blocks ** (1.0 / q), rhs,
-                                   N=math.sqrt(max(lhs_32, 0.0)), rho_q=lq.rho,
-                                   omega_q=omega_q, q0=lq.q0))
+    if lq.applicable:
+        denom = (1.0 - lq.rho ** q) ** (1.0 / q)
+        rhs = (2.0 ** (2.0 / q - 1.0) / denom * tail_lq
+               + 2.0 ** (2.0 / q - 0.5) * s ** (1.0 / q - 0.5) * eps
+               / (denom * math.sqrt(1.0 - delta_2s)))
+        records.append(_record("block_mass_contraction_lq", sum_lqq_blocks ** (1.0 / q), rhs,
+                               N=math.sqrt(max(lhs_32, 0.0)), rho_q=lq.rho,
+                               omega_q=omega_q, q0=lq.q0))
 
     return records

@@ -62,10 +62,15 @@ class RecoveryResult:
         return {**vars(self), "diagnostics": diag}
 
 
+def feasibility_slack(eps: float) -> float:
+    """How far past eps a result may lie: every solver result keeps the
+    invariant ||A f_hat - y|| <= eps + feasibility_slack(eps)."""
+    return eps * 1e-6 + 1e-9
+
+
 def _feasibility_tol(eps: float, tol: float) -> float:
-    # convergence never certifies more infeasibility than the result
-    # invariant residual <= eps (1 + 1e-6) + 1e-9 allows
-    return min(tol, eps * 1e-6 + 1e-9)
+    # convergence never certifies more infeasibility than the invariant allows
+    return min(tol, feasibility_slack(eps))
 
 
 def _residual(a, f, y) -> float:

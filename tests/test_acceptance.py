@@ -2,8 +2,10 @@
 its measured runtime (run with -s to see them).  Tolerances are fixed here,
 not tuned at runtime."""
 
+import contextlib
 import math
 import time
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -64,6 +66,31 @@ def mp_constants_q(d, q):
           * mp.sqrt(((2 - d) * (2 - q) ** ((2 - q) / q) * q + 2 ** (2 / q) * d)
                     / (1 - d)))
     return c0, 2 / mp.sqrt(1 - d) * (1 + c0 / mp.sqrt(2))
+
+
+def assert_feasible(model, res):
+    """The solver invariant ||A f_hat - y|| <= eps + feasibility_slack(eps)."""
+    residual = np.linalg.norm(model.A @ res.f_hat - model.y)
+    assert residual <= model.epsilon + solvers.feasibility_slack(model.epsilon)
+
+
+@contextlib.contextmanager
+def feasible_results():
+    """Checks every solve_p1 / solve_pq result inside the block with
+    assert_feasible; yields the list of the results checked."""
+    checked = []
+
+    def checking(solve):
+        def run(frame, model, *args):
+            res = solve(frame, model, *args)
+            assert_feasible(model, res)
+            checked.append(res)
+            return res
+        return run
+
+    with mock.patch.object(solvers, "solve_p1", checking(solvers.solve_p1)), \
+            mock.patch.object(solvers, "solve_pq", checking(solvers.solve_pq)):
+        yield checked
 
 
 def rel_err(x, ref):
@@ -182,23 +209,22 @@ def test_criterion_4_l0_oracle_exact_recovery():
 
 
 def _bound_protocol(configs, expect_regime=None):
-    trials = checked = violations = gate_skipped = not_conv = 0
-    records_all = []
-    for cfg in configs:
-        for rec in run_experiment(cfg):
-            trials += 1
-            records_all.append(rec)
-            if rec.status == "not_converged":
-                not_conv += 1
-            elif rec.status == "surrogate_gap":
-                gate_skipped += 1
-            elif rec.status == "ok":
-                checked += 1
-                if expect_regime is not None:
-                    assert rec.regime == expect_regime
-                if not rec.within_bound:
-                    violations += 1
-    return trials, checked, violations, gate_skipped, not_conv, records_all
+    checked = violations = gate_skipped = not_conv = 0
+    with feasible_results() as results:
+        records = [rec for cfg in configs for rec in run_experiment(cfg)]
+    assert len(results) == len(records)
+    for rec in records:
+        if rec.status == "not_converged":
+            not_conv += 1
+        elif rec.status == "surrogate_gap":
+            gate_skipped += 1
+        elif rec.status == "ok":
+            checked += 1
+            if expect_regime is not None:
+                assert rec.regime == expect_regime
+            if not rec.within_bound:
+                violations += 1
+    return len(records), checked, violations, gate_skipped, not_conv, records
 
 
 def test_criterion_5_general_l1_bound_end_to_end():
@@ -298,7 +324,9 @@ def test_criterion_7_lq_bound():
         matrix=MatrixSpec(kind="gaussian", seed=77, scale="auto_min"),
         signal=SignalSpec(mode="analysis", seed=88), noise_seed=0,
     )
-    exact_records = run_experiment(exact_cfg)
+    with feasible_results() as results:
+        exact_records = run_experiment(exact_cfg)
+    assert len(results) == len(exact_records)
     assert all(r.err_l2 <= 1e-4 for r in exact_records)
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
@@ -329,6 +357,7 @@ def test_criterion_8_lemma_audit_suite():
             res = solvers.solve_p1(frame, model)
         else:
             res = solvers.solve_pq(frame, model, q)
+        assert_feasible(model, res)
         if not res.converged:
             continue
         if not guarantees.surrogate_gate(frame.matrix.T @ res.f_hat,

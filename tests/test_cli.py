@@ -341,8 +341,8 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: lq constants overflow at q = %s, delta = 0.1\n" % q
 
-    # just below the float special threshold (rho = 1 + 2e-16, rho = 1) and just
-    # below the reported q0 (rho_q = 1 + 1.3e-10): the regime does not apply
+    # just below the float special threshold (rho = 1 + 2e-16, rho = 1) and
+    # where rho_q = 1 + 1.3e-10, 4.5e-10 above q0: the regime does not apply
     @pytest.mark.parametrize("delta, q", [("0.6568542494923804", None),
                                           ("0.6568542494923802", None),
                                           ("0.4236683417085427", "0.9835536248401773")])

@@ -29,7 +29,7 @@ from framecs.guarantees import (
 )
 from framecs.sensing import gen_gaussian, measure
 from framecs.serialize import json_dumps
-from framecs.solvers import solve_p1
+from framecs.solvers import feasibility_slack, solve_p1
 from test_acceptance import mp_rho_general, mp_rho_q, mp_rho_special
 
 
@@ -176,6 +176,14 @@ class TestQZero:
             for q in np.linspace(1e-4, q0 - 1e-6, 50):
                 assert rho_q(delta, float(q)) < 1.0
 
+    # criterion 2's lq grid, and a delta where the midpoint of the last
+    # bisection bracket has rho_q = 1 + 1.4e-10
+    @pytest.mark.parametrize("delta", [*np.linspace(0.0, 0.45, 5), 0.4236683417085427])
+    def test_certified_below_the_root(self, delta):
+        q0 = q_zero(float(delta))
+        assert rho_q(float(delta), q0) < 1.0
+        assert q0 == 1.0 or rho_q(float(delta), q0 + 1e-9) >= 1.0
+
     def test_clamp_crossover(self):
         assert q_zero(Q0_CROSSOVER - 1e-4) == 1.0
         assert q_zero(Q0_CROSSOVER + 1e-4) < 1.0
@@ -190,7 +198,7 @@ class TestQZero:
             q_zero(0.5)
 
     def test_rho_q_nondecreasing_on_the_grid(self):
-        # the premise of q_zero's binary search for its bracket
+        # the premise of q_zero's bisection
         grid = np.linspace(1e-6, 1.0, 2049)
         deltas = list(np.linspace(0.0, 0.45, 5)) + [0.5 - 10.0 ** -k for k in range(1, 17)]
         for delta in deltas:
@@ -259,8 +267,8 @@ def _floats_around(x, ulps):
 class TestContractionInFloats:
     """A regime applies only where rho < 1 at the float delta (and q) given,
     as a 50-digit evaluation of rho (criterion 2's oracle) says; the rounded
-    thresholds and q0 admit floats where it is not (rho_special = 1 + 2e-16
-    just below the special threshold, rho_q = 1 + 1.4e-10 just below q0)."""
+    thresholds admit floats where it is not (rho_special = 1 + 2e-16 just
+    below the special threshold)."""
 
     @pytest.mark.parametrize("threshold, constants, mp_rho", [
         (threshold_general(), constants_general, mp_rho_general),
@@ -492,6 +500,19 @@ class TestAuditLemmas:
         with pytest.raises(ContractViolation, match="infeasible"):
             audit_lemmas(frame, a, f, bad, 2, 1.0, model.epsilon, delta,
                          y=model.y)
+
+    @pytest.mark.parametrize("with_y", [True, False])
+    def test_one_and_a_half_slacks_past_eps_is_infeasible(self, with_y):
+        # the audit allows the solvers' own slack past eps, and no more
+        frame, a, f, _ = _audited_instance(4)
+        eps = 0.05
+        delta = exact_drip(a, frame, 4).delta
+        w = np.ones(frame.n)
+        gap = (eps + 1.5 * feasibility_slack(eps)) * (1.0 if with_y else 2.0)
+        bad = f + w * (gap / np.linalg.norm(a @ w))
+        with pytest.raises(ContractViolation, match="infeasible|exceeds 2 eps"):
+            audit_lemmas(frame, a, f, bad, 2, 1.0, eps, delta,
+                         y=a @ f if with_y else None)
 
     def test_surrogate_violation_rejected(self):
         frame, a, f, model = _audited_instance(5, eps=0.05)

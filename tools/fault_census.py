@@ -1,0 +1,85 @@
+"""Planted-fault census: which one-line faults the tier-1 suite notices.
+
+    python3 tools/fault_census.py [NAME_SUBSTRING]
+
+For each fault in FAULTS (or those whose name contains NAME_SUBSTRING), copy
+src/, tests/ and pyproject.toml to a temporary directory, replace the fault's
+text there, and run the suite with -x.  A fault is killed when the suite
+fails (the first failing test is printed) and survived when it passes.  No
+file of the checkout is edited.
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DRIP, GUAR, SOLV = "src/framecs/drip.py", "src/framecs/guarantees.py", "src/framecs/solvers.py"
+EXPT = "src/framecs/experiment.py"
+
+# (name, file, text, replacement); text occurs exactly once in the file
+FAULTS = [
+    ("G left unscaled (= Phi)", DRIP, "r[:, None] * phi * r)", "phi)"),
+    ("margin sign flipped", DRIP,
+     "t_lo + margin, t_hi - margin", "t_lo - margin, t_hi + margin"),
+    ("margin zero", DRIP, "INSIDE_RTOL = 1e-9", "INSIDE_RTOL = 0.0"),
+    ("unit-pencil bound tests offset by 1e-3", DRIP,
+     "(above[:, 0] < 0) & (below[:, 1] > 0)", "(above[:, 0] < 1e-3) & (below[:, 1] > -1e-3)"),
+    ("whitened bound tests offset by 1e-3", DRIP,
+     "(below <= t_lo) | (above >= t_hi)", "(below <= t_lo - 1e-3) | (above >= t_hi + 1e-3)"),
+    ("whitened bound tests joined by and", DRIP,
+     "(below <= t_lo) | (above >= t_hi)", "(below <= t_lo) & (above >= t_hi)"),
+    ("Gershgorin radius without the off-diagonal", DRIP,
+     "radius = np.abs(x).sum(axis=1) - np.abs(diag)", "radius = 0.0 * diag"),
+    ("witness position not offset by the chunk start", DRIP,
+     "lo_at = float(c_lo[i]), (start + i,", "lo_at = float(c_lo[i]), (i,"),
+    ("seeds ordered lowest quotient first for the top extreme", DRIP,
+     "np.argsort(-q.max(axis=1)", "np.argsort(q.max(axis=1)"),
+    ("scale resolved from (hi, lo)", EXPT,
+     "spectrum.lo, spectrum.hi)", "spectrum.hi, spectrum.lo)"),
+    ("q_zero returns the bracket midpoint", GUAR, "            hi = mid\n    return lo",
+     "            hi = mid\n    return 0.5 * (lo + hi)"),
+    ("q_zero returns the bracket upper end", GUAR, "            hi = mid\n    return lo",
+     "            hi = mid\n    return hi"),
+    ("q_zero bracket width 1e-6", GUAR, "while hi - lo > 1e-9:", "while hi - lo > 1e-6:"),
+    ("lq admits q = q0", GUAR, "0.0 < q < q0 or", "0.0 < q <= q0 or"),
+    ("feasibility slack x1000", SOLV,
+     "return eps * 1e-6 + 1e-9", "return 1000 * (eps * 1e-6 + 1e-9)"),
+    ("solver stop ignores the feasibility slack", SOLV,
+     "return min(tol, feasibility_slack(eps))", "return tol"),
+    ("audit skips the surrogate gate", GUAR, "    if not lq_gate:", "    if False:"),
+    ("audit feasibility slack x1000", GUAR, "feas_slack = feasibility_slack(eps)",
+     "feas_slack = 1000 * feasibility_slack(eps)"),
+]
+
+
+def run(path, text, replacement):
+    with tempfile.TemporaryDirectory() as tmp:
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, Path(tmp) / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        source = (Path(tmp) / path).read_text()
+        if source.count(text) != 1:
+            return "stale (text not found exactly once)"
+        (Path(tmp) / path).write_text(source.replace(text, replacement))
+        suite = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            cwd=tmp, capture_output=True, text=True)
+        if suite.returncode == 0:
+            return "survived"
+        failed = [line for line in suite.stdout.splitlines()
+                  if line.startswith(("FAILED", "ERROR"))]
+        return "killed  " + (failed[0] if failed else suite.stdout.strip()[-200:])
+
+
+if __name__ == "__main__":
+    chosen = [f for f in FAULTS if len(sys.argv) < 2 or sys.argv[1] in f[0]]
+    killed = 0
+    for fault in chosen:
+        verdict = run(*fault[1:])
+        killed += verdict.startswith("killed")
+        print("%-50s %s" % (fault[0], verdict), flush=True)
+    print("killed %d of %d" % (killed, len(chosen)))
