@@ -23,15 +23,17 @@ A by c maps every spectrum by c^2, one pass gives the constant at any scale.
 
 A pass solves only the supports that could move those extremes.  In each
 chunk it first solves the few supports whose diagonal quotients H_tt / Phi_tt
-reach furthest out.  It skips any other support T once K_T - t G_T, congruent
-to H_T - t Phi_T in the pencil (K, G) = (R H R, R Phi R), R = diag(Phi)^-1/2,
-formed once per pass, is proved negative definite at t just below the highest
-eigenvalue so far and positive definite at t just above the lowest
-(Gershgorin's discs or a trace bound: arithmetic, no factorization); failing
-that, the same bounds on its whitened block may still skip its eigvalsh.  A
-skipped support lies inside the extremes by the relative margin INSIDE_RTOL,
-far above round-off, so it could neither move nor tie one: the pass returns,
-to the bit, the `SpectrumExtremes` of solving every support.
+reach furthest out.  It skips any other support T (and, after the first
+chunk, any of those) once K_T - t G_T, congruent to H_T - t Phi_T in the
+pencil (K, G) = (R H R, R Phi R), R = diag(Phi)^-1/2, formed once per pass,
+is proved negative definite at t just below the highest eigenvalue so far
+and positive definite at t just above the lowest: a Cholesky without
+pivoting, in numpy arithmetic, of each block shifted by a multiple of the
+unit roundoff that covers forming and eliminating it (Rump 2006) ends with
+every pivot positive.  A skipped support lies inside the extremes by the
+relative margin INSIDE_RTOL, far above round-off, so it could neither move
+nor tie one: the pass returns, to the bit, the `SpectrumExtremes` of solving
+every support.
 """
 
 import math
@@ -135,59 +137,59 @@ def _svd_spectra(mat: np.ndarray, gram: np.ndarray, idx: np.ndarray):
     return lo, hi
 
 
-def _spectrum_bounds(x: np.ndarray):
-    """(below, above): bounds on the eigenvalues of each symmetric k x k
-    block x[:, :, j...] (blocks on the two leading axes, where numpy reduces
-    fastest), the tighter of Gershgorin's discs and the trace bound of
-    Wolkowicz & Styan (1980), mean +- sqrt((k - 1)(||x||_F^2 / k - mean^2))
-    with mean = tr(x) / k."""
+def _definite(x: np.ndarray, scale) -> np.ndarray:
+    """Where each symmetric k x k block x[:, :, j...] (blocks on the two
+    leading axes), formed in floats from terms whose absolute values sum to
+    at most `scale` per entry, is proved positive definite.  Cholesky without
+    pivoting of x - c I, c = 2 (k + 2) k u scale (u = 2^-53), ends with every
+    pivot positive only if the exact block has
+    lambda_min >= c - (k^2 + 3k + 1) u scale (1 + O(k u)) > 0: c covers
+    forming x and the elimination (Rump, BIT 46, 2006), barring underflow.
+    Overwrites x."""
     k = x.shape[0]
-    diag = np.einsum("ii...->i...", x)
-    radius = np.abs(x).sum(axis=1) - np.abs(diag)
-    mean = diag.sum(axis=0) / k
-    spread = np.einsum("ij...,ij...->...", x, x) / k - mean * mean
-    spread = np.sqrt((k - 1) * np.maximum(spread, 0.0))
-    return (np.maximum((diag - radius).min(axis=0), mean - spread),
-            np.minimum((diag + radius).max(axis=0), mean + spread))
+    diag = np.arange(k)
+    x[diag, diag] -= 2 * (k + 2) * k * 2.0**-53 * scale
+    ok = np.ones(x.shape[2:], dtype=bool)
+    for j in range(k):
+        ok &= x[j, j] > 0
+        col = x[j + 1:, j] / np.sqrt(np.where(ok, x[j, j], 1.0))
+        x[j + 1:, j + 1:] -= col[:, None] * col[None, :]
+    return ok
 
 
-def _pencil_inside(unit, idx: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
+def _pencil_inside(idx: np.ndarray, unit, lo: float, hi: float) -> np.ndarray:
     """Where the pencil (H_T, Phi_T) of a support (a row of `idx`) is proved
-    to have every eigenvalue in (t_lo, t_hi): K_T - t_hi G_T < 0 and
+    to have every eigenvalue in (t_lo, t_hi) = (lo + margin, hi - margin),
+    margin = INSIDE_RTOL max(|lo|, |hi|): t_hi G_T - K_T > 0 and
     K_T - t_lo G_T > 0 in `unit` = (K, G) = (R H R, R Phi R), whose blocks are
     congruent to H_T - t Phi_T.  A singular Phi_T never passes: both
     differences vanish on its null vectors."""
     k, g = unit
+    margin = INSIDE_RTOL * max(abs(lo), abs(hi))
+    t_lo, t_hi = lo + margin, hi - margin
     rows, cols = idx.T[:, None, :], idx.T[None, :, :]
-    x = np.stack([k - t_hi * g, k - t_lo * g], axis=-1)[rows, cols]
-    below, above = _spectrum_bounds(x)
-    return (above[:, 0] < 0) & (below[:, 1] > 0)
+    x = np.stack([t_hi * g - k, k - t_lo * g], axis=-1)[rows, cols]
+    scale = np.abs([t_hi, t_lo]) * np.abs(g).max() + np.abs(k).max()
+    return _definite(x, scale).all(axis=-1)
 
 
 def _spectra(pencil, idx: np.ndarray, inside=None):
     """Kernel body: (lo, hi) per row of the support index array `idx`.  With
-    `inside` = (unit, t_lo, t_hi), a support proved to have its spectrum in
-    there, before its eigh or its eigvalsh, is not solved: (inf, -inf)."""
+    `inside` = (unit, lo, hi), a support proved to have its spectrum inside
+    (lo, hi) is not solved: (inf, -inf)."""
     mat, phi, h, gram = pencil
     k = len(idx)
     lo = np.full(k, np.inf)
     hi = np.full(k, -np.inf)
-    rows, cols = idx[:, :, None], idx[:, None, :]
     todo = np.arange(k)
     if inside is not None:
-        unit, t_lo, t_hi = inside
-        todo = np.flatnonzero(~_pencil_inside(unit, idx, t_lo, t_hi))
-    lam, w = np.linalg.eigh(phi[rows[todo], cols[todo]])
+        todo = np.flatnonzero(~_pencil_inside(idx, *inside))
+    rows, cols = idx[todo, :, None], idx[todo, None, :]
+    lam, w = np.linalg.eigh(phi[rows, cols])
     good = lam[:, 0] * GRAM_COND > lam[:, -1]
-    sel = todo[good]
-    w = w[good]
-    w /= np.sqrt(lam[good])[:, None, :]
-    form = w.transpose(0, 2, 1) @ h[rows[sel], cols[sel]] @ w
-    if inside is not None:
-        below, above = _spectrum_bounds(np.ascontiguousarray(form.transpose(1, 2, 0)))
-        keep = (below <= t_lo) | (above >= t_hi)
-        sel, form = sel[keep], form[keep]
-    lo[sel], hi[sel] = _form_extremes(form)
+    w = w[good] / np.sqrt(lam[good])[:, None, :]
+    form = w.transpose(0, 2, 1) @ h[rows[good], cols[good]] @ w
+    lo[todo[good]], hi[todo[good]] = _form_extremes(form)
     sel = todo[~good]
     if sel.size:
         lo[sel], hi[sel] = _svd_spectra(mat, gram, idx[sel])
@@ -257,19 +259,19 @@ def _scan(a: np.ndarray, frame: TightFrame, s: int, supports: Iterable,
         idx = np.array(chunk, dtype=np.intp)
         # solve first the supports whose diagonal quotients K_tt = H_tt / Phi_tt
         # (each a Rayleigh quotient of the pencil) reach furthest out, then
-        # the rest, skipping those proved inside the extremes so far; a
-        # skipped support comes back as (inf, -inf) and wins no reduction
+        # the rest, skipping those proved inside the extremes so far (after
+        # the first chunk, seeds too); a skipped support comes back as
+        # (inf, -inf) and wins no reduction
         q = np.diagonal(unit[0])[idx]
         first = np.zeros(len(idx), dtype=bool)
         first[np.argsort(-q.max(axis=1), kind="stable")[:SEEDS]] = True
         first[np.argsort(q.min(axis=1), kind="stable")[:SEEDS]] = True
         c_lo, c_hi = np.empty((2, len(idx)))
-        c_lo[first], c_hi[first] = _spectra(pencil, idx[first])
+        c_lo[first], c_hi[first] = _spectra(pencil, idx[first],
+                                            (unit, lo, hi) if start else None)
         t_lo = min(lo, c_lo[first].min())
         t_hi = max(hi, c_hi[first].max())
-        margin = INSIDE_RTOL * max(abs(t_lo), abs(t_hi))
-        c_lo[~first], c_hi[~first] = _spectra(pencil, idx[~first],
-                                              (unit, t_lo + margin, t_hi - margin))
+        c_lo[~first], c_hi[~first] = _spectra(pencil, idx[~first], (unit, t_lo, t_hi))
         i = int(np.argmin(c_lo))
         if c_lo[i] < lo:
             lo, lo_at = float(c_lo[i]), (start + i, chunk[i])

@@ -460,8 +460,78 @@ class TestSkippedSupports:
         monkeypatch.undo()
         assert ext.supports_examined == 10626
         assert ext == reference_extremes(a, frame, combinations(range(24), 4), "exact")
-        assert counts["eigh"] <= 0.25 * 10626
+        # 29 of them here
+        assert counts["eigh"] <= 0.01 * 10626
         assert counts["eigvalsh"] <= counts["eigh"]
+
+
+class TestProof:
+    """The exclusion's proof: a block is definite only where a Cholesky of it,
+    shifted by c = 2 (k + 2) k u scale, ends with every pivot positive."""
+
+    U = 2.0 ** -53
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 7])
+    def test_proves_well_conditioned_blocks(self, k):
+        rng = np.random.default_rng(k)
+        blocks = []
+        for _ in range(50):
+            q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            blocks.append((q * rng.uniform(0.5, 2.0, k)) @ q.T)
+        x = np.stack(blocks, axis=-1)  # blocks on the leading axes
+        assert drip._definite(x, 2.0).all()
+
+    def test_refuses_an_indefinite_block(self):
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+        for w in ([1.0, 0.5, -1e-3], [-1e-3, 0.5, 1.0], [2.0, -0.5, 1.0]):
+            x = ((q * w) @ q.T)[:, :, None]
+            assert not drip._definite(x, 2.0).any()
+
+    # k = 2, scale = 1: c = 16 u = 2^-49, and the elimination of a diagonal
+    # block is exact
+    @pytest.mark.parametrize("lam, proved", [(8 * U, False), (16 * U, False),
+                                             (32 * U, True), (1.0, True)])
+    def test_proves_a_smallest_eigenvalue_only_above_the_shift(self, lam, proved):
+        x = np.diag([1.0, lam])[:, :, None]
+        assert drip._definite(x, 1.0)[0] == proved
+        x = np.diag([lam, 1.0])[:, :, None]
+        assert drip._definite(x, 1.0)[0] == proved
+
+    @staticmethod
+    def unit_pencil(a, frame):
+        _, phi, h, _ = drip._pencil(a, frame.matrix)
+        r = 1.0 / np.sqrt(np.diagonal(phi))
+        return r[:, None] * h * r, r[:, None] * phi * r
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_never_proves_a_support_with_duplicate_columns(self, seed):
+        # D = [B, B] / sqrt(2): D_T has a null vector whenever T holds j and
+        # j + n; no interval proves such a support, however wide
+        n = 4
+        b, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+        frame = make_union_frame(b, b)
+        a = gen_gaussian(9, n, seed=seed)
+        unit = self.unit_pencil(a, frame)
+        idx = np.array([t for t in combinations(range(2 * n), 3)
+                        if any(j + n in t for j in t)])
+        assert not drip._pencil_inside(idx, unit, -1e3, 1e3).any()
+        others = np.array([t for t in combinations(range(2 * n), 3)
+                           if not any(j + n in t for j in t)])
+        assert drip._pencil_inside(others, unit, -1e3, 1e3).all()
+
+    def test_each_side_bounds_its_own_extreme(self):
+        # identity frame: G = I and K = A^T A = diag(w), so support {i, j}
+        # has the spectrum {w_i, w_j}
+        w = np.array([0.5, 1.0, 1.5, 2.0])
+        unit = self.unit_pencil(np.diag(np.sqrt(w)), make_identity_frame(4))
+        idx = np.array([[0, 1], [1, 2], [2, 3]])
+        assert drip._pencil_inside(idx, unit, 0.4, 2.1).tolist() == [True, True, True]
+        assert drip._pencil_inside(idx, unit, 0.6, 2.1).tolist() == [False, True, True]
+        assert drip._pencil_inside(idx, unit, 0.4, 1.9).tolist() == [True, True, False]
+        # a support at an extreme, or within the margin of one, is refused
+        assert drip._pencil_inside(idx, unit, 0.5, 2.0).tolist() == [False, True, False]
+        near = (0.5 * (1 - 1e-10), 2.0 * (1 + 1e-10))
+        assert drip._pencil_inside(idx, unit, *near).tolist() == [False, True, False]
 
 
 class TestFoundBySearch:
