@@ -12,28 +12,29 @@ only |T| = s suffices since range(D_T') is contained in range(D_T) for T'
 inside T.
 
 Every public function here is a reduction over one kernel,
-`support_spectra`.  A pass computes Phi = D^T D and H = (A D)^T (A D) once;
-on each support T the spectrum is that of the pencil (H_T, Phi_T) of |T| x |T|
-blocks gathered from them, read off after whitening by eigh(Phi_T).  Supports
-whose Phi_T is ill-conditioned (every rank-deficient support among them) take
-an SVD of D_T instead; a TightFrame has no zero column, so no D_T has rank 0.
-A chunk of supports is one batched call per step.  A pass keeps only the
-global extremes of the per-support spectra (`SpectrumExtremes`); since scaling
-A by c maps every spectrum by c^2, one pass gives the constant at any scale.
+`support_spectra`.  On each support T it takes the SVD of D_T, keeps the
+left singular vectors U_T with sigma > DEFAULT_TOL * sigma_max (a basis of
+range(D_T); a TightFrame has no zero column, so no D_T has rank 0) and reads
+the spectrum off eigvalsh(U_T^T A^T A U_T).  A chunk of supports is one
+batched SVD and one batched eigvalsh per rank.  A pass keeps only the global
+extremes of the per-support spectra (`SpectrumExtremes`); since scaling A by
+c maps every spectrum by c^2, one pass gives the constant at any scale.
 
-A pass solves only the supports that could move those extremes.  In each
-chunk it first solves the few supports whose diagonal quotients H_tt / Phi_tt
-reach furthest out.  It skips any other support T (and, after the first
-chunk, any of those) once K_T - t G_T, congruent to H_T - t Phi_T in the
-pencil (K, G) = (R H R, R Phi R), R = diag(Phi)^-1/2, formed once per pass,
-is proved negative definite at t just below the highest eigenvalue so far
-and positive definite at t just above the lowest: a Cholesky without
-pivoting, in numpy arithmetic, of each block shifted by a multiple of the
-unit roundoff that covers forming and eliminating it (Rump 2006) ends with
-every pivot positive.  A skipped support lies inside the extremes by the
-relative margin INSIDE_RTOL, far above round-off, so it could neither move
-nor tie one: the pass returns, to the bit, the `SpectrumExtremes` of solving
-every support.
+A pass solves only the supports that could move those extremes.  Where D_T
+has full column rank, the spectrum is that of the pencil (H_T, Phi_T) of the
+|T| x |T| blocks of Phi = D^T D and H = (A D)^T (A D).  A pass forms once
+the unit-diagonal pencil (K, G) = (R H R, R Phi R), R = diag(Phi)^-1/2,
+whose blocks K_T - t G_T are congruent to H_T - t Phi_T.  In each chunk it
+first solves the few supports whose diagonal quotients K_tt reach furthest
+out.  It skips any other support T (and, after the first chunk, any of
+those) once K_T - t G_T is proved negative definite at t just below the
+highest eigenvalue so far and positive definite at t just above the lowest:
+a Cholesky without pivoting, in numpy arithmetic, of each block shifted by
+a multiple of the unit roundoff that covers forming and eliminating it
+(Rump 2006) ends with every pivot positive.  A skipped support lies inside
+the extremes by the relative margin INSIDE_RTOL, far above round-off, so it
+could neither move nor tie one: the pass returns, to the bit, the
+`SpectrumExtremes` of solving every support.
 """
 
 import math
@@ -53,19 +54,11 @@ from .rng import rng_from_seed
 ENUMERATION_LIMIT = 10**7
 
 # Bound on the floats of the kernel's largest temporaries (for a chunk of k
-# supports of size s: the gathered s x s blocks, and the stacked n x s D_T
-# and bases U_T of the SVD path), k * max(n, s) * s; the exclusion test holds
-# two s x s blocks per support.  Chunks amortize the per-call overhead while
+# supports of size s: the stacked n x s D_T and their bases U_T, and the
+# gathered s x s blocks), k * max(n, s) * s; the exclusion test holds two
+# s x s blocks per support.  Chunks amortize the per-call overhead while
 # peak memory stays flat in C(d, s) and in m.
 CHUNK_FLOATS = 2**15
-
-# Largest condition number of Phi_T = D_T^T D_T whitened by its eigh.  The
-# whitening W = V Lambda^(-1/2) is exact up to about cond(Phi_T) * 2^-52
-# relative, so the pencil eigenvalues move by about 1e2 * 2.2e-16 * lambda_max
-# at this bound, well inside the 1e-12 absolute agreement the kernel tests
-# ask of the SVD reference (0 of 20 hypothesis seeds failed them; at 1e3, 3).
-# Supports past it (every rank-deficient support is) take the SVD of D_T.
-GRAM_COND = 1e2
 
 # How far inside the extremes so far (relative to the larger) a skipped
 # support is proved to lie: far above the kernel's round-off (~1e-14).
@@ -111,29 +104,20 @@ def _checked(a, frame: TightFrame, s: int) -> np.ndarray:
     return a
 
 
-def _pencil(a: np.ndarray, mat: np.ndarray):
-    """What a pass computes once: D, Phi = D^T D, H = (A D)^T (A D), A^T A."""
-    ad = a @ mat
-    return mat, mat.T @ mat, ad.T @ ad, a.T @ a
-
-
-def _form_extremes(form: np.ndarray):
-    w = np.linalg.eigvalsh(form)
-    return w[:, 0], w[:, -1]
-
-
-def _svd_spectra(mat: np.ndarray, gram: np.ndarray, idx: np.ndarray):
-    """(lo, hi) on an orthonormal basis of range(D_T) from its SVD."""
+def _spectra(mat: np.ndarray, gram: np.ndarray, idx: np.ndarray):
+    """Kernel body: (lo, hi) of U_T^T gram U_T per row T of the support index
+    array `idx`, U_T the left singular vectors of D_T = mat[:, T] with
+    sigma > DEFAULT_TOL * sigma_max (the package-wide rank rule)."""
     lo = np.empty(len(idx))
     hi = np.empty(len(idx))
     u, sv, _ = np.linalg.svd(mat[:, idx].transpose(1, 0, 2), full_matrices=False)
-    # the package-wide rank rule: sigma > tol * sigma_max
     rank = np.count_nonzero(sv > DEFAULT_TOL * sv[:, :1], axis=1)
     for r in range(1, u.shape[2] + 1):
         sel = np.flatnonzero(rank == r)
         if sel.size:
             basis = u[sel, :, :r]
-            lo[sel], hi[sel] = _form_extremes(basis.transpose(0, 2, 1) @ gram @ basis)
+            w = np.linalg.eigvalsh(basis.transpose(0, 2, 1) @ gram @ basis)
+            lo[sel], hi[sel] = w[:, 0], w[:, -1]
     return lo, hi
 
 
@@ -173,36 +157,12 @@ def _pencil_inside(idx: np.ndarray, unit, lo: float, hi: float) -> np.ndarray:
     return _definite(x, scale).all(axis=-1)
 
 
-def _spectra(pencil, idx: np.ndarray, inside=None):
-    """Kernel body: (lo, hi) per row of the support index array `idx`.  With
-    `inside` = (unit, lo, hi), a support proved to have its spectrum inside
-    (lo, hi) is not solved: (inf, -inf)."""
-    mat, phi, h, gram = pencil
-    k = len(idx)
-    lo = np.full(k, np.inf)
-    hi = np.full(k, -np.inf)
-    todo = np.arange(k)
-    if inside is not None:
-        todo = np.flatnonzero(~_pencil_inside(idx, *inside))
-    rows, cols = idx[todo, :, None], idx[todo, None, :]
-    lam, w = np.linalg.eigh(phi[rows, cols])
-    good = lam[:, 0] * GRAM_COND > lam[:, -1]
-    w = w[good] / np.sqrt(lam[good])[:, None, :]
-    form = w.transpose(0, 2, 1) @ h[rows[good], cols[good]] @ w
-    lo[todo[good]], hi[todo[good]] = _form_extremes(form)
-    sel = todo[~good]
-    if sel.size:
-        lo[sel], hi[sel] = _svd_spectra(mat, gram, idx[sel])
-    return lo, hi
-
-
 def support_spectra(a, frame: TightFrame, supports) -> Tuple[np.ndarray, np.ndarray]:
     """Extreme eigenvalues (lo, hi) of the measurement quadratic form on
     range(D_T), for each support T (a row of `supports`).
 
-    These are the eigenvalues of the pencil (H_T, Phi_T) when cond(Phi_T) <=
-    GRAM_COND; otherwise the form is restricted to the left singular vectors
-    of D_T with sigma > DEFAULT_TOL * sigma_max.
+    The form is restricted to the left singular vectors of D_T with
+    sigma > DEFAULT_TOL * sigma_max.
     """
     a = as_matrix(a)
     _check_shapes(a, frame)
@@ -213,7 +173,7 @@ def support_spectra(a, frame: TightFrame, supports) -> Tuple[np.ndarray, np.ndar
         raise ContractViolation("supports must not be empty")
     if idx.size and not (0 <= idx.min() and idx.max() < frame.d):
         raise ContractViolation("support indices must lie in [0, %d)" % frame.d)
-    return _spectra(_pencil(a, frame.matrix), idx)
+    return _spectra(frame.matrix, a.T @ a, idx)
 
 
 @dataclass(frozen=True)
@@ -243,10 +203,12 @@ class SpectrumExtremes:
 
 def _scan(a: np.ndarray, frame: TightFrame, s: int, supports: Iterable,
           method: str) -> SpectrumExtremes:
-    pencil = _pencil(a, frame.matrix)
-    _, phi, h, _ = pencil
+    mat = frame.matrix
+    ad = a @ mat
+    phi = mat.T @ mat
     r = 1.0 / np.sqrt(np.diagonal(phi))
-    unit = (r[:, None] * h * r, r[:, None] * phi * r)
+    unit = (r[:, None] * (ad.T @ ad) * r, r[:, None] * phi * r)
+    gram = a.T @ a
     chunk_size = max(1, CHUNK_FLOATS // (max(frame.n, s) * s))
     lo, lo_at = np.inf, (0, ())
     hi, hi_at = -np.inf, (0, ())
@@ -266,12 +228,16 @@ def _scan(a: np.ndarray, frame: TightFrame, s: int, supports: Iterable,
         first = np.zeros(len(idx), dtype=bool)
         first[np.argsort(-q.max(axis=1), kind="stable")[:SEEDS]] = True
         first[np.argsort(q.min(axis=1), kind="stable")[:SEEDS]] = True
-        c_lo, c_hi = np.empty((2, len(idx)))
-        c_lo[first], c_hi[first] = _spectra(pencil, idx[first],
-                                            (unit, lo, hi) if start else None)
-        t_lo = min(lo, c_lo[first].min())
-        t_hi = max(hi, c_hi[first].max())
-        c_lo[~first], c_hi[~first] = _spectra(pencil, idx[~first], (unit, t_lo, t_hi))
+        c_lo = np.full(len(idx), np.inf)
+        c_hi = np.full(len(idx), -np.inf)
+        seeds = np.flatnonzero(first)
+        if start:
+            seeds = seeds[~_pencil_inside(idx[seeds], unit, lo, hi)]
+        c_lo[seeds], c_hi[seeds] = _spectra(mat, gram, idx[seeds])
+        rest = np.flatnonzero(~first)
+        rest = rest[~_pencil_inside(idx[rest], unit, min(lo, c_lo.min()),
+                                    max(hi, c_hi.max()))]
+        c_lo[rest], c_hi[rest] = _spectra(mat, gram, idx[rest])
         i = int(np.argmin(c_lo))
         if c_lo[i] < lo:
             lo, lo_at = float(c_lo[i]), (start + i, chunk[i])

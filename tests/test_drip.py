@@ -2,6 +2,7 @@ import json
 from itertools import combinations
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from framecs import drip
 from framecs.drip import (
-    GRAM_COND,
     SpectrumExtremes,
     exact_drip,
     random_lower_bound,
@@ -287,20 +287,19 @@ class TestSupportSpectra:
         check_kernel(gen_gaussian(160, 10, seed=4), frame, 4)
 
     @pytest.mark.parametrize("t", [2, 3, 4])
-    def test_whitened_and_svd_supports_in_one_chunk(self, t):
-        # I and a rotation of I: {i, 4 + i} is a pair of columns at angle
-        # 0.5 or 0.02, with cond(Phi_T) about 16 and 1e4
-        rot = np.eye(4)
-        for (i, j), angle in (((0, 1), 0.5), ((2, 3), 0.02)):
+    def test_gram_conditions_from_1_to_1e12(self, t):
+        # I and a rotation of I: {i, 6 + i} is a pair of columns at angle
+        # 0.5, 0.02 or 1e-6 (still full rank under the rank rule), with
+        # cond(Phi_T) about 16, 1e4 and 1e12; {0, 2} is orthonormal
+        rot = np.eye(6)
+        for (i, j), angle in (((0, 1), 0.5), ((2, 3), 0.02), ((4, 5), 1e-6)):
             c, s = np.cos(angle), np.sin(angle)
             rot[[i, i, j, j], [i, j, i, j]] = c, -s, s, c
-        frame = make_union_frame(np.eye(4), rot)
-        supports = list(combinations(range(8), t))
-        conds = [np.linalg.cond(frame.matrix[:, list(sup)].T @ frame.matrix[:, list(sup)])
-                 for sup in supports]
-        assert min(conds) < GRAM_COND < max(conds)
-        assert any(1.5 < c < GRAM_COND for c in conds)
-        check_kernel(gen_gaussian(9, 4, seed=t), frame, t)
+        frame = make_union_frame(np.eye(6), rot)
+        conds = [np.linalg.cond(frame.matrix[:, [i, 6 + i]].T @ frame.matrix[:, [i, 6 + i]])
+                 for i in (0, 2, 4)]
+        assert 10 < conds[0] < 1e2 < conds[1] < 1e5 < 1e11 < conds[2] < 1e13
+        check_kernel(gen_gaussian(13, 6, seed=t), frame, t)
 
     def test_rejects_out_of_range_supports(self):
         frame = make_random_tight_frame(3, 5, seed=1)
@@ -311,6 +310,39 @@ class TestSupportSpectra:
         frame = make_random_tight_frame(3, 5, seed=1)
         with pytest.raises(ContractViolation, match="must not be empty"):
             support_spectra(np.eye(3), frame, np.empty((2, 0), dtype=int))
+
+
+def mp_delta(a, mat, s):
+    """The constant of order s from the pencil (H_T, Phi_T) of every support,
+    each full rank, in 40-digit arithmetic from the float inputs."""
+    with mp.workdps(40):
+        dm = mp.matrix(mat.tolist())
+        ad = mp.matrix(a.tolist()) * dm
+        phi, h = dm.T * dm, ad.T * ad
+        lo, hi = mp.inf, -mp.inf
+        for t in combinations(range(mat.shape[1]), s):
+            inv = mp.inverse(mp.cholesky(mp.matrix([[phi[i, j] for j in t] for i in t])))
+            w = mp.eigsy(inv * mp.matrix([[h[i, j] for j in t] for i in t]) * inv.T,
+                         eigvals_only=True)
+            lo, hi = min(lo, min(w)), max(hi, max(w))
+        return max(hi - 1, 1 - lo)
+
+
+class TestAccuracy:
+    """The exact constant against a 40-digit evaluation that shares nothing
+    with the kernel's algorithm (no SVD of D_T, no rank rule)."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_within_32_ulps_of_the_pencil(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        d, s, m = (int(rng.integers(n, 9)), int(rng.integers(1, 3)),
+                   int(rng.integers(n, 3 * n + 1)))
+        frame = make_random_tight_frame(n, d, seed=seed)
+        a = gen_gaussian(m, n, seed=seed + 1000)
+        delta = exact_drip(a, frame, s).delta
+        # at most 7.8 ulps on these 12
+        assert abs(mp.mpf(delta) - mp_delta(a, frame.matrix, s)) <= 32 * np.spacing(delta)
 
 
 class TestOnePass:
@@ -444,10 +476,10 @@ class TestSkippedSupports:
     def test_most_supports_skip_their_eigensolves(self, monkeypatch):
         # the largest p1_auto benchmark instance: (n, d, m) = (16, 24, 320),
         # order 4, 10 626 supports; a pass that solves every support takes
-        # 10 626 eigh and 10 626 eigvalsh matrices
+        # 10 626 svd and 10 626 eigvalsh matrices
         frame = build_frame("random", 16, 24, derive_seed(109, 9))
         a = gen_matrix("gaussian", 320, 16, derive_seed(209, 9))
-        counts = {"eigh": 0, "eigvalsh": 0}
+        counts = {"svd": 0, "eigvalsh": 0}
         for name in counts:
             real = getattr(np.linalg, name)
 
@@ -461,8 +493,8 @@ class TestSkippedSupports:
         assert ext.supports_examined == 10626
         assert ext == reference_extremes(a, frame, combinations(range(24), 4), "exact")
         # 29 of them here
-        assert counts["eigh"] <= 0.01 * 10626
-        assert counts["eigvalsh"] <= counts["eigh"]
+        assert counts["svd"] <= 0.01 * 10626
+        assert counts["eigvalsh"] <= counts["svd"]
 
 
 class TestProof:
@@ -499,7 +531,8 @@ class TestProof:
 
     @staticmethod
     def unit_pencil(a, frame):
-        _, phi, h, _ = drip._pencil(a, frame.matrix)
+        ad = a @ frame.matrix
+        phi, h = frame.matrix.T @ frame.matrix, ad.T @ ad
         r = 1.0 / np.sqrt(np.diagonal(phi))
         return r[:, None] * h * r, r[:, None] * phi * r
 

@@ -14,6 +14,9 @@ The inputs are stored rather than rebuilt, so a solver change cannot move
 them.  Regenerate (only on purpose, and record why in CHANGES.md) with
 
     PYTHONPATH=src python tests/test_lemmas_golden.py
+
+which re-audits the stored inputs and builds (solves) only the cases
+missing from the file.
 """
 
 import json
@@ -68,8 +71,14 @@ def test_golden_covers_the_chain():
     assert "block_mass_contraction_lq" in by_name["lq"]
 
 
-def _build():
-    """The three instances at the auto_min scale, solved and audited."""
+# name, n, d, m, s, q, eps, seed
+SPECS = (("short", 4, 6, 48, 3, 1.0, 0.05, 3),
+         ("long", 6, 9, 64, 2, 1.0, 0.05, 4),
+         ("lq", 6, 9, 64, 2, 0.5, 0.0, 5))
+
+
+def _build(name, n, d, m, s, q, eps, seed):
+    """One instance at the auto_min scale, solved (not yet audited)."""
     import numpy as np
 
     from framecs.drip import support_spectrum_range
@@ -77,31 +86,27 @@ def _build():
     from framecs.sensing import gen_gaussian, measure
     from framecs.solvers import solve_p1, solve_pq
 
-    cases = []
-    for name, n, d, m, s, q, eps, seed in (("short", 4, 6, 48, 3, 1.0, 0.05, 3),
-                                           ("long", 6, 9, 64, 2, 1.0, 0.05, 4),
-                                           ("lq", 6, 9, 64, 2, 0.5, 0.0, 5)):
-        frame = make_random_tight_frame(n, d, seed=seed)
-        a = gen_gaussian(m, n, seed=seed + 100)
-        lo, hi = support_spectrum_range(a, frame, 2 * s)
-        a = a * math.sqrt(2.0 / (hi + lo))
-        rng = np.random.default_rng(seed + 200)
-        x = np.zeros(d)
-        x[rng.choice(d, s, replace=False)] = rng.standard_normal(s)
-        f = frame.matrix @ x
-        model = measure(a, f, "bounded" if eps else "none", eps, seed=seed + 300)
-        res = solve_p1(frame, model) if q == 1.0 else solve_pq(frame, model, q)
-        case = {"name": name, "s": s, "q": q, "eps": eps,
-                "frame": frame.matrix.tolist(), "matrix": a.tolist(),
-                "f": f.tolist(), "f_hat": res.f_hat.tolist(), "y": model.y.tolist()}
-        cases.append(case)
-    return cases
+    frame = make_random_tight_frame(n, d, seed=seed)
+    a = gen_gaussian(m, n, seed=seed + 100)
+    lo, hi = support_spectrum_range(a, frame, 2 * s)
+    a = a * math.sqrt(2.0 / (hi + lo))
+    rng = np.random.default_rng(seed + 200)
+    x = np.zeros(d)
+    x[rng.choice(d, s, replace=False)] = rng.standard_normal(s)
+    f = frame.matrix @ x
+    model = measure(a, f, "bounded" if eps else "none", eps, seed=seed + 300)
+    res = solve_p1(frame, model) if q == 1.0 else solve_pq(frame, model, q)
+    return {"name": name, "s": s, "q": q, "eps": eps,
+            "frame": frame.matrix.tolist(), "matrix": a.tolist(),
+            "f": f.tolist(), "f_hat": res.f_hat.tolist(), "y": model.y.tolist()}
 
 
 if __name__ == "__main__":
+    # re-audit the stored inputs; solve only the cases missing from the file
     import tempfile
 
-    cases = _build()
+    stored = {c["name"]: c for c in _cases()} if GOLDEN.exists() else {}
+    cases = [stored.get(spec[0]) or _build(*spec) for spec in SPECS]
     for case in cases:
         with tempfile.TemporaryDirectory() as tmp:
             case["output"] = _audit(case, Path(tmp)).decode("utf-8")

@@ -7,7 +7,9 @@ src/, tests/ and pyproject.toml to a temporary directory, replace the fault's
 text there, and run the suite with -x and a fixed hypothesis seed, so that
 verdicts repeat from run to run.  A fault is killed when the suite fails
 (the first failing test is printed) and survived when it passes.  No file
-of the checkout is edited.
+of the checkout is edited.  A fault whose text does not occur exactly once
+in its file is stale (an edit disarmed it): the census names every stale
+fault and exits 1 before running any suite.
 """
 
 import shutil
@@ -18,7 +20,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DRIP, GUAR, SOLV = "src/framecs/drip.py", "src/framecs/guarantees.py", "src/framecs/solvers.py"
-EXPT = "src/framecs/experiment.py"
+EXPT, SER = "src/framecs/experiment.py", "src/framecs/serialize.py"
 
 # (name, file, text, replacement); text occurs exactly once in the file
 FAULTS = [
@@ -32,12 +34,19 @@ FAULTS = [
     ("pivot test loosened to >= 0", DRIP, "ok &= x[j, j] > 0", "ok &= x[j, j] >= 0"),
     ("only the t_hi side tested", DRIP,
      "_definite(x, scale).all(axis=-1)", "_definite(x, scale)[:, 0]"),
+    ("rank rule counts every singular value", DRIP,
+     "np.count_nonzero(sv > DEFAULT_TOL * sv[:, :1], axis=1)",
+     "np.count_nonzero(sv >= 0, axis=1)"),
+    ("form on all of U, not its rank-r part", DRIP, "basis = u[sel, :, :r]", "basis = u[sel]"),
     ("witness position not offset by the chunk start", DRIP,
      "lo_at = float(c_lo[i]), (start + i,", "lo_at = float(c_lo[i]), (i,"),
     ("seeds ordered lowest quotient first for the top extreme", DRIP,
      "np.argsort(-q.max(axis=1)", "np.argsort(q.max(axis=1)"),
     ("scale resolved from (hi, lo)", EXPT,
      "spectrum.lo, spectrum.hi)", "spectrum.hi, spectrum.lo)"),
+    ("target_delta scale set from the lower side", EXPT,
+     "return math.sqrt((1.0 + t) / hi), None", "return math.sqrt((1.0 - t) / lo), None"),
+    ("reals written at 16 significant digits", SER, 'format(x, ".17g")', 'format(x, ".16g")'),
     ("q_zero returns the bracket midpoint", GUAR, "            hi = mid\n    return lo",
      "            hi = mid\n    return 0.5 * (lo + hi)"),
     ("q_zero returns the bracket upper end", GUAR, "            hi = mid\n    return lo",
@@ -54,6 +63,10 @@ FAULTS = [
 ]
 
 
+def stale(path, text):
+    return (ROOT / path).read_text().count(text) != 1
+
+
 def run(path, text, replacement):
     with tempfile.TemporaryDirectory() as tmp:
         for part in ("src", "tests"):
@@ -61,8 +74,6 @@ def run(path, text, replacement):
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tmp)
         source = (Path(tmp) / path).read_text()
-        if source.count(text) != 1:
-            return "stale (text not found exactly once)"
         (Path(tmp) / path).write_text(source.replace(text, replacement))
         suite = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
@@ -77,6 +88,11 @@ def run(path, text, replacement):
 
 if __name__ == "__main__":
     chosen = [f for f in FAULTS if len(sys.argv) < 2 or sys.argv[1] in f[0]]
+    gone = [f for f in chosen if stale(f[1], f[2])]
+    for fault in gone:
+        print("%-50s stale: its text does not occur exactly once in %s" % (fault[0], fault[1]))
+    if gone:
+        sys.exit(1)
     killed = 0
     for fault in chosen:
         verdict = run(*fault[1:])
