@@ -15,10 +15,12 @@ Every public function here is a reduction over one kernel,
 `support_spectra`.  On each support T it takes the SVD of D_T, keeps the
 left singular vectors U_T with sigma > DEFAULT_TOL * sigma_max (a basis of
 range(D_T); a TightFrame has no zero column, so no D_T has rank 0) and reads
-the spectrum off eigvalsh(U_T^T A^T A U_T).  A chunk of supports is one
-batched SVD and one batched eigvalsh per rank.  A pass keeps only the global
-extremes of the per-support spectra (`SpectrumExtremes`); since scaling A by
-c maps every spectrum by c^2, one pass gives the constant at any scale.
+the spectrum off eigvalsh(U_T^T A^T A U_T).  A chunk of supports, an index
+array from `support_chunks` (the one enumerator, which the l0 oracle also
+reads), is one batched SVD and one batched eigvalsh per rank.  A pass keeps
+only the global extremes of the per-support spectra (`SpectrumExtremes`);
+since scaling A by c maps every spectrum by c^2, one pass gives the
+constant at any scale.
 
 A pass solves only the supports that could move those extremes.  Where D_T
 has full column rank, the spectrum is that of the pencil (H_T, Phi_T) of the
@@ -39,8 +41,8 @@ could neither move nor tie one: the pass returns, to the bit, the
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
-from typing import Iterable, Tuple
+from itertools import chain, combinations
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -94,6 +96,22 @@ def _check_shapes(a: np.ndarray, frame: TightFrame):
             "measurement matrix has %d columns but the frame is %d-dimensional"
             % (a.shape[1], frame.n)
         )
+
+
+def support_chunks(d: int, k: int, rows: int) -> Iterator[np.ndarray]:
+    """The C(d, k) supports of size k in [0, d), in lexicographic order, as
+    intp arrays of `rows` rows each (the last may be shorter), as successive
+    islice(combinations(range(d), k), rows) would cut them.  k = 0 gives the
+    one empty support."""
+    total = math.comb(d, k)
+    flat = chain.from_iterable(combinations(range(d), k))
+    for start in range(0, total, rows):
+        count = min(rows, total - start)
+        yield np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
+
+
+def _chunk_rows(frame: TightFrame, s: int) -> int:
+    return max(1, CHUNK_FLOATS // (max(frame.n, s) * s))
 
 
 def _checked(a, frame: TightFrame, s: int) -> np.ndarray:
@@ -201,7 +219,7 @@ class SpectrumExtremes:
                          witness_support=witness, supports_examined=self.supports_examined)
 
 
-def _scan(a: np.ndarray, frame: TightFrame, s: int, supports: Iterable,
+def _scan(a: np.ndarray, frame: TightFrame, chunks: Iterable[np.ndarray],
           method: str) -> SpectrumExtremes:
     mat = frame.matrix
     ad = a @ mat
@@ -209,16 +227,10 @@ def _scan(a: np.ndarray, frame: TightFrame, s: int, supports: Iterable,
     r = 1.0 / np.sqrt(np.diagonal(phi))
     unit = (r[:, None] * (ad.T @ ad) * r, r[:, None] * phi * r)
     gram = a.T @ a
-    chunk_size = max(1, CHUNK_FLOATS // (max(frame.n, s) * s))
     lo, lo_at = np.inf, (0, ())
     hi, hi_at = -np.inf, (0, ())
-    stream = iter(supports)
     start = 0
-    while True:
-        chunk = list(islice(stream, chunk_size))
-        if not chunk:
-            break
-        idx = np.array(chunk, dtype=np.intp)
+    for idx in chunks:
         # solve first the supports whose diagonal quotients K_tt = H_tt / Phi_tt
         # (each a Rayleigh quotient of the pencil) reach furthest out, then
         # the rest, skipping those proved inside the extremes so far (after
@@ -240,11 +252,11 @@ def _scan(a: np.ndarray, frame: TightFrame, s: int, supports: Iterable,
         c_lo[rest], c_hi[rest] = _spectra(mat, gram, idx[rest])
         i = int(np.argmin(c_lo))
         if c_lo[i] < lo:
-            lo, lo_at = float(c_lo[i]), (start + i, chunk[i])
+            lo, lo_at = float(c_lo[i]), (start + i, tuple(idx[i].tolist()))
         i = int(np.argmax(c_hi))
         if c_hi[i] > hi:
-            hi, hi_at = float(c_hi[i]), (start + i, chunk[i])
-        start += len(chunk)
+            hi, hi_at = float(c_hi[i]), (start + i, tuple(idx[i].tolist()))
+        start += len(idx)
     return SpectrumExtremes(lo=lo, lo_at=lo_at, hi=hi, hi_at=hi_at,
                             supports_examined=start, method=method)
 
@@ -254,7 +266,7 @@ def spectrum_extremes(a, frame: TightFrame, s: int) -> SpectrumExtremes:
     a = _checked(a, frame, s)
     d = frame.d
     check_budget(math.comb(d, s), "C(%d, %d)" % (d, s), "; use random_lower_bound instead")
-    return _scan(a, frame, s, combinations(range(d), s), METHOD_EXACT)
+    return _scan(a, frame, support_chunks(d, s, _chunk_rows(frame, s)), METHOD_EXACT)
 
 
 def exact_drip(a, frame: TightFrame, s: int) -> RipReport:
@@ -278,9 +290,9 @@ def random_spectrum_extremes(a, frame: TightFrame, s: int, trials: int,
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
     rng = rng_from_seed(seed)
-    draws = (tuple(sorted(rng.choice(frame.d, size=s, replace=False).tolist()))
-             for _ in range(trials))
-    return _scan(a, frame, s, draws, METHOD_LOWER)
+    draws = np.sort([rng.choice(frame.d, size=s, replace=False) for _ in range(trials)], axis=1)
+    rows = _chunk_rows(frame, s)
+    return _scan(a, frame, np.array_split(draws, range(rows, trials, rows)), METHOD_LOWER)
 
 
 def random_lower_bound(a, frame: TightFrame, s: int, trials: int, seed: int) -> RipReport:

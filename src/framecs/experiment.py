@@ -109,6 +109,8 @@ class ExperimentConfig:
             raise ContractViolation("noise_mode 'none' needs eps 0, got eps %r" % (self.eps,))
         if self.drip_mode not in ("exact", "lower"):
             raise ContractViolation("drip_mode must be 'exact' or 'lower'")
+        if self.drip_trials < 1:
+            raise ContractViolation("drip_trials must be >= 1, got %r" % (self.drip_trials,))
         if not _valid_scale(self.matrix.scale):
             raise ContractViolation(
                 "matrix.scale must be a positive number, \"auto_min\" or "

@@ -1,7 +1,6 @@
-"""Dense linear-algebra kernels used by every other module.
+"""Input checks and the package-wide rank tolerance.
 
-Thin, contract-checked wrappers around LAPACK (via numpy.linalg).  All
-functions are pure.  Matrices are plain float64 ndarrays with finite entries.
+Matrices are plain float64 ndarrays with finite entries.
 """
 
 import numpy as np
@@ -30,19 +29,3 @@ def as_vector(a) -> np.ndarray:
         raise ContractViolation("vector entries must be finite")
     return v
 
-
-def least_squares_min_norm(m, b, tol: float = DEFAULT_TOL):
-    """Minimum-norm least-squares solution of m @ x = b.
-
-    Returns (x, residual_norm) where x has minimal Euclidean norm among all
-    minimizers of ||m @ x - b||_2.
-    """
-    m = as_matrix(m)
-    b = as_vector(b)
-    if b.shape[0] != m.shape[0]:
-        raise ContractViolation(
-            "rhs length %d does not match %d rows" % (b.shape[0], m.shape[0])
-        )
-    x, _, _, _ = np.linalg.lstsq(m, b, rcond=tol)
-    residual = float(np.linalg.norm(m @ x - b))
-    return x, residual

@@ -8,7 +8,8 @@
                    geometric continuation on the smoothing level; returns a
                    stationary point, not a certified global minimizer.
   P0 (oracle):     min ||D* f||_0      s.t. A f = y
-                   exhaustive support search, noiseless only.
+                   exhaustive support search, noiseless only, one batched
+                   SVD per chunk of supports from `drip.support_chunks`.
 
 Both iterative solvers start from one thin SVD of A (`_span_coordinates`),
 share its three early exits and are fully deterministic.
@@ -16,15 +17,14 @@ share its three early exits and are fully deterministic.
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Dict, Optional
 
 import numpy as np
 
-from .drip import check_budget
+from .drip import CHUNK_FLOATS, check_budget, support_chunks
 from .errors import ContractViolation
 from .frames import TightFrame
-from .linalg import DEFAULT_TOL, least_squares_min_norm
+from .linalg import DEFAULT_TOL
 from .sensing import SensingModel
 
 PROGRAM_P1 = "P1"
@@ -348,8 +348,12 @@ def solve_p0_oracle(frame: TightFrame, model: SensingModel, s_max: int,
 
     Supports are enumerated in increasing size, lexicographically within a
     size; the first support whose stacked system {D*_{T^c} f = 0, A f = y}
-    is solvable within `tol` wins.  The reported objective counts the
-    entries of D* f_hat above `tol` in magnitude.
+    is solvable within `tol` wins, and `iterations` is its position.  Each
+    chunk of `support_chunks` is one batched SVD (pinv) of [D*; A] with the
+    rows of T zeroed (rank rule sigma > DEFAULT_TOL * sigma_max, as lstsq's
+    rcond).  With no winner up to s_max, f_hat is the minimum-norm solution
+    of A f = y, unconverged.  The objective counts the entries of D* f_hat
+    above `tol` in magnitude.
     """
     if model.epsilon > 0:
         raise ContractViolation("the l0 oracle is noiseless; got epsilon > 0")
@@ -362,30 +366,27 @@ def solve_p0_oracle(frame: TightFrame, model: SensingModel, s_max: int,
     check_budget(sum(math.comb(d, k) for k in range(s_max + 1)),
                  "sum of C(%d, k) over k <= %d" % (d, s_max))
     dmat = frame.matrix
+
+    def result(f, iterations, converged, **diagnostics):
+        return RecoveryResult(
+            f_hat=f, iterations=iterations, converged=converged,
+            residual=float(np.linalg.norm(a @ f - y)), program=PROGRAM_P0,
+            objective=float(np.count_nonzero(np.abs(dmat.T @ f) > tol)),
+            diagnostics=diagnostics)
+
+    stacked = np.vstack([dmat.T, a])
+    rhs = np.concatenate([np.zeros(d), y])
     tested = 0
     for size in range(s_max + 1):
-        for support in combinations(range(d), size):
-            tested += 1
-            comp = [i for i in range(d) if i not in support]
-            stacked = np.vstack([dmat[:, comp].T, a]) if comp else a
-            rhs = np.concatenate([np.zeros(len(comp)), y]) if comp else y
-            f, residual = least_squares_min_norm(stacked, rhs)
-            if residual <= tol:
-                coeffs = dmat.T @ f
-                return RecoveryResult(
-                    f_hat=f, iterations=tested, converged=True,
-                    residual=float(np.linalg.norm(a @ f - y)),
-                    objective=float(np.count_nonzero(np.abs(coeffs) > tol)),
-                    program=PROGRAM_P0,
-                    diagnostics={"support": list(support),
-                                 "stacked_residual": residual},
-                )
-    f, _ = least_squares_min_norm(a, y)
-    coeffs = dmat.T @ f
-    return RecoveryResult(
-        f_hat=f, iterations=tested, converged=False,
-        residual=float(np.linalg.norm(a @ f - y)),
-        objective=float(np.count_nonzero(np.abs(coeffs) > tol)),
-        program=PROGRAM_P0,
-        diagnostics={"note": "no feasible support up to s_max=%d" % s_max},
-    )
+        for idx in support_chunks(d, size, max(1, CHUNK_FLOATS // stacked.size)):
+            batch = np.repeat(stacked[None], len(idx), axis=0)
+            batch[np.arange(len(idx))[:, None], idx] = 0.0
+            f = np.linalg.pinv(batch, rtol=DEFAULT_TOL) @ rhs
+            residual = np.linalg.norm((batch @ f[:, :, None])[:, :, 0] - rhs, axis=1)
+            i = int(np.argmax(residual <= tol))  # the first hit, if any
+            if residual[i] <= tol:
+                return result(f[i], tested + i + 1, True, support=idx[i].tolist(),
+                              stacked_residual=float(residual[i]))
+            tested += len(idx)
+    return result(_span_coordinates(model, tol)[2], tested, False,
+                  note="no feasible support up to s_max=%d" % s_max)

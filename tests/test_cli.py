@@ -294,6 +294,8 @@ class TestExitCodes:
         '{"n": 8, "d": 12, "m": 64, "s": 2',
         '{"n": 8, "d": 12, "m": 64, "s": "2"}',
         '{"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"continuation_factor": 0.5}}',
+        '{"n": 8, "d": 12, "m": 64, "s": 2, "drip_trials": -3}',
+        '{"n": 8, "d": 12, "m": 64, "s": 2, "drip_mode": "lower", "drip_trials": 0}',
     ] + ['{"n": 8, "d": 12, "m": 64, "s": 2, "matrix": {"scale": %s}}' % scale
          for scale in MALFORMED_SCALES])
     def test_malformed_config_is_one(self, capsys, tmp_path, text):

@@ -1,5 +1,6 @@
 import json
-from itertools import combinations
+import math
+from itertools import combinations, islice
 from unittest import mock
 
 import mpmath as mp
@@ -15,6 +16,7 @@ from framecs.drip import (
     random_lower_bound,
     random_spectrum_extremes,
     spectrum_extremes,
+    support_chunks,
     support_spectra,
     support_spectrum_range,
 )
@@ -328,6 +330,52 @@ def mp_delta(a, mat, s):
         return max(hi - 1, 1 - lo)
 
 
+def mp_range_spectrum(a, mat, support):
+    """(lo, hi) of A^T A on range(D_T) in 40-digit arithmetic from the float
+    inputs: an orthonormal basis of range(D_T) by Gram-Schmidt (each column
+    orthogonalized twice, and dropped when less than 1e-30 of its norm
+    remains), then eigsy of the projected form.  No SVD, no rank rule
+    sigma > DEFAULT_TOL sigma_max."""
+    with mp.workdps(40):
+        am = mp.matrix(a.tolist())
+        basis = []
+        for j in support:
+            col = mp.matrix(mat[:, j].tolist())
+            size = mp.norm(col)
+            for _ in range(2):
+                for q in basis:
+                    col -= (q.T * col)[0, 0] * q
+            if mp.norm(col) > mp.mpf(10) ** -30 * size:
+                basis.append(col / mp.norm(col))
+        q = mp.matrix(mat.shape[0], len(basis))
+        for k, col in enumerate(basis):
+            q[:, k] = col
+        aq = am * q
+        w = mp.eigsy(aq.T * aq, eigvals_only=True)
+        return min(w), max(w)
+
+
+class TestRankDeficientAgainstMpmath:
+    """`support_spectra` on the supports of a union frame [B, B] / sqrt(2)
+    that hold both copies of a column, where D_T is rank-deficient, against
+    `mp_range_spectrum`, which shares nothing with the kernel's algorithm."""
+
+    @pytest.mark.parametrize("basis", ["identity", "rotated"])
+    @pytest.mark.parametrize("n, t", [(2, 2), (3, 2), (3, 3), (3, 4), (4, 3), (4, 5)])
+    def test_matches_the_40_digit_range_basis(self, n, t, basis):
+        rng = np.random.default_rng(10 * n + t)
+        b = np.eye(n) if basis == "identity" else \
+            np.linalg.qr(rng.standard_normal((n, n)))[0]
+        frame = make_union_frame(b, b)
+        a = gen_gaussian(2 * n + 1, n, seed=10 * n + t)
+        supports = [sup for sup in combinations(range(2 * n), t)
+                    if any(j + n in sup for j in sup)]
+        lo, hi = support_spectra(a, frame, supports)
+        for sup, l, h in zip(supports, lo, hi):
+            want = mp_range_spectrum(a, frame.matrix, sup)
+            assert abs(l - want[0]) <= 1e-12 and abs(h - want[1]) <= 1e-12, sup
+
+
 class TestAccuracy:
     """The exact constant against a 40-digit evaluation that shares nothing
     with the kernel's algorithm (no SVD of D_T, no rank rule)."""
@@ -593,6 +641,21 @@ class TestFoundBySearch:
                 got = spectrum_extremes(a, frame, 2)
                 want = reference_extremes(a, frame, combinations(range(frame.d), 2), "exact")
         assert got == want
+
+
+class TestSupportChunks:
+    @pytest.mark.parametrize("d, k, rows", [
+        (7, 3, 4), (7, 3, 5), (7, 3, 35), (7, 3, 1), (7, 3, 1000),
+        (6, 0, 3), (6, 6, 2), (5, 5, 1), (1, 1, 1), (10, 1, 3), (9, 4, 126)])
+    def test_chunks_of_the_combinations(self, d, k, rows):
+        chunks = list(support_chunks(d, k, rows))
+        stream = combinations(range(d), k)
+        want = [list(islice(stream, rows)) for _ in range(len(chunks) + 1)]
+        assert want[-1] == []  # nothing is left after the last chunk
+        assert [c.shape for c in chunks] == [(len(w), k) for w in want[:-1]]
+        assert [c.tolist() for c in chunks] == [[list(t) for t in w] for w in want[:-1]]
+        assert all(c.dtype == np.intp for c in chunks)
+        assert sum(map(len, chunks)) == math.comb(d, k)
 
 
 class TestRandomLowerBoundDraws:

@@ -87,7 +87,12 @@ class TestConfig:
          "unknown key 'smoothing_floor' in solver"),
     ] + [({"n": 8, "d": 12, "m": 64, "s": 2, "matrix": {"scale": scale}}, "matrix.scale")
          for scale in ("bogus", -1, 0, True, float("nan"), {"target_delta": 2},
-                       {"targt_delta": 0.5}, {"target_delta": 0.5, "typo": 1})])
+                       {"targt_delta": 0.5}, {"target_delta": 0.5, "typo": 1})] + [
+        ({"n": 8, "d": 12, "m": 64, "s": 2, "drip_trials": -3},
+         "drip_trials must be >= 1, got -3"),
+        ({"n": 8, "d": 12, "m": 64, "s": 2, "drip_mode": "lower", "drip_trials": 0},
+         "drip_trials must be >= 1, got 0"),
+    ])
     def test_from_dict_names_the_bad_entry(self, raw, named):
         with pytest.raises(ContractViolation, match=named):
             ExperimentConfig.from_dict(raw)

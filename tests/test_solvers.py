@@ -1,14 +1,16 @@
 import dataclasses
 import math
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from framecs import solvers
 from framecs.drip import exact_drip, support_spectrum_range
 from framecs.errors import ContractViolation
 from framecs.frames import make_dct_frame, make_identity_frame, make_random_tight_frame
 from framecs.guarantees import error_bound, constants_general, threshold_general
-from framecs.linalg import least_squares_min_norm
 from framecs.sensing import SensingModel, gen_gaussian, measure
 from framecs.solvers import (
     CONTINUATION_FACTOR,
@@ -80,7 +82,8 @@ class TestSolveP1:
         y = np.random.default_rng(0).standard_normal(20)
         model = SensingModel(A=a, y=y, epsilon=eps)
         res = solve_p1(make_identity_frame(6), model)
-        f0, res0 = least_squares_min_norm(a, y)
+        f0 = np.linalg.lstsq(a, y, rcond=1e-10)[0]
+        res0 = np.linalg.norm(a @ f0 - y)
         assert res.iterations == 0 and not res.converged
         assert res.diagnostics["note"] == "no_feasible_point"
         assert res.diagnostics["min_residual"] == res.residual
@@ -321,17 +324,17 @@ def _penalized_oracle(dmat, a, y, weights, lam):
     squares [sqrt(W) D*; sqrt(lam) A] f = [0; sqrt(lam) y]."""
     top = np.sqrt(weights)[:, None] * dmat.T
     rhs = np.concatenate([np.zeros(dmat.shape[1]), math.sqrt(lam) * y])
-    return least_squares_min_norm(np.vstack([top, math.sqrt(lam) * a]), rhs)[0]
+    return np.linalg.lstsq(np.vstack([top, math.sqrt(lam) * a]), rhs, rcond=1e-10)[0]
 
 
 def _null_space_oracle(dmat, a, y, weights):
     """min ||sqrt(W) D* f|| over f0 + null(A), f0 the minimum-norm solution."""
-    f0, _ = least_squares_min_norm(a, y)
+    f0 = np.linalg.lstsq(a, y, rcond=1e-10)[0]
     _, svals, vt = np.linalg.svd(a, full_matrices=True)
     null_basis = vt[int(np.count_nonzero(svals > 1e-12 * svals[0])):].T
     root_w = np.sqrt(weights)
     lhs = (root_w[:, None] * dmat.T) @ null_basis
-    c, _ = least_squares_min_norm(lhs, -(root_w * (dmat.T @ f0)))
+    c = np.linalg.lstsq(lhs, -(root_w * (dmat.T @ f0)), rcond=1e-10)[0]
     return f0 + null_basis @ c
 
 
@@ -443,6 +446,108 @@ class TestSolveP0:
         model = SensingModel(A=np.eye(2), y=np.ones(2), epsilon=0.1)
         with pytest.raises(ContractViolation):
             solve_p0_oracle(make_identity_frame(2), model, 1)
+
+
+def reference_p0_oracle(frame, model, s_max, tol=1e-9):
+    """The l0 oracle one support at a time, each stacked system
+    {D*_{T^c} f = 0, A f = y} solved by np.linalg.lstsq: (support,
+    iterations, f_hat), support None when no support up to s_max solves."""
+    a, y, dmat = model.A, model.y, frame.matrix
+    tested = 0
+    for size in range(s_max + 1):
+        for support in combinations(range(frame.d), size):
+            tested += 1
+            comp = [i for i in range(frame.d) if i not in support]
+            stacked = np.vstack([dmat[:, comp].T, a])
+            rhs = np.concatenate([np.zeros(len(comp)), y])
+            f = np.linalg.lstsq(stacked, rhs, rcond=1e-10)[0]
+            if np.linalg.norm(stacked @ f - rhs) <= tol:
+                return list(support), tested, f
+    return None, tested, np.linalg.lstsq(a, y, rcond=1e-10)[0]
+
+
+def p0_instance(kind, n, d, m, support, seed):
+    """Noiseless model whose signal f has analysis support `support`: f lies
+    in the null space of D*_{T^c}, T^c the complement of the support (for a
+    redundant frame |T^c| < n is needed).  support None gives a generic f."""
+    if kind == "random":
+        frame = make_random_tight_frame(n, d, seed=seed)
+    else:
+        frame = {"identity": make_identity_frame, "dct": make_dct_frame}[kind](n)
+    rng = np.random.default_rng(seed)
+    if support is None:
+        f = rng.standard_normal(n)
+    else:
+        comp = [i for i in range(frame.d) if i not in support]
+        _, svals, vt = np.linalg.svd(frame.matrix[:, comp].T)
+        null_basis = vt[np.count_nonzero(svals > 1e-10 * svals[0]):].T
+        f = null_basis @ (rng.standard_normal(null_basis.shape[1]) + 1.0)
+    return frame, measure(gen_gaussian(m, n, seed=seed + 1), f, "none")
+
+
+class TestP0MatchesThePerSupportLoop:
+    """The batched oracle against `reference_p0_oracle`: the same support,
+    the same position in the enumeration and the same point."""
+
+    HITS = [
+        # kind, n, d, m, planted support, s_max, seed
+        ("identity", 8, 8, 10, (2, 5), 2, 0),
+        ("dct", 12, 12, 9, (3, 8), 2, 1),
+        # past the first chunk of its size (position 108 of C(16, 2) = 120)
+        ("dct", 16, 16, 10, (10, 14), 2, 2),
+        ("random", 6, 8, 4, (1, 4, 6), 3, 3),
+        # past the first chunk of its size (C(14, 5) = 2002 supports)
+        ("random", 10, 14, 8, (6, 8, 10, 12, 13), 5, 4),
+        # m = 2 < 2s: every support of size 2 solves, the first one wins
+        ("identity", 8, 8, 2, (4, 6), 2, 5),
+        ("random", 6, 8, 1, (2, 5, 7), 3, 6),
+    ]
+    MISSES = [
+        # denser than s_max: A injective, so f_hat is f
+        ("identity", 6, 6, 8, (0, 2, 5), 1, 7),
+        # m < n: f_hat is the minimum-norm solution, not f
+        ("dct", 10, 10, 6, (1, 4, 6, 9), 2, 8),
+        # |T^c| >= n on every support up to s_max: only f = 0 solves
+        ("random", 8, 12, 6, None, 2, 9),
+    ]
+
+    @staticmethod
+    def check(case, chunk):
+        kind, n, d, m, support, s_max, seed = case
+        frame, model = p0_instance(kind, n, d, m, support, seed)
+        with mock.patch.object(solvers, "CHUNK_FLOATS", chunk or solvers.CHUNK_FLOATS):
+            res = solve_p0_oracle(frame, model, s_max)
+        want_support, iterations, f_hat = reference_p0_oracle(frame, model, s_max)
+        assert res.iterations == iterations
+        assert np.linalg.norm(res.f_hat - f_hat) <= 1e-9 * (1.0 + np.linalg.norm(f_hat))
+        assert res.residual == np.linalg.norm(model.A @ res.f_hat - model.y)
+        assert res.objective == np.count_nonzero(np.abs(frame.matrix.T @ res.f_hat) > 1e-9)
+        return res, want_support
+
+    # chunks of the default size, and of one support (256 floats)
+    @pytest.mark.parametrize("chunk", [None, 256])
+    @pytest.mark.parametrize("case", HITS)
+    def test_hit(self, case, chunk):
+        res, want_support = self.check(case, chunk)
+        assert res.converged
+        assert res.diagnostics["support"] == want_support
+        assert res.diagnostics["stacked_residual"] <= 1e-9
+        kind, n, d, m, support, s_max, _ = case
+        if m >= len(support) + 1:
+            assert want_support == list(support)
+        if (kind, n) in (("dct", 16), ("random", 10)):
+            # the instance is meant to win past the first chunk of its size
+            earlier = sum(math.comb(d, k) for k in range(len(support)))
+            assert res.iterations - earlier > solvers.CHUNK_FLOATS // ((d + m) * n)
+
+    @pytest.mark.parametrize("chunk", [None, 256])
+    @pytest.mark.parametrize("case", MISSES)
+    def test_no_hit_returns_the_minimum_norm_point(self, case, chunk):
+        res, want_support = self.check(case, chunk)
+        _, _, d, _, _, s_max, _ = case
+        assert want_support is None and not res.converged
+        assert res.iterations == sum(math.comb(d, k) for k in range(s_max + 1))
+        assert res.diagnostics == {"note": "no feasible support up to s_max=%d" % s_max}
 
 
 def reference_p1_loop(frame, model, opts=SolverOptions()):

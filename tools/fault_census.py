@@ -21,6 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DRIP, GUAR, SOLV = "src/framecs/drip.py", "src/framecs/guarantees.py", "src/framecs/solvers.py"
 EXPT, SER = "src/framecs/experiment.py", "src/framecs/serialize.py"
+LINALG = "src/framecs/linalg.py"
 
 # (name, file, text, replacement); text occurs exactly once in the file
 FAULTS = [
@@ -42,6 +43,9 @@ FAULTS = [
      "lo_at = float(c_lo[i]), (start + i,", "lo_at = float(c_lo[i]), (i,"),
     ("seeds ordered lowest quotient first for the top extreme", DRIP,
      "np.argsort(-q.max(axis=1)", "np.argsort(q.max(axis=1)"),
+    ("support_chunks drops the last short chunk", DRIP,
+     "for start in range(0, total, rows):", "for start in range(0, total - rows + 1, rows):"),
+    ("package rank tolerance 1e-20", LINALG, "DEFAULT_TOL = 1e-10", "DEFAULT_TOL = 1e-20"),
     ("scale resolved from (hi, lo)", EXPT,
      "spectrum.lo, spectrum.hi)", "spectrum.hi, spectrum.lo)"),
     ("target_delta scale set from the lower side", EXPT,
@@ -57,6 +61,12 @@ FAULTS = [
      "return eps * 1e-6 + 1e-9", "return 1000 * (eps * 1e-6 + 1e-9)"),
     ("solver stop ignores the feasibility slack", SOLV,
      "return min(tol, feasibility_slack(eps))", "return tol"),
+    ("oracle takes the last hit in a chunk", SOLV, "np.argmax(residual <= tol)",
+     "len(residual) - 1 - np.argmax(residual[::-1] <= tol)"),
+    ("oracle iterations omit earlier chunks of the size", SOLV,
+     "tested + i + 1", "sum(math.comb(d, k) for k in range(size)) + i + 1"),
+    ("oracle returns zero when no support solves", SOLV,
+     "_span_coordinates(model, tol)[2]", "np.zeros(frame.n)"),
     ("audit skips the surrogate gate", GUAR, "    if not lq_gate:", "    if False:"),
     ("audit feasibility slack x1000", GUAR, "feas_slack = feasibility_slack(eps)",
      "feas_slack = 1000 * feasibility_slack(eps)"),
