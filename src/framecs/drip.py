@@ -58,8 +58,9 @@ ENUMERATION_LIMIT = 10**7
 # Bound on the floats of the kernel's largest temporaries (for a chunk of k
 # supports of size s: the stacked n x s D_T and their bases U_T, and the
 # gathered s x s blocks), k * max(n, s) * s; the exclusion test holds two
-# s x s blocks per support.  Chunks amortize the per-call overhead while
-# peak memory stays flat in C(d, s) and in m.
+# s x s blocks per support.  The l0 oracle caps its batches of stacked [D*; A]
+# at this many floats (pinv's temporaries are a few times that).  Chunks
+# amortize the per-call overhead while peak memory stays flat in C(d, s) and in m.
 CHUNK_FLOATS = 2**15
 
 # How far inside the extremes so far (relative to the larger) a skipped
@@ -289,10 +290,10 @@ def random_spectrum_extremes(a, frame: TightFrame, s: int, trials: int,
     a = _checked(a, frame, s)
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
-    rng = rng_from_seed(seed)
-    draws = np.sort([rng.choice(frame.d, size=s, replace=False) for _ in range(trials)], axis=1)
-    rows = _chunk_rows(frame, s)
-    return _scan(a, frame, np.array_split(draws, range(rows, trials, rows)), METHOD_LOWER)
+    rng, rows = rng_from_seed(seed), _chunk_rows(frame, s)
+    chunks = (np.sort([rng.choice(frame.d, size=s, replace=False) for _ in range(
+        min(rows, trials - start))], axis=1) for start in range(0, trials, rows))
+    return _scan(a, frame, chunks, METHOD_LOWER)
 
 
 def random_lower_bound(a, frame: TightFrame, s: int, trials: int, seed: int) -> RipReport:

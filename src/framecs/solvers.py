@@ -381,7 +381,7 @@ def solve_p0_oracle(frame: TightFrame, model: SensingModel, s_max: int,
         for idx in support_chunks(d, size, max(1, CHUNK_FLOATS // stacked.size)):
             batch = np.repeat(stacked[None], len(idx), axis=0)
             batch[np.arange(len(idx))[:, None], idx] = 0.0
-            f = np.linalg.pinv(batch, rtol=DEFAULT_TOL) @ rhs
+            f = np.linalg.pinv(batch, DEFAULT_TOL) @ rhs
             residual = np.linalg.norm((batch @ f[:, :, None])[:, :, 0] - rhs, axis=1)
             i = int(np.argmax(residual <= tol))  # the first hit, if any
             if residual[i] <= tol:
