@@ -19,7 +19,6 @@ from .frames import (
     make_union_frame,
 )
 from .guarantees import (
-    BlockPartition,
     GuaranteeCertificate,
     InequalityAuditRecord,
     audit_lemmas,

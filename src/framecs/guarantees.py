@@ -217,18 +217,6 @@ def _check_finite_nonnegative(name: str, value: float):
         raise ContractViolation("%s must be a finite number >= 0, got %r" % (name, value))
 
 
-_NOT_APPLICABLE = {"C0": None, "C1": None, "applicable": False}
-
-
-def _constant_fields(constants, *args) -> Dict:
-    """C0, C1 and applicable of a certificate, from one constants_* call."""
-    try:
-        c0, c1 = constants(*args)
-    except NotApplicableError:
-        return _NOT_APPLICABLE
-    return {"C0": c0, "C1": c1, "applicable": True}
-
-
 def certify(delta_2s: float, n: int, s: int, q_opt: Optional[float] = None
             ) -> List[GuaranteeCertificate]:
     """One certificate per regime: general, special, then lq when q_opt is
@@ -239,26 +227,31 @@ def certify(delta_2s: float, n: int, s: int, q_opt: Optional[float] = None
         raise ContractViolation("n and s must be >= 1")
     if q_opt is not None and not 0.0 < q_opt <= 1.0:
         raise ContractViolation("q must be in (0, 1]")
-    certs = [GuaranteeCertificate(
-        regime=REGIME_GENERAL, delta_2s=delta_2s, s=s, q=1.0,
-        rho=rho_general(delta_2s) if delta_2s < 2.0 / 3.0 else None, q0=None,
-        precondition_text="delta_2s < (77 - sqrt(1337))/82 ~ 0.4931",
-        **_constant_fields(constants_general, delta_2s),
-    ), GuaranteeCertificate(
-        regime=REGIME_SPECIAL, delta_2s=delta_2s, s=s, q=1.0,
-        rho=rho_special(delta_2s) if delta_2s < 1.0 else None, q0=None,
-        precondition_text="n <= 4 s and delta_2s < 4 sqrt(2) - 5 ~ 0.656",
-        # n <= 4 s is the one precondition that is not about delta
-        **(_constant_fields(constants_special, delta_2s) if n <= 4 * s else _NOT_APPLICABLE),
-    )]
+
+    def cert(regime, text, rho, rho_domain, constants, q=None, q0=None, other_holds=True):
+        # rho where it is defined (delta < rho_domain); C0 and C1 where
+        # other_holds (a precondition not about delta) and constants admits
+        # delta (and q, which rho and constants then take too)
+        args = (delta_2s,) if q is None else (delta_2s, q)
+        c0 = c1 = None
+        if other_holds:
+            try:
+                c0, c1 = constants(*args)
+            except NotApplicableError:
+                pass
+        return GuaranteeCertificate(
+            regime=regime, delta_2s=delta_2s, s=s, q=1.0 if q is None else q,
+            rho=rho(*args) if delta_2s < rho_domain else None, C0=c0, C1=c1, q0=q0,
+            applicable=c0 is not None, precondition_text=text)
+
+    certs = [cert(REGIME_GENERAL, "delta_2s < (77 - sqrt(1337))/82 ~ 0.4931",
+                  rho_general, 2.0 / 3.0, constants_general),
+             cert(REGIME_SPECIAL, "n <= 4 s and delta_2s < 4 sqrt(2) - 5 ~ 0.656",
+                  rho_special, 1.0, constants_special, other_holds=n <= 4 * s)]
     if q_opt is not None:
-        certs.append(GuaranteeCertificate(
-            regime=REGIME_LQ, delta_2s=delta_2s, s=s, q=q_opt,
-            rho=rho_q(delta_2s, q_opt) if delta_2s < 1.0 else None,
-            q0=q_zero(delta_2s) if delta_2s < 0.5 else None,
-            precondition_text="delta_2s < 1/2 and q < q0(delta_2s)",
-            **_constant_fields(constants_q, delta_2s, q_opt),
-        ))
+        certs.append(cert(REGIME_LQ, "delta_2s < 1/2 and q < q0(delta_2s)",
+                          rho_q, 1.0, constants_q, q=q_opt,
+                          q0=q_zero(delta_2s) if delta_2s < 0.5 else None))
     return certs
 
 
@@ -266,29 +259,14 @@ def certify(delta_2s: float, n: int, s: int, q_opt: Optional[float] = None
 # block partitions
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """Index blocks T_0, T_1, ..., T_l and the share omega of the first
-    off-support block.
+def block_partition(x_f, x_h, s: int) -> Tuple[Tuple[int, ...], ...]:
+    """Index blocks T_0, T_1, ..., T_l.
 
     T_0 holds the s largest |x_f| entries; the remaining indices are sorted
     by |x_h| descending and chopped into consecutive blocks of size s (the
     last may be smaller).  Ties always resolve to the lowest index, which
-    makes the partition deterministic.  omega is the fraction of the
-    off-support mass (l1, or lq^q for q < 1) carried by T_1, and 0 when that
-    mass vanishes.
+    makes the partition deterministic.  Each block is sorted.
     """
-
-    s: int
-    blocks: Tuple[Tuple[int, ...], ...]
-    omega: float
-
-    @property
-    def l(self) -> int:
-        return len(self.blocks) - 1
-
-
-def block_partition(x_f, x_h, s: int, q: float = 1.0) -> BlockPartition:
     x_f = as_vector(x_f)
     x_h = as_vector(x_h)
     d = x_f.shape[0]
@@ -296,29 +274,22 @@ def block_partition(x_f, x_h, s: int, q: float = 1.0) -> BlockPartition:
         raise ContractViolation("x_f and x_h must have equal length")
     if not 1 <= s <= d:
         raise ContractViolation("s must satisfy 1 <= s <= d")
-    if not 0.0 < q <= 1.0:
-        raise ContractViolation("q must be in (0, 1]")
 
     head = np.argsort(-np.abs(x_f), kind="stable")[:s]
-    t0 = tuple(sorted(int(i) for i in head))
     rest_mask = np.ones(d, dtype=bool)
-    rest_mask[list(t0)] = False
+    rest_mask[head] = False
     rest = np.flatnonzero(rest_mask)
     rest = rest[np.argsort(-np.abs(x_h[rest]), kind="stable")]
+    chunks = [head] + [rest[start:start + s] for start in range(0, rest.shape[0], s)]
+    return tuple(tuple(sorted(int(i) for i in chunk)) for chunk in chunks)
 
-    blocks = [t0]
-    for start in range(0, rest.shape[0], s):
-        chunk = rest[start:start + s]
-        blocks.append(tuple(sorted(int(i) for i in chunk)))
 
-    mass = np.abs(x_h[rest]) ** q
-    total = float(mass.sum())
-    if total == 0.0 or len(blocks) == 1:
-        omega = 0.0
-    else:
-        first = float(np.sum(np.abs(x_h[list(blocks[1])]) ** q))
-        omega = min(1.0, first / total)
-    return BlockPartition(s=int(s), blocks=tuple(blocks), omega=omega)
+def _first_share(mass: np.ndarray) -> float:
+    """omega: the share of the tail mass sum(mass[1:]) carried by T_1, and 0
+    when there is no tail block or the tail mass vanishes.  One summation of
+    one array, so the share never exceeds 1."""
+    tail = float(mass[1:].sum())
+    return float(mass[1]) / tail if tail > 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +346,11 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
     """Numerically audit the inequality chain on one concrete instance.
 
     delta_2s must be the exact order-2s isometry constant of (a, frame).
-    The difference h = f_hat - f is partitioned into blocks; each audited
+    The analysis coefficients of h = f_hat - f are split once into the
+    blocks T_0, ..., T_l of block_partition, and one table, row j holding
+    D* h on T_j, gives every per-block quantity as a row reduction: the l2,
+    l1 and lq^q norms, the images under D and A D, and the shares omega
+    (l1) and omega_q (lq^q) of T_1 in the tail mass.  Each audited
     inequality yields one record with its left side, right side, slack, and
     proof intermediates.  Hypothesis checks are hard preconditions:
 
@@ -434,48 +409,44 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
             % (norm, lqq_hat, norm, lqq_true)
         )
 
-    part = block_partition(xf, xh, s)
-    omega1 = part.omega
-    omega_q = block_partition(xf, xh, s, q).omega if q < 1.0 else omega1
-    blocks = part.blocks
-    l = part.l
+    blocks = block_partition(xf, xh, s)
+    l = len(blocks) - 1
 
-    # per-block coefficient restrictions and their images
-    coef = []        # xh restricted to each block (dense length-d vectors)
-    dz = []          # D applied to each restriction
-    adz = []         # A D applied to each restriction
-    for blk in blocks:
-        zj = np.zeros_like(xh)
+    # the block table: row j of coef is D* h on T_j (zero elsewhere), and
+    # spread[j] the largest minus the smallest |entry| of T_j, a short block
+    # padded with zeros; every per-block quantity is a row reduction of it
+    coef = np.zeros((l + 1, xh.shape[0]))
+    spread = np.zeros(l + 1)
+    for j, blk in enumerate(blocks):
         idx = list(blk)
-        zj[idx] = xh[idx]
-        coef.append(zj)
-        dj = dmat @ zj
-        dz.append(dj)
-        adz.append(a @ dj)
+        coef[j, idx] = xh[idx]
+        block_mags = np.abs(xh[idx])
+        spread[j] = block_mags.max() - (block_mags.min() if len(idx) == s else 0.0)
+    dz = coef @ dmat.T   # row j: D applied to block j
+    adz = dz @ a.T       # row j: A D applied to block j
+    mags = np.abs(coef)
+    sq = (coef * coef).sum(axis=1)  # squared l2 norms
+    l2 = np.sqrt(sq)
+    l1 = mags.sum(axis=1)
+    lqq = (mags ** q).sum(axis=1)  # lq^q masses
+    omega1 = _first_share(l1)
+    omega_q = _first_share(lqq)
 
-    def block_l2(j):
-        return float(np.linalg.norm(coef[j]))
-
-    def block_l1(j):
-        return float(np.abs(coef[j]).sum())
-
-    def block_lq(j):
-        return float(np.sum(np.abs(coef[j]) ** q) ** (1.0 / q))
-
-    def block_lqq(j):
-        return _lq_q(coef[j], q)
-
-    def block_spread(j):
-        # largest minus smallest |entry| of a tail block, a short one padded with zeros
-        mags = np.abs(xh[list(blocks[j])])
-        return float(mags.max()) - (float(mags.min()) if mags.size == part.s else 0.0)
-
-    sum_l2_tail = sum(block_l2(j) for j in range(2, l + 1))
-    sum_sq_tail = sum(block_l2(j) ** 2 for j in range(2, l + 1))
-    sum_l1_blocks = sum(block_l1(j) for j in range(1, l + 1))
-    sum_lqq_blocks = sum(block_lqq(j) for j in range(1, l + 1))
+    sum_l2_tail = float(l2[2:].sum())
+    sum_sq_tail = float(sq[2:].sum())
+    sum_l1_blocks = float(l1[1:].sum())
+    sum_lqq_blocks = float(lqq[1:].sum())
+    tail_energy = sum_sq_tail + delta_2s * sum_l2_tail ** 2
     tail_l1 = float(np.abs(xf).sum()) - float(np.abs(xf[list(blocks[0])]).sum())
-    tail_lq = float(np.sum(np.abs(np.delete(xf, list(blocks[0]))) ** q) ** (1.0 / q))
+    tail_lqq = _lq_q(np.delete(xf, list(blocks[0])), q)
+
+    # images of T_2 u ... u T_l, of T_0 u T_1 and of T_2 u T_3, as row sums
+    tail_image = adz[2:].sum(axis=0)
+    adz01 = adz[:2].sum(axis=0)
+    dz23, adz23 = dz[2:4].sum(axis=0), adz[2:4].sum(axis=0)
+    head_image_sq = float(adz01 @ adz01)
+    head_sq = float(sq[:2].sum())
+    sq23 = float(sq[2:4].sum())
 
     def contraction_rhs_l1(rho):
         # the bound on the l1 block mass both l1 chains close with
@@ -486,27 +457,18 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
     records = []
 
     # pairwise inner-product bound for s-sparse blocks
+    dgram, agram = dz @ dz.T, adz @ adz.T
+    dnorm = np.sqrt(np.diag(dgram))
     records.append(_worst_record("sparse_image_correlation", (
-        (float(adz[i] @ adz[j]),
-         delta_2s * np.linalg.norm(dz[i]) * np.linalg.norm(dz[j]) + float(dz[i] @ dz[j]),
+        (agram[i, j], delta_2s * dnorm[i] * dnorm[j] + dgram[i, j],
          {"block_i": i, "block_j": j})
         for i in range(l + 1) for j in range(i + 1, l + 1))))
 
     # energy of the summed far-tail image
-    tail_image = np.zeros(a.shape[0])
-    for j in range(2, l + 1):
-        tail_image = tail_image + adz[j]
     lhs_23 = float(tail_image @ tail_image)
-    rhs_23 = sum_sq_tail + delta_2s * sum_l2_tail ** 2
-    records.append(_record("far_tail_image_energy", lhs_23, rhs_23))
-
-    z01 = coef[0] + (coef[1] if l >= 1 else 0.0)
-    dz01 = dmat @ z01
-    adz01 = a @ dz01
-    l2_z01_sq = float(z01 @ z01)
-    lhs_24 = lhs_23 - float(adz01 @ adz01)
-    rhs_24 = rhs_23 - (1.0 - delta_2s) * l2_z01_sq
-    records.append(_record("far_tail_vs_head_energy", lhs_24, rhs_24))
+    records.append(_record("far_tail_image_energy", lhs_23, tail_energy))
+    records.append(_record("far_tail_vs_head_energy", lhs_23 - head_image_sq,
+                           tail_energy - (1.0 - delta_2s) * head_sq))
 
     # far-tail energy against the l1 block masses
     rhs_31 = omega1 * (1.0 - omega1) / s * sum_l1_blocks ** 2
@@ -514,52 +476,44 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
 
     # per-block norm comparison feeding the sharpened estimate
     records.append(_worst_record("block_l2_l1_interpolation", (
-        (math.sqrt(s) * block_l2(j), block_l1(j) + s * block_spread(j) / 4.0, {"block": j})
+        (math.sqrt(s) * l2[j], l1[j] + s * spread[j] / 4.0, {"block": j})
         for j in range(2, l + 1))))
 
     rhs_32 = (omega1 * (1.0 - omega1) + delta_2s * (1.0 - 0.75 * omega1) ** 2) / s \
         * sum_l1_blocks ** 2
-    lhs_32 = sum_sq_tail + delta_2s * sum_l2_tail ** 2
-    records.append(_record("weighted_tail_energy_l1", lhs_32, rhs_32, omega=omega1))
+    records.append(_record("weighted_tail_energy_l1", tail_energy, rhs_32, omega=omega1))
 
     ah_norm = float(np.linalg.norm(a @ h))
     records.append(_record("feasibility_gap", ah_norm, 2.0 * eps))
 
     if l1_gate:
-        rhs_cone = 2.0 * tail_l1 + block_l1(0)
-        records.append(_record("cone_l1", sum_l1_blocks, rhs_cone,
+        records.append(_record("cone_l1", sum_l1_blocks, 2.0 * tail_l1 + l1[0],
                                objective_gap=l1_true - l1_hat))
 
         if general.applicable:
             records.append(_record("block_mass_contraction_l1", sum_l1_blocks,
                                    contraction_rhs_l1(general.rho),
-                                   N=math.sqrt(max(lhs_32, 0.0)),
+                                   N=math.sqrt(max(tail_energy, 0.0)),
                                    rho=general.rho, omega=omega1))
 
     # short-partition chain (meaningful whenever at most three tail blocks)
-    z23 = np.zeros_like(xh)
-    for j in (2, 3):
-        if j <= l:
-            z23 = z23 + coef[j]
-    dz23 = dmat @ z23
-    adz23 = a @ dz23
     lhs_34a = float(adz23 @ adz23)
     mid_34 = (1.0 + delta_2s) * float(dz23 @ dz23)
-    rhs_34b = (1.0 + delta_2s) * float(z23 @ z23)
+    rhs_34b = (1.0 + delta_2s) * sq23
     records.append(_record("short_tail_image_energy", lhs_34a, mid_34))
     records.append(_record("short_tail_synthesis_energy", mid_34, rhs_34b))
     if l <= 3:
         # only then do T_2, T_3 exhaust everything past T_01, which the
         # identity behind this estimate requires
         records.append(_record("short_tail_vs_head_energy",
-                               lhs_34a - float(adz01 @ adz01),
-                               rhs_34b - (1.0 - delta_2s) * l2_z01_sq))
+                               lhs_34a - head_image_sq,
+                               rhs_34b - (1.0 - delta_2s) * head_sq))
 
     # l <= 3 means d <= 4s, and so n <= 4s
     if l1_gate and l <= 3 and special.applicable:
         records.append(_record("block_mass_contraction_short", sum_l1_blocks,
                                contraction_rhs_l1(special.rho),
-                               N=math.sqrt(1.0 + delta_2s) * float(np.linalg.norm(z23)),
+                               N=math.sqrt((1.0 + delta_2s) * sq23),
                                rho=special.rho, omega=omega1))
 
     # lq chain (at q = 1 it coincides with the l1 chain)
@@ -569,25 +523,24 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
     records.append(_record("tail_l2_from_lq_mass", sum_sq_tail, rhs_41, omega_q=omega_q))
 
     records.append(_worst_record("block_l2_lq_interpolation", (
-        (s ** (1.0 / q - 0.5) * block_l2(j), block_lq(j) + s ** (1.0 / q) * block_spread(j),
+        (s ** (1.0 / q - 0.5) * l2[j], lqq[j] ** (1.0 / q) + s ** (1.0 / q) * spread[j],
          {"block": j})
         for j in range(2, l + 1))))
 
     rhs_42 = ((1.0 - omega_q) * omega_q ** exp_tail + delta_2s) / s ** (2.0 / q - 1.0) \
         * sum_lqq_blocks ** (2.0 / q)
-    records.append(_record("weighted_tail_energy_lq", lhs_32, rhs_42, omega_q=omega_q))
+    records.append(_record("weighted_tail_energy_lq", tail_energy, rhs_42, omega_q=omega_q))
 
-    rhs_cone_q = 2.0 * _lq_q(np.delete(xf, list(blocks[0])), q) + block_lqq(0)
-    records.append(_record("cone_lq", sum_lqq_blocks, rhs_cone_q,
+    records.append(_record("cone_lq", sum_lqq_blocks, 2.0 * tail_lqq + lqq[0],
                            objective_gap=lqq_true - lqq_hat))
 
     if lq.applicable:
         denom = (1.0 - lq.rho ** q) ** (1.0 / q)
-        rhs = (2.0 ** (2.0 / q - 1.0) / denom * tail_lq
+        rhs = (2.0 ** (2.0 / q - 1.0) / denom * tail_lqq ** (1.0 / q)
                + 2.0 ** (2.0 / q - 0.5) * s ** (1.0 / q - 0.5) * eps
                / (denom * math.sqrt(1.0 - delta_2s)))
         records.append(_record("block_mass_contraction_lq", sum_lqq_blocks ** (1.0 / q), rhs,
-                               N=math.sqrt(max(lhs_32, 0.0)), rho_q=lq.rho,
+                               N=math.sqrt(max(tail_energy, 0.0)), rho_q=lq.rho,
                                omega_q=omega_q, q0=lq.q0))
 
     return records

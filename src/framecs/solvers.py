@@ -348,12 +348,13 @@ def solve_p0_oracle(frame: TightFrame, model: SensingModel, s_max: int,
 
     Supports are enumerated in increasing size, lexicographically within a
     size; the first support whose stacked system {D*_{T^c} f = 0, A f = y}
-    is solvable within `tol` wins, and `iterations` is its position.  Each
-    chunk of `support_chunks` is one batched SVD (pinv) of [D*; A] with the
-    rows of T zeroed (rank rule sigma > DEFAULT_TOL * sigma_max, as lstsq's
-    rcond).  With no winner up to s_max, f_hat is the minimum-norm solution
-    of A f = y, unconverged.  The objective counts the entries of D* f_hat
-    above `tol` in magnitude.
+    is solvable within tol * max(1, ||y||) wins, and `iterations` is its
+    position.  Each chunk of `support_chunks` is one batched SVD (pinv) of
+    [D*; A] with the rows of T zeroed (rank rule sigma > DEFAULT_TOL *
+    sigma_max, as lstsq's rcond).  With no winner up to s_max, f_hat is the
+    minimum-norm solution of A f = y, unconverged.  The objective counts the
+    entries of D* f_hat above tol * max(1, ||y||) in magnitude.  The scaled
+    cutoff makes the search invariant to the scale of y above 1.
     """
     if model.epsilon > 0:
         raise ContractViolation("the l0 oracle is noiseless; got epsilon > 0")
@@ -366,6 +367,7 @@ def solve_p0_oracle(frame: TightFrame, model: SensingModel, s_max: int,
     check_budget(sum(math.comb(d, k) for k in range(s_max + 1)),
                  "sum of C(%d, k) over k <= %d" % (d, s_max))
     dmat = frame.matrix
+    tol = tol * max(1.0, float(np.linalg.norm(y)))
 
     def result(f, iterations, converged, **diagnostics):
         return RecoveryResult(

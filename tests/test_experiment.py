@@ -223,6 +223,20 @@ class TestRunExperiment:
             assert rec.within_bound is None
             assert rec.status == "lower_bound_only"
 
+    def test_unconverged_solve_makes_no_claim(self):
+        records = run_experiment(ExperimentConfig.from_dict({
+            "n": 6, "d": 9, "m": 48, "s": 2, "trials": 2, "eps": 0.05,
+            "noise_mode": "bounded", "program": "p1",
+            "frame": {"kind": "random", "seed": 5},
+            "matrix": {"kind": "gaussian", "seed": 6, "scale": "auto_min"},
+            "signal": {"seed": 7}, "noise_seed": 8,
+            "solver": {"max_iters": 5},
+        }))
+        for rec in records:
+            assert rec.status == "not_converged" and rec.iters == 5
+            assert rec.bound is None and rec.within_bound is None
+            assert rec.audit_pass == rec.audit_total == 0
+
     def test_noisy_batch_all_within_bound(self):
         cfg = small_config(
             n=8, d=12, m=128, s=2, trials=25, eps=0.1,

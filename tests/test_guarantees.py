@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from framecs.drip import exact_drip
 from framecs.errors import ContractViolation, NotApplicableError
-from framecs.frames import make_random_tight_frame
+from framecs.frames import make_identity_frame, make_random_tight_frame
 from framecs.guarantees import (
+    _first_share,
     _record,
     audit_lemmas,
     block_partition,
@@ -367,37 +368,39 @@ class TestCertify:
                                  "C1", "q0", "applicable", "precondition_text"]
 
 
+def first_share(x_h, blocks, q=1.0):
+    """omega of a partition: `_first_share` of the per-block lq^q masses."""
+    return _first_share(np.array([np.sum(np.abs(x_h[list(blk)]) ** q) for blk in blocks]))
+
+
 class TestBlockPartition:
     def test_hand_example(self):
         x_f = np.array([5.0, 4.0, 1.0, 0.0, 2.0, 0.0, 3.0])
         x_h = np.array([0.1, -0.2, 3.0, -1.0, 2.0, 0.5, 0.1])
-        part = block_partition(x_f, x_h, s=2)
-        assert part.blocks[0] == (0, 1)
-        assert part.blocks[1] == (2, 4)
-        assert part.blocks[2] == (3, 5)
-        assert part.blocks[3] == (6,)
-        assert part.l == 3
-        assert part.omega == pytest.approx(5.0 / 6.6, rel=1e-12)
+        blocks = block_partition(x_f, x_h, s=2)
+        assert blocks == ((0, 1), (2, 4), (3, 5), (6,))
+        assert first_share(x_h, blocks) == pytest.approx(5.0 / 6.6, rel=1e-12)
 
     def test_zero_denominator_convention(self):
         x_f = np.array([3.0, 2.0, 0.0, 0.0])
         x_h = np.array([1.0, -1.0, 0.0, 0.0])
-        part = block_partition(x_f, x_h, s=2)
-        assert part.omega == 0.0
+        assert first_share(x_h, block_partition(x_f, x_h, s=2)) == 0.0
+        # no tail block at all (l = 0)
+        assert _first_share(np.array([2.0])) == 0.0
 
     def test_symmetric_shares(self):
         # equal off-support magnitudes, one full block: omega = 1/3
         x_f = np.array([9.0, 0.0, 0.0, 0.0])
         x_h = np.array([0.0, 1.0, -1.0, 1.0])
-        part = block_partition(x_f, x_h, s=1)
-        assert part.omega == pytest.approx(1.0 / 3.0, rel=1e-12)
+        blocks = block_partition(x_f, x_h, s=1)
+        assert first_share(x_h, blocks) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_lq_omega(self):
         x_f = np.array([9.0, 0.0, 0.0])
         x_h = np.array([0.0, 2.0, 1.0])
-        part = block_partition(x_f, x_h, s=1, q=0.5)
+        blocks = block_partition(x_f, x_h, s=1)
         expected = 2.0 ** 0.5 / (2.0 ** 0.5 + 1.0)
-        assert part.omega == pytest.approx(expected, rel=1e-12)
+        assert first_share(x_h, blocks, q=0.5) == pytest.approx(expected, rel=1e-12)
 
     def test_well_formed(self):
         rng = np.random.default_rng(15)
@@ -406,13 +409,13 @@ class TestBlockPartition:
             s = int(rng.integers(1, d + 1))
             x_f = rng.standard_normal(d)
             x_h = rng.standard_normal(d)
-            part = block_partition(x_f, x_h, s)
-            flat = [i for blk in part.blocks for i in blk]
+            blocks = block_partition(x_f, x_h, s)
+            flat = [i for blk in blocks for i in blk]
             assert sorted(flat) == list(range(d))
-            assert len(part.blocks[0]) == s
-            for blk in part.blocks[1:-1]:
+            assert len(blocks[0]) == s
+            for blk in blocks[1:-1]:
                 assert len(blk) == s
-            assert 0.0 <= part.omega <= 1.0
+            assert 0.0 <= first_share(x_h, blocks) <= 1.0
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.sampled_from((1.0, 0.3)))
@@ -422,16 +425,17 @@ class TestBlockPartition:
         entries = st.integers(-2, 2).map(float) | st.floats(-1e3, 1e3)  # ties, zeros
         vectors = st.lists(entries, min_size=d, max_size=d).map(np.array)
         x_f, x_h = data.draw(vectors), data.draw(vectors)
-        part = block_partition(x_f, x_h, s, q)
-        assert sorted(i for blk in part.blocks for i in blk) == list(range(d))
-        assert len(part.blocks[0]) == s
-        assert all(len(blk) == s for blk in part.blocks[1:-1])
-        assert all(list(blk) == sorted(blk) for blk in part.blocks)
-        assert 0.0 <= part.omega <= 1.0
-        head = list(part.blocks[0])
+        blocks = block_partition(x_f, x_h, s)
+        assert sorted(i for blk in blocks for i in blk) == list(range(d))
+        assert len(blocks[0]) == s
+        assert all(len(blk) == s for blk in blocks[1:-1])
+        assert all(list(blk) == sorted(blk) for blk in blocks)
+        # one summation of one mass array: no clamp is needed to stay in [0, 1]
+        assert 0.0 <= first_share(x_h, blocks, q) <= 1.0
+        head = list(blocks[0])
         if d > s:
             assert np.abs(x_f[head]).min() >= np.abs(np.delete(x_f, head)).max()
-        for earlier, later in zip(part.blocks[1:], part.blocks[2:]):
+        for earlier, later in zip(blocks[1:], blocks[2:]):
             assert np.abs(x_h[list(earlier)]).min() >= np.abs(x_h[list(later)]).max()
 
 
@@ -465,6 +469,21 @@ class TestAuditLemmas:
         by_id = {r.lemma_id: r for r in records}
         assert by_id["cone_l1"].lhs == 0.0
         assert by_id["feasibility_gap"].lhs == pytest.approx(0.0, abs=1e-12)
+
+    def test_interpolation_is_tight_on_a_flat_full_block(self):
+        # identity frame and A = I (delta = 0), so D* h = h.  T_2 = {4, 5} is
+        # a full block of equal magnitudes: both interpolation bounds hold
+        # with equality there (spread 0), where padding it with a zero would
+        # add s / 4 (l1) or s (lq) to the right side
+        frame = make_identity_frame(7)
+        f = np.array([10.0, 10.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        h = np.array([-5.0, -5.0, 3.0, 2.0, 1.0, -1.0, 0.2])
+        by_id = {r.lemma_id: r for r in audit_lemmas(frame, np.eye(7), f, f + h, 2, 1.0,
+                                                     4.1, 0.0)}
+        for lemma_id in ("block_l2_l1_interpolation", "block_l2_lq_interpolation"):
+            rec = by_id[lemma_id]
+            assert rec.intermediates == {"block": 2.0}
+            assert rec.lhs == pytest.approx(2.0, rel=1e-15) and rec.rhs == 2.0
 
     def test_end_to_end_instance(self):
         frame, a, f, model = _audited_instance(2)
@@ -553,3 +572,12 @@ class TestAuditLemmas:
         assert all(r.holds for r in records), \
             [(r.lemma_id, r.slack) for r in records if not r.holds]
         assert "block_mass_contraction_lq" in {r.lemma_id for r in records}
+        # the records' shares are those of the partition of D* f and D* (f_hat - f)
+        x_f, x_h = coeffs @ f, coeffs @ (res.f_hat - f)
+        blocks = block_partition(x_f, x_h, 2)
+        by_id = {r.lemma_id: r for r in records}
+        assert by_id["weighted_tail_energy_l1"].intermediates["omega"] == \
+            pytest.approx(first_share(x_h, blocks), rel=1e-12)
+        assert by_id["weighted_tail_energy_lq"].intermediates["omega_q"] == \
+            pytest.approx(first_share(x_h, blocks, 0.5), rel=1e-12)
+        assert first_share(x_h, blocks, 0.5) != pytest.approx(first_share(x_h, blocks))

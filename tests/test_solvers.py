@@ -450,9 +450,11 @@ class TestSolveP0:
 
 def reference_p0_oracle(frame, model, s_max, tol=1e-9):
     """The l0 oracle one support at a time, each stacked system
-    {D*_{T^c} f = 0, A f = y} solved by np.linalg.lstsq: (support,
-    iterations, f_hat), support None when no support up to s_max solves."""
+    {D*_{T^c} f = 0, A f = y} solved by np.linalg.lstsq and a hit being a
+    residual within tol * max(1, ||y||): (support, iterations, f_hat),
+    support None when no support up to s_max solves."""
     a, y, dmat = model.A, model.y, frame.matrix
+    tol = tol * max(1.0, np.linalg.norm(y))
     tested = 0
     for size in range(s_max + 1):
         for support in combinations(range(frame.d), size):
@@ -521,17 +523,18 @@ class TestP0MatchesThePerSupportLoop:
         assert res.iterations == iterations
         assert np.linalg.norm(res.f_hat - f_hat) <= 1e-9 * (1.0 + np.linalg.norm(f_hat))
         assert res.residual == np.linalg.norm(model.A @ res.f_hat - model.y)
-        assert res.objective == np.count_nonzero(np.abs(frame.matrix.T @ res.f_hat) > 1e-9)
-        return res, want_support
+        cutoff = 1e-9 * max(1.0, np.linalg.norm(model.y))
+        assert res.objective == np.count_nonzero(np.abs(frame.matrix.T @ res.f_hat) > cutoff)
+        return res, want_support, cutoff
 
     # chunks of the default size, and of one support (256 floats)
     @pytest.mark.parametrize("chunk", [None, 256])
     @pytest.mark.parametrize("case", HITS)
     def test_hit(self, case, chunk):
-        res, want_support = self.check(case, chunk)
+        res, want_support, cutoff = self.check(case, chunk)
         assert res.converged
         assert res.diagnostics["support"] == want_support
-        assert res.diagnostics["stacked_residual"] <= 1e-9
+        assert res.diagnostics["stacked_residual"] <= cutoff
         kind, n, d, m, support, s_max, _ = case
         if m >= len(support) + 1:
             assert want_support == list(support)
@@ -543,11 +546,21 @@ class TestP0MatchesThePerSupportLoop:
     @pytest.mark.parametrize("chunk", [None, 256])
     @pytest.mark.parametrize("case", MISSES)
     def test_no_hit_returns_the_minimum_norm_point(self, case, chunk):
-        res, want_support = self.check(case, chunk)
+        res, want_support, _ = self.check(case, chunk)
         _, _, d, _, _, s_max, _ = case
         assert want_support is None and not res.converged
         assert res.iterations == sum(math.comb(d, k) for k in range(s_max + 1))
         assert res.diagnostics == {"note": "no feasible support up to s_max=%d" % s_max}
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e8])
+    def test_hit_rule_is_relative_to_y(self, scale):
+        # the (12, 9) DCT case with y scaled: an absolute residual cutoff of
+        # 1e-9 found its planted support at 1e4 but not at 1e6 or 1e8
+        frame, model = p0_instance(*self.HITS[1][:5], self.HITS[1][6])
+        res = solve_p0_oracle(frame, SensingModel(model.A, model.y * scale, 0.0), 2)
+        assert res.converged
+        assert res.diagnostics["support"] == [3, 8]
+        assert res.objective == 2.0
 
 
 def reference_p1_loop(frame, model, opts=SolverOptions()):

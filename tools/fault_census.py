@@ -70,6 +70,17 @@ FAULTS = [
     ("audit skips the surrogate gate", GUAR, "    if not lq_gate:", "    if False:"),
     ("audit feasibility slack x1000", GUAR, "feas_slack = feasibility_slack(eps)",
      "feas_slack = 1000 * feasibility_slack(eps)"),
+    ("audit omega_q taken from the l1 masses", GUAR,
+     "omega_q = _first_share(lqq)", "omega_q = _first_share(l1)"),
+    ("audit spread pads full blocks too", GUAR,
+     "block_mags.max() - (block_mags.min() if len(idx) == s else 0.0)", "block_mags.max()"),
+    ("audit z23 images take rows 2:5", GUAR,
+     "dz[2:4].sum(axis=0), adz[2:4].sum(axis=0)", "dz[2:5].sum(axis=0), adz[2:5].sum(axis=0)"),
+    ("special regime ignores n <= 4 s", GUAR, "other_holds=n <= 4 * s", "other_holds=True"),
+    ("oracle hit rule absolute in y", SOLV,
+     "tol = tol * max(1.0, float(np.linalg.norm(y)))", "tol = tol"),
+    ("unconverged solve reported as converged", EXPT,
+     "elif not res.converged:", "elif False:"),
 ]
 
 
