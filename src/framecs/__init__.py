@@ -7,7 +7,7 @@ l1/lq/l0 analysis-recovery programs, and audit the guarantee machinery on
 concrete instances.
 """
 
-from .drip import RipReport, exact_drip, random_lower_bound
+from .drip import RipReport, exact_drip
 from .errors import ContractViolation, EnumerationLimitError, NotApplicableError
 from .frames import (
     SparseApprox,

@@ -36,7 +36,7 @@ def _emit(text, out_path):
 
 def _load_vector(path):
     m = frames.load_matrix(path)
-    if 1 not in m.shape and m.ndim == 2:
+    if 1 not in m.shape:
         raise ContractViolation("%s does not hold a vector" % path)
     return m.reshape(-1)
 
@@ -141,7 +141,7 @@ def build_parser() -> _Parser:
     esub = p.add_subparsers(dest="action", required=True)
     r = esub.add_parser("run")
     r.add_argument("--config", required=True, help="JSON config file")
-    r.add_argument("--out", help="output path (overrides config)")
+    r.add_argument("--out", help="output path (CSV needs one)")
     r.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("compare", help="constants at delta = 1/14 vs the reported pair")
@@ -200,7 +200,8 @@ def _run(args) -> int:
         if args.action == "exact":
             report = drip.exact_drip(a, fr, args.s)
         else:
-            report = drip.random_lower_bound(a, fr, args.s, args.trials, args.seed)
+            report = drip.random_spectrum_extremes(a, fr, args.s, args.trials,
+                                                   args.seed).report(args.s)
         _emit(json_dumps(report), args.out)
         return 0
 
@@ -242,16 +243,15 @@ def _run(args) -> int:
         return 0
 
     if args.command == "experiment":
+        if args.format == "csv" and not args.out:
+            raise ContractViolation("CSV output needs --out")
         config = experiment.ExperimentConfig.from_json_file(args.config)
         records = experiment.run_experiment(config)
-        out = args.out or config.out
         if args.format == "json":
-            _emit(json_dumps(records), out)
+            _emit(json_dumps(records), args.out)
         else:
-            if not out:
-                raise ContractViolation("CSV output needs --out or config 'out'")
-            experiment.write_csv(records, out)
-            print("wrote %d records to %s" % (len(records), out))
+            experiment.write_csv(records, args.out)
+            print("wrote %d records to %s" % (len(records), args.out))
         return 0
 
     if args.command == "compare":

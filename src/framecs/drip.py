@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ContractViolation, EnumerationLimitError
 from .frames import TightFrame
-from .linalg import DEFAULT_TOL, as_matrix
+from .linalg import DEFAULT_TOL
 from .rng import rng_from_seed
 
 # Keeps exact computation under minutes at desk scale; past this only the
@@ -91,14 +91,6 @@ class RipReport:
     supports_examined: int
 
 
-def _check_shapes(a: np.ndarray, frame: TightFrame):
-    if a.shape[1] != frame.n:
-        raise ContractViolation(
-            "measurement matrix has %d columns but the frame is %d-dimensional"
-            % (a.shape[1], frame.n)
-        )
-
-
 def support_chunks(d: int, k: int, rows: int) -> Iterator[np.ndarray]:
     """The C(d, k) supports of size k in [0, d), in lexicographic order, as
     intp arrays of `rows` rows each (the last may be shorter), as successive
@@ -116,8 +108,7 @@ def _chunk_rows(frame: TightFrame, s: int) -> int:
 
 
 def _checked(a, frame: TightFrame, s: int) -> np.ndarray:
-    a = as_matrix(a)
-    _check_shapes(a, frame)
+    a = frame.check_matrix(a)
     if not 1 <= s <= frame.d:
         raise ContractViolation("s must satisfy 1 <= s <= d")
     return a
@@ -183,8 +174,7 @@ def support_spectra(a, frame: TightFrame, supports) -> Tuple[np.ndarray, np.ndar
     The form is restricted to the left singular vectors of D_T with
     sigma > DEFAULT_TOL * sigma_max.
     """
-    a = as_matrix(a)
-    _check_shapes(a, frame)
+    a = frame.check_matrix(a)
     idx = np.asarray(supports, dtype=np.intp)
     if idx.ndim != 2:
         raise ContractViolation("supports must be a 2-d array of column indices")
@@ -266,7 +256,9 @@ def spectrum_extremes(a, frame: TightFrame, s: int) -> SpectrumExtremes:
     """One exact pass over all C(d, s) supports, in lexicographic order."""
     a = _checked(a, frame, s)
     d = frame.d
-    check_budget(math.comb(d, s), "C(%d, %d)" % (d, s), "; use random_lower_bound instead")
+    check_budget(math.comb(d, s), "C(%d, %d)" % (d, s),
+                 "; shrink (d, s), or take a randomized lower bound: `framecs drip lower`, "
+                 "or \"drip_mode\": \"lower\" in a config (its records assert no bound)")
     return _scan(a, frame, support_chunks(d, s, _chunk_rows(frame, s)), METHOD_EXACT)
 
 
@@ -294,9 +286,3 @@ def random_spectrum_extremes(a, frame: TightFrame, s: int, trials: int,
     chunks = (np.sort([rng.choice(frame.d, size=s, replace=False) for _ in range(
         min(rows, trials - start))], axis=1) for start in range(0, trials, rows))
     return _scan(a, frame, chunks, METHOD_LOWER)
-
-
-def random_lower_bound(a, frame: TightFrame, s: int, trials: int, seed: int) -> RipReport:
-    """Lower bound on the exact constant from seeded random supports."""
-    return random_spectrum_extremes(a, frame, s, trials, seed).report(s)
-

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import drip, frames, guarantees, sensing, solvers
-from .errors import ContractViolation, EnumerationLimitError
+from .errors import ContractViolation
 from .rng import derive_seed, rng_from_seed
 from .serialize import format_real
 
@@ -82,7 +82,6 @@ class ExperimentConfig:
     drip_mode: str = "exact"
     drip_trials: int = 2000
     drip_seed: int = 0
-    out: Optional[str] = None
 
     def __post_init__(self):
         if min(self.n, self.d, self.m, self.s) < 1:
@@ -266,14 +265,7 @@ def _spectrum(config: ExperimentConfig, a, frame, trial) -> drip.SpectrumExtreme
     if config.drip_mode == "lower":
         return drip.random_spectrum_extremes(a, frame, order, config.drip_trials,
                                              derive_seed(config.drip_seed, trial))
-    try:
-        return drip.spectrum_extremes(a, frame, order)
-    except EnumerationLimitError as err:
-        raise EnumerationLimitError(
-            "%s -- shrink (d, s), or use \"drip_mode\": \"lower\" (a "
-            "randomized lower bound, which disables bound assertions and marks "
-            "records accordingly)" % err
-        ) from err
+    return drip.spectrum_extremes(a, frame, order)
 
 
 def _draw_signal(frame, s, seed) -> np.ndarray:

@@ -50,6 +50,15 @@ class TightFrame:
     def d(self) -> int:
         return self.matrix.shape[1]
 
+    def check_matrix(self, a) -> np.ndarray:
+        """as_matrix(a) for a measurement matrix on this frame's R^n: one
+        with n columns, else a ContractViolation."""
+        a = as_matrix(a)
+        if a.shape[1] != self.n:
+            raise ContractViolation("measurement matrix has %d columns but the frame is "
+                                    "%d-dimensional" % (a.shape[1], self.n))
+        return a
+
 
 @dataclass(frozen=True)
 class SparseApprox:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ContractViolation, NotApplicableError
 from .frames import TightFrame
-from .linalg import as_matrix, as_vector
+from .linalg import as_vector
 from .solvers import feasibility_slack
 
 REGIME_GENERAL = "general_l1"
@@ -365,14 +365,14 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
     short-partition requirement of the n <= 4s chain) are skipped rather
     than reported as violations.
     """
-    a = as_matrix(a)
+    a = frame.check_matrix(a)
     f = as_vector(f)
     f_hat = as_vector(f_hat)
     # certify also rejects a bad delta_2s, s or q
     general, special, lq = certify(delta_2s, frame.n, s, q_opt=q)
     _check_finite_nonnegative("eps", eps)
-    if a.shape[1] != frame.n or f.shape[0] != frame.n or f_hat.shape[0] != frame.n:
-        raise ContractViolation("shape mismatch between matrix, frame, and signals")
+    if f.shape[0] != frame.n or f_hat.shape[0] != frame.n:
+        raise ContractViolation("the signals must have the frame's %d entries" % frame.n)
 
     dmat = frame.matrix
     h = f_hat - f

@@ -78,6 +78,15 @@ def _residual(a, f, y) -> float:
     return math.sqrt(gap @ gap)
 
 
+def _result(model: SensingModel, f, iterations, converged, program, objective,
+            diagnostics) -> RecoveryResult:
+    """The one constructor of a solver result: its residual is always
+    ||A f - y|| of `model`, and each program passes its own objective."""
+    return RecoveryResult(f_hat=f, iterations=iterations, converged=converged,
+                          residual=_residual(model.A, f, model.y), objective=objective,
+                          program=program, diagnostics=diagnostics)
+
+
 def _span_coordinates(model: SensingModel, tol: float):
     """(A', y', f0, ||A||_2, exit) from one thin SVD A = U S V^T.
 
@@ -134,9 +143,7 @@ def solve_p1(frame: TightFrame, model: SensingModel,
     `_span_coordinates` return f0 with 0 iterations and their note.
     """
     opts = opts or SolverOptions()
-    a, y, eps = model.A, model.y, model.epsilon
-    if a.shape[1] != frame.n:
-        raise ContractViolation("matrix columns != frame dimension")
+    a, y, eps = frame.check_matrix(model.A), model.y, model.epsilon
     dmat = frame.matrix
     d, n = frame.d, frame.n
 
@@ -144,19 +151,15 @@ def solve_p1(frame: TightFrame, model: SensingModel,
     big_k = math.sqrt(1.0 + (norm_a * (1.0 + 1e-6)) ** 2)
     tau = sigma = 0.99 / big_k
 
-    def result(f_hat, iterations, converged, residual, step, **note):
-        return RecoveryResult(
-            f_hat=f_hat, iterations=iterations, converged=converged,
-            residual=residual, objective=float(np.abs(dmat.T @ f_hat).sum()),
-            program=PROGRAM_P1,
-            diagnostics={"tau": tau, "sigma": sigma, "operator_norm": norm_a,
-                         "final_step": step,
-                         "final_violation": max(0.0, residual - eps), **note},
-        )
+    def result(f_hat, iterations, converged, step, **note):
+        violation = max(0.0, _residual(a, f_hat, y) - eps)
+        return _result(model, f_hat, iterations, converged, PROGRAM_P1,
+                       float(np.abs(dmat.T @ f_hat).sum()),
+                       {"tau": tau, "sigma": sigma, "operator_norm": norm_a,
+                        "final_step": step, "final_violation": violation, **note})
 
     if exit_note:
-        return result(f, 0, exit_note["note"] != "no_feasible_point",
-                      _residual(a, f, y), 0.0, **exit_note)
+        return result(f, 0, exit_note["note"] != "no_feasible_point", 0.0, **exit_note)
 
     feas_tol = _feasibility_tol(eps, opts.tol)
     stacked = np.vstack([dmat.T, a_red])
@@ -215,8 +218,7 @@ def solve_p1(frame: TightFrame, model: SensingModel,
                 balance *= 0.95
 
         if step <= tol * (1.0 + math.sqrt(f.dot(f))):
-            residual = _residual(a, f_new, y)
-            if residual - eps <= feas_tol:
+            if _residual(a, f_new, y) - eps <= feas_tol:
                 f = f_new
                 converged = True
                 break
@@ -225,9 +227,7 @@ def solve_p1(frame: TightFrame, model: SensingModel,
         f, f_new = f_new, f
         dual, dual_new, p, p_new, r, r_new = dual_new, dual, p_new, p, r_new, r
 
-    if not converged:
-        residual = _residual(a, f, y)
-    return result(f, iterations, converged, residual, step)
+    return result(f, iterations, converged, step)
 
 
 def _smoothed_objective(coeffs: np.ndarray, mu: float, q: float) -> float:
@@ -240,11 +240,16 @@ def _weighted_solve(dmat, a, y, eps, weights):
 
     sqrt(W) D* = P S Q^T and A Q S^-1 = U Sigma V^T give the penalized
     minimizer f = Q S^-1 V diag(c) U^T y, c = lambda sigma / (1 + lambda
-    sigma^2), with ||A f - y||^2 = sum (beta / (1 + lambda sigma^2))^2 + floor2
-    (beta = U^T y) falling in lambda.  Newton on 1/||A f - y|| = 1/eps (More &
-    Sorensen 1983), bracketed by bisection, finds lambda; eps = 0, or an eps
-    no finite lambda reaches, takes c = 1/sigma.  Singular values
-    sigma <= DEFAULT_TOL * sigma_max count as 0.
+    sigma^2), and ||A f - y||^2 = sum (w x)^2 + floor, with beta = U^T y,
+    w = beta / sigma^2 and x = 1 / (1/sigma^2 + lambda) over sigma > 0, and
+    floor = ||y - U beta||^2 plus the beta^2 of sigma = 0 (sigma <=
+    DEFAULT_TOL * sigma_max counts as 0).  eps = 0, or eps^2 <= floor, takes
+    c = 1/sigma.  Otherwise Newton on phi(lambda) = 1/||A f - y|| = 1/eps
+    (More & Sorensen 1983) starts at lambda = 0, where phi = 1/||y|| < 1/eps
+    (the solvers exit on a feasible zero).  phi rises, and phi'' <= 0 is
+    (sum w^2 x^3)^2 <= (sum w^2 x^2 + floor)(sum w^2 x^4), Cauchy-Schwarz: each
+    step, along a tangent above phi, moves right but not past the root, so the
+    iterates never leave the bracket (lo, hi), which only guards round-off.
     """
     _, s, qt = np.linalg.svd(np.sqrt(weights)[:, None] * dmat.T, full_matrices=False)
     q_s = qt.T / s
@@ -252,15 +257,15 @@ def _weighted_solve(dmat, a, y, eps, weights):
     sig = np.where(sig > DEFAULT_TOL * sig[:1], sig, 0.0)
     sig2 = sig * sig
     beta = u.T @ y
-    floor2 = float(np.sum(beta[sig == 0.0] ** 2) + np.sum((y - u @ beta) ** 2))
-    if floor2 >= eps * eps:
+    perp2 = float(np.sum((y - u @ beta) ** 2))
+    if float(np.sum(beta[sig == 0.0] ** 2)) + perp2 >= eps * eps:
         c = np.divide(1.0, sig, out=np.zeros_like(sig), where=sig > 0.0)
         return q_s @ (vt.T @ (c * beta)), None
     lam, lo, hi = 0.0, 0.0, math.inf
     for _ in range(100):
         t = 1.0 / (1.0 + lam * sig2)
         r = beta * t
-        res = math.sqrt(float(r @ r) + floor2)
+        res = math.sqrt(float(r @ r) + perp2)
         if abs(res - eps) <= 1e-14 * eps:
             break
         if res > eps:
@@ -288,19 +293,12 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float,
     if not 0.0 < q < 1.0:
         raise ContractViolation("solve_pq needs 0 < q < 1")
     opts = opts or SolverOptions()
-    a, y, eps = model.A, model.y, model.epsilon
-    if a.shape[1] != frame.n:
-        raise ContractViolation("matrix columns != frame dimension")
-    dmat = frame.matrix
+    frame.check_matrix(model.A)
+    eps, dmat = model.epsilon, frame.matrix
 
     def result(f, iters, converged, extra):
-        coeffs = dmat.T @ f
-        return RecoveryResult(
-            f_hat=f, iterations=iters, converged=converged,
-            residual=float(np.linalg.norm(a @ f - y)),
-            objective=float(np.sum(np.abs(coeffs) ** q)),
-            program=PROGRAM_PQ, diagnostics=extra,
-        )
+        return _result(model, f, iters, converged, PROGRAM_PQ,
+                       float(np.sum(np.abs(dmat.T @ f) ** q)), extra)
 
     a_red, y_red, f, _, exit_note = _span_coordinates(model, opts.tol)
     if exit_note:
@@ -358,10 +356,7 @@ def solve_p0_oracle(frame: TightFrame, model: SensingModel, s_max: int,
     """
     if model.epsilon > 0:
         raise ContractViolation("the l0 oracle is noiseless; got epsilon > 0")
-    a, y = model.A, model.y
-    if a.shape[1] != frame.n:
-        raise ContractViolation("matrix columns != frame dimension")
-    d = frame.d
+    a, y, d = frame.check_matrix(model.A), model.y, frame.d
     if not 0 <= s_max <= d or not 0 < tol < math.inf:
         raise ContractViolation("s_max in [0, d] and a finite tol > 0 required")
     check_budget(sum(math.comb(d, k) for k in range(s_max + 1)),
@@ -370,11 +365,8 @@ def solve_p0_oracle(frame: TightFrame, model: SensingModel, s_max: int,
     tol = tol * max(1.0, float(np.linalg.norm(y)))
 
     def result(f, iterations, converged, **diagnostics):
-        return RecoveryResult(
-            f_hat=f, iterations=iterations, converged=converged,
-            residual=float(np.linalg.norm(a @ f - y)), program=PROGRAM_P0,
-            objective=float(np.count_nonzero(np.abs(dmat.T @ f) > tol)),
-            diagnostics=diagnostics)
+        return _result(model, f, iterations, converged, PROGRAM_P0,
+                       float(np.count_nonzero(np.abs(dmat.T @ f) > tol)), diagnostics)
 
     stacked = np.vstack([dmat.T, a])
     rhs = np.concatenate([np.zeros(d), y])

@@ -157,7 +157,7 @@ def test_criterion_3_drip_correctness():
         rep_d = drip.exact_drip(a, frame, s)
         rep_r = exact_rip(a, s)
         assert abs(rep_d.delta - rep_r.delta) <= 1e-10
-        lower = drip.random_lower_bound(a, frame, s, trials=30, seed=seed)
+        lower = drip.random_spectrum_extremes(a, frame, s, 30, seed).report(s)
         assert lower.delta <= rep_d.delta + 1e-10
         # definition check on 1000 seeded sparse vectors
         rng = np.random.default_rng(seed + 9000)

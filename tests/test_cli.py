@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from framecs.cli import cli_main
-from framecs.frames import TightFrame, load_matrix, save_matrix
+from framecs.frames import TightFrame, load_matrix, make_random_tight_frame, save_matrix
 from framecs.experiment import read_csv
 
 
@@ -33,6 +33,17 @@ MATRIX_COMMANDS = (
     ("drip", "exact", "--matrix", "{}", "--s", "1"),
     ("solve", "l1", "--matrix", "{}", "--y", "{}"),
     ("lemmas", "audit", "--matrix", "{}", "--f", "{}", "--fhat", "{}", "--s", "1"),
+)
+
+# every command that reads a measurement matrix with a frame, after
+# --matrix A --frame D, with {y} and {f} for vector files
+MISMATCH_COMMANDS = (
+    ("drip", "exact", "--s", "1"),
+    ("drip", "lower", "--s", "1"),
+    ("solve", "l1", "--y", "{y}"),
+    ("solve", "lq", "--y", "{y}", "--q", "0.5"),
+    ("solve", "l0", "--y", "{y}", "--s-max", "1"),
+    ("lemmas", "audit", "--f", "{f}", "--fhat", "{f}", "--s", "1"),
 )
 
 
@@ -316,6 +327,33 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: %s line %d: " % (path, line))
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", MISMATCH_COMMANDS, ids=lambda a: " ".join(a[:2]))
+    def test_matrix_frame_mismatch_is_one(self, capsys, tmp_path, argv):
+        # a 20 x 6 matrix with an 8 x 12 frame: one message from every command
+        files = {name: str(tmp_path / ("%s.txt" % name)) for name in ("A", "D", "y", "f")}
+        save_matrix(files["A"], np.ones((20, 6)))
+        save_matrix(files["D"], make_random_tight_frame(8, 12, seed=0).matrix)
+        save_matrix(files["y"], np.ones((20, 1)))
+        save_matrix(files["f"], np.ones((8, 1)))
+        code, out, err = run(capsys, *argv[:2], "--matrix", files["A"], "--frame", files["D"],
+                             *(arg.format(**files) for arg in argv[2:]))
+        assert (code, out) == (1, "")
+        assert err == "error: measurement matrix has 6 columns but the frame is 8-dimensional\n"
+
+    def test_matrix_as_vector_is_one(self, capsys, tmp_path):
+        path = tmp_path / "A.txt"
+        save_matrix(path, np.eye(2))
+        code, out, err = run(capsys, "solve", "l1", "--matrix", str(path), "--y", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: %s does not hold a vector\n" % path
+
+    def test_csv_without_out_is_one(self, capsys, tmp_path):
+        # refused before any trial runs
+        path = tmp_path / "exp.json"
+        path.write_text('{"n": 4, "d": 4, "m": 8, "s": 1}', encoding="utf-8")
+        code, out, err = run(capsys, "experiment", "run", "--config", str(path))
+        assert (code, out, err) == (1, "", "error: CSV output needs --out\n")
 
     @pytest.mark.parametrize("program, flag, value", NON_FINITE_SOLVES)
     def test_non_finite_budget_is_one(self, capsys, tmp_path, program, flag, value):

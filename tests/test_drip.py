@@ -13,7 +13,6 @@ from framecs import drip
 from framecs.drip import (
     SpectrumExtremes,
     exact_drip,
-    random_lower_bound,
     random_spectrum_extremes,
     spectrum_extremes,
     support_chunks,
@@ -123,7 +122,7 @@ class TestExactDrip:
     def test_enumeration_guard(self):
         frame = make_random_tight_frame(8, 60, seed=8)
         a = gen_gaussian(16, 8, seed=9)
-        with pytest.raises(EnumerationLimitError, match="random_lower_bound"):
+        with pytest.raises(EnumerationLimitError, match="framecs drip lower"):
             exact_drip(a, frame, 8)
 
     def test_rejects_bad_s(self):
@@ -165,7 +164,7 @@ class TestRandomLowerBound:
             frame = make_random_tight_frame(4, 7, seed=seed)
             a = gen_gaussian(8, 4, seed=seed + 300)
             exact = exact_drip(a, frame, 2).delta
-            lower = random_lower_bound(a, frame, 2, trials=40, seed=seed).delta
+            lower = random_spectrum_extremes(a, frame, 2, 40, seed).report(2).delta
             assert lower <= exact + 1e-10
 
     def test_exhaustive_coincides(self):
@@ -173,14 +172,14 @@ class TestRandomLowerBound:
         a = gen_gaussian(6, 3, seed=12)
         exact = exact_drip(a, frame, 1).delta
         # 200 draws over 5 singleton supports covers all of them
-        lower = random_lower_bound(a, frame, 1, trials=200, seed=13)
+        lower = random_spectrum_extremes(a, frame, 1, 200, 13).report(1)
         assert lower.delta == pytest.approx(exact, abs=1e-12)
 
     def test_deterministic(self):
         frame = make_random_tight_frame(4, 6, seed=14)
         a = gen_gaussian(7, 4, seed=15)
-        r1 = random_lower_bound(a, frame, 2, trials=25, seed=16)
-        r2 = random_lower_bound(a, frame, 2, trials=25, seed=16)
+        r1 = random_spectrum_extremes(a, frame, 2, 25, 16).report(2)
+        r2 = random_spectrum_extremes(a, frame, 2, 25, 16).report(2)
         assert r1 == r2
 
 
@@ -664,7 +663,7 @@ class TestRandomLowerBoundDraws:
         frame = make_random_tight_frame(5, 9, seed=seed)
         a = gen_gaussian(11, 5, seed=seed + 1)
         delta, witness = reference_drip(a, frame.matrix, random_draws(9, 3, 600, seed + 2))
-        rep = random_lower_bound(a, frame, 3, trials=600, seed=seed + 2)
+        rep = random_spectrum_extremes(a, frame, 3, 600, seed + 2).report(3)
         assert rep.delta == pytest.approx(delta, abs=1e-12)
         assert rep.witness_support == witness
         assert rep.supports_examined == 600

@@ -92,7 +92,17 @@ class TestConfig:
          "drip_trials must be >= 1, got -3"),
         ({"n": 8, "d": 12, "m": 64, "s": 2, "drip_mode": "lower", "drip_trials": 0},
          "drip_trials must be >= 1, got 0"),
-    ])
+    ] + [({"n": 8, "d": 12, "m": 64, "s": 2, **bad}, named) for bad, named in (
+        ({"trials": 0}, "^trials must be >= 1$"),
+        ({"eps": -0.1}, "^eps must be >= 0$"),
+        ({"frame": {"kind": "bogus"}}, "unknown frame kind 'bogus'"),
+        ({"matrix": {"kind": "bogus"}}, "unknown matrix kind 'bogus'"),
+        ({"signal": {"mode": "bogus"}}, "unknown signal mode 'bogus'"),
+        ({"noise_mode": "bogus"}, "unknown noise mode 'bogus'"),
+        ({"program": "p0"}, "program must be one of"),
+        ({"drip_mode": "bogus"}, "drip_mode must be 'exact' or 'lower'"),
+        # CSV output goes where `experiment run --out` says
+        ({"out": "run.csv"}, "unknown key 'out' in config"))])
     def test_from_dict_names_the_bad_entry(self, raw, named):
         with pytest.raises(ContractViolation, match=named):
             ExperimentConfig.from_dict(raw)

@@ -395,6 +395,45 @@ class TestWeightedSolve:
         assert lam_red is None
         assert np.linalg.norm(f_red - f) <= 1e-12 * np.linalg.norm(f)
 
+    # rank(A) = 3 < 6 and y outside range(A): the singular values of A Q S^-1
+    # past the rank count as 0, and the floor the residual falls to counts
+    # their beta^2 once
+    @pytest.mark.parametrize("scale", [1.2, 2.0])
+    def test_rank_deficient_a_lands_on_the_boundary(self, scale):
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 6))
+        y = a @ rng.standard_normal(6) + 0.5 * rng.standard_normal(8)
+        u = np.linalg.svd(a)[0][:, :3]
+        eps = scale * float(np.linalg.norm(y - u @ (u.T @ y)))
+        frame = make_dct_frame(6)
+        f, lam = _weighted_solve(frame.matrix, a, y, eps, np.ones(6))
+        assert 0.0 < lam < math.inf
+        assert float(np.linalg.norm(a @ f - y)) == pytest.approx(eps, rel=1e-9)
+        oracle = _penalized_oracle(frame.matrix, a, y, np.ones(6), lam)
+        assert np.linalg.norm(f - oracle) <= 1e-8 * np.linalg.norm(oracle)
+        res = solve_pq(frame, SensingModel(A=a, y=y, epsilon=eps), 0.5)
+        assert res.converged and res.residual == pytest.approx(eps, rel=1e-9)
+
+
+# each program as a call on (frame, model)
+PROGRAM_CALLS = {"P1": solve_p1,
+                 "Pq": lambda frame, model: solve_pq(frame, model, 0.5),
+                 "P0": lambda frame, model: solve_p0_oracle(frame, model, 2)}
+
+
+class TestOneResult:
+    @pytest.mark.parametrize("program", PROGRAM_CALLS)
+    def test_residual_is_that_of_f_hat(self, program):
+        # P0 finds no support on this noisy y and returns the minimum-norm
+        # point, with a residual > 0 like the noisy P1 and Pq points
+        frame, a, _, model = normalized_instance(3, m=24)
+        if program == "P0":
+            model = SensingModel(A=a, y=model.y, epsilon=0.0)
+        res = PROGRAM_CALLS[program](frame, model)
+        assert res.program == program and res.residual > 0.01
+        assert res.residual == pytest.approx(float(np.linalg.norm(a @ res.f_hat - model.y)),
+                                             rel=1e-14)
+
 
 class TestSolveP0:
     def test_identity_instance(self):

@@ -21,7 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DRIP, GUAR, SOLV = "src/framecs/drip.py", "src/framecs/guarantees.py", "src/framecs/solvers.py"
 EXPT, SER = "src/framecs/experiment.py", "src/framecs/serialize.py"
-LINALG = "src/framecs/linalg.py"
+LINALG, FRAMES, CLI = "src/framecs/linalg.py", "src/framecs/frames.py", "src/framecs/cli.py"
 
 # (name, file, text, replacement); text occurs exactly once in the file
 FAULTS = [
@@ -81,6 +81,20 @@ FAULTS = [
      "tol = tol * max(1.0, float(np.linalg.norm(y)))", "tol = tol"),
     ("unconverged solve reported as converged", EXPT,
      "elif not res.converged:", "elif False:"),
+    ("shape check refuses only extra columns", FRAMES,
+     "if a.shape[1] != self.n:", "if a.shape[1] > self.n:"),
+    ("result residual taken at zero, not at f_hat", SOLV,
+     "residual=_residual(model.A, f, model.y)", "residual=_residual(model.A, 0 * f, model.y)"),
+    ("weighted-solve floor counts zero singular values twice", SOLV,
+     "res = math.sqrt(float(r @ r) + perp2)",
+     "res = math.sqrt(float(r @ r) + perp2 + float(np.sum(beta[sig == 0.0] ** 2)))"),
+    ("Newton bracket falls back to its lower end", SOLV,
+     "lam = 0.5 * (lo + hi)", "lam = lo"),
+    ("config drip_mode unchecked", EXPT,
+     'if self.drip_mode not in ("exact", "lower"):', "if False:"),
+    ("a matrix file read as a vector", CLI, "if 1 not in m.shape:", "if False:"),
+    ("CSV output without --out runs the trials", CLI,
+     'if args.format == "csv" and not args.out:', "if False:"),
 ]
 
 
