@@ -10,7 +10,6 @@ concrete instances.
 from .drip import RipReport, exact_drip
 from .errors import ContractViolation, EnumerationLimitError, NotApplicableError
 from .frames import (
-    SparseApprox,
     TightFrame,
     best_s_term,
     make_dct_frame,

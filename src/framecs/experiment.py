@@ -315,8 +315,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
 
     coeffs_true = frame.matrix.T @ f
     qq = q if q is not None else 1.0
-    approx = frames.best_s_term(coeffs_true, config.s, qq)
-    tail = approx.tail_lq
+    tail = frames.best_s_term(coeffs_true, config.s, qq)[1]
     err = float(np.linalg.norm(res.f_hat - f))
 
     gate = guarantees.surrogate_gate(frame.matrix.T @ res.f_hat, coeffs_true, qq)[0]

@@ -7,6 +7,7 @@ f = sum_k <f, D_k> D_k.  Everything here is real-valued and dense.
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -58,15 +59,6 @@ class TightFrame:
             raise ContractViolation("measurement matrix has %d columns but the frame is "
                                     "%d-dimensional" % (a.shape[1], self.n))
         return a
-
-
-@dataclass(frozen=True)
-class SparseApprox:
-    """Best s-term approximation of a coefficient vector and its tails."""
-
-    x_best: np.ndarray
-    tail_l1: float
-    tail_lq: float
 
 
 def tightness_defect(m) -> float:
@@ -140,25 +132,32 @@ def column_coherence(m) -> float:
     return min(1.0, float(gram.max()))
 
 
-def best_s_term(x, s: int, q: float = 1.0) -> SparseApprox:
-    """Keep the s largest-magnitude entries of x (ties: lowest index wins).
-
-    tail_l1 is the l1 norm of what was dropped; tail_lq the lq quasi-norm
-    (sum |t_i|^q)^(1/q) for the requested q in (0, 1].
-    """
+def s_term_head(x, s: int) -> np.ndarray:
+    """The head T_0 of x: the indices of its s largest-magnitude entries,
+    largest first, ties going to the lowest index."""
     x = as_vector(x)
     if not 0 <= s <= x.shape[0]:
         raise ContractViolation("s must be in [0, len(x)]")
+    return np.argsort(-np.abs(x), kind="stable")[:s]
+
+
+def lq_mass(x, q: float, axis=None):
+    """sum |x_i|^q, the l1 norm at q = 1 and the lq quasi-norm to the power
+    q below: a float, or with `axis` one mass per slice along it."""
+    mass = np.sum(np.abs(x) ** q, axis=axis)
+    return float(mass) if axis is None else mass
+
+
+def best_s_term(x, s: int, q: float = 1.0) -> Tuple[np.ndarray, float]:
+    """(head, tail_lq): the s-term head of x (`s_term_head`) and the lq
+    quasi-norm (sum |t_i|^q)^(1/q) of the tail t it drops, x with the head
+    zeroed, for q in (0, 1]; the error of the best s-term approximation."""
     if not 0.0 < q <= 1.0:
         raise ContractViolation("q must be in (0, 1]")
-    order = np.argsort(-np.abs(x), kind="stable")
-    keep = order[:s]
-    x_best = np.zeros_like(x)
-    x_best[keep] = x[keep]
-    tail = x - x_best
-    tail_l1 = float(np.abs(tail).sum())
-    tail_lq = float(np.sum(np.abs(tail) ** q) ** (1.0 / q))
-    return SparseApprox(x_best=x_best, tail_l1=tail_l1, tail_lq=tail_lq)
+    tail = as_vector(x).copy()
+    head = s_term_head(tail, s)
+    tail[head] = 0.0
+    return head, lq_mass(tail, q) ** (1.0 / q)
 
 
 def save_matrix(path, m) -> None:

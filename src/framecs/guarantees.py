@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import ContractViolation, NotApplicableError
-from .frames import TightFrame
+from .frames import TightFrame, lq_mass, s_term_head
 from .linalg import as_vector
 from .solvers import feasibility_slack
 
@@ -262,10 +262,11 @@ def certify(delta_2s: float, n: int, s: int, q_opt: Optional[float] = None
 def block_partition(x_f, x_h, s: int) -> Tuple[Tuple[int, ...], ...]:
     """Index blocks T_0, T_1, ..., T_l.
 
-    T_0 holds the s largest |x_f| entries; the remaining indices are sorted
-    by |x_h| descending and chopped into consecutive blocks of size s (the
-    last may be smaller).  Ties always resolve to the lowest index, which
-    makes the partition deterministic.  Each block is sorted.
+    T_0 is the s-term head of x_f; the remaining indices, ordered by the
+    same rule on |x_h| (`frames.s_term_head`: largest first, ties to the
+    lowest index, which makes the partition deterministic), are chopped
+    into consecutive blocks of size s (the last may be smaller).  Each block
+    is sorted.
     """
     x_f = as_vector(x_f)
     x_h = as_vector(x_h)
@@ -275,11 +276,11 @@ def block_partition(x_f, x_h, s: int) -> Tuple[Tuple[int, ...], ...]:
     if not 1 <= s <= d:
         raise ContractViolation("s must satisfy 1 <= s <= d")
 
-    head = np.argsort(-np.abs(x_f), kind="stable")[:s]
+    head = s_term_head(x_f, s)
     rest_mask = np.ones(d, dtype=bool)
     rest_mask[head] = False
     rest = np.flatnonzero(rest_mask)
-    rest = rest[np.argsort(-np.abs(x_h[rest]), kind="stable")]
+    rest = rest[s_term_head(x_h[rest], rest.shape[0])]
     chunks = [head] + [rest[start:start + s] for start in range(0, rest.shape[0], s)]
     return tuple(tuple(sorted(int(i) for i in chunk)) for chunk in chunks)
 
@@ -326,18 +327,14 @@ def _worst_record(lemma_id: str, cases) -> InequalityAuditRecord:
     return _record(lemma_id, worst[0], worst[1], **worst[2])
 
 
-def _lq_q(v: np.ndarray, q: float) -> float:
-    return float(np.sum(np.abs(v) ** q))
-
-
 def surrogate_gate(x_hat, x_true, q: float) -> Tuple[bool, float, float]:
     """The minimizer-surrogate gate on analysis coefficients D* f_hat and
     D* f: (holds, objective of x_hat, objective of x_true), the objective
     being sum |x_i|^q (the l1 norm at q = 1).  The guarantees only speak of
     a candidate that does not beat the true signal's objective, up to the
     relative round-off slack SURROGATE_RTOL."""
-    obj_hat = _lq_q(x_hat, q)
-    obj_true = _lq_q(x_true, q)
+    obj_hat = lq_mass(x_hat, q)
+    obj_true = lq_mass(x_true, q)
     return obj_hat <= obj_true * (1.0 + SURROGATE_RTOL), obj_hat, obj_true
 
 
@@ -424,11 +421,10 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
         spread[j] = block_mags.max() - (block_mags.min() if len(idx) == s else 0.0)
     dz = coef @ dmat.T   # row j: D applied to block j
     adz = dz @ a.T       # row j: A D applied to block j
-    mags = np.abs(coef)
     sq = (coef * coef).sum(axis=1)  # squared l2 norms
     l2 = np.sqrt(sq)
-    l1 = mags.sum(axis=1)
-    lqq = (mags ** q).sum(axis=1)  # lq^q masses
+    l1 = lq_mass(coef, 1.0, axis=1)
+    lqq = lq_mass(coef, q, axis=1)  # lq^q masses
     omega1 = _first_share(l1)
     omega_q = _first_share(lqq)
 
@@ -437,8 +433,10 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
     sum_l1_blocks = float(l1[1:].sum())
     sum_lqq_blocks = float(lqq[1:].sum())
     tail_energy = sum_sq_tail + delta_2s * sum_l2_tail ** 2
-    tail_l1 = float(np.abs(xf).sum()) - float(np.abs(xf[list(blocks[0])]).sum())
-    tail_lqq = _lq_q(np.delete(xf, list(blocks[0])), q)
+    # D* f off its head T_0, as frames.best_s_term drops it
+    tail = xf.copy()
+    tail[list(blocks[0])] = 0.0
+    tail_l1, tail_lqq = lq_mass(tail, 1.0), lq_mass(tail, q)
 
     # images of T_2 u ... u T_l, of T_0 u T_1 and of T_2 u T_3, as row sums
     tail_image = adz[2:].sum(axis=0)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .drip import CHUNK_FLOATS, check_budget, support_chunks
 from .errors import ContractViolation
-from .frames import TightFrame
+from .frames import TightFrame, lq_mass
 from .linalg import DEFAULT_TOL
 from .sensing import SensingModel
 
@@ -152,11 +152,10 @@ def solve_p1(frame: TightFrame, model: SensingModel,
     tau = sigma = 0.99 / big_k
 
     def result(f_hat, iterations, converged, step, **note):
-        violation = max(0.0, _residual(a, f_hat, y) - eps)
         return _result(model, f_hat, iterations, converged, PROGRAM_P1,
-                       float(np.abs(dmat.T @ f_hat).sum()),
+                       lq_mass(dmat.T @ f_hat, 1.0),
                        {"tau": tau, "sigma": sigma, "operator_norm": norm_a,
-                        "final_step": step, "final_violation": violation, **note})
+                        "final_step": step, **note})
 
     if exit_note:
         return result(f, 0, exit_note["note"] != "no_feasible_point", 0.0, **exit_note)
@@ -298,7 +297,7 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float,
 
     def result(f, iters, converged, extra):
         return _result(model, f, iters, converged, PROGRAM_PQ,
-                       float(np.sum(np.abs(dmat.T @ f) ** q)), extra)
+                       lq_mass(dmat.T @ f, q), extra)
 
     a_red, y_red, f, _, exit_note = _span_coordinates(model, opts.tol)
     if exit_note:

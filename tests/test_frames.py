@@ -10,10 +10,12 @@ from framecs.frames import (
     best_s_term,
     column_coherence,
     load_matrix,
+    lq_mass,
     make_dct_frame,
     make_identity_frame,
     make_random_tight_frame,
     make_union_frame,
+    s_term_head,
     save_matrix,
 )
 
@@ -197,56 +199,78 @@ entries = st.integers(-3, 3).map(float) | st.floats(1e-3, 1e3) | st.floats(-1e3,
 
 class TestBestSTerm:
     def test_basic(self):
-        a = best_s_term(np.array([3.0, -1.0, 2.0]), 2)
-        assert np.array_equal(a.x_best, [3.0, 0.0, 2.0])
-        assert a.tail_l1 == pytest.approx(1.0)
+        head, tail_l1 = best_s_term(np.array([3.0, -1.0, 2.0]), 2)
+        assert head.tolist() == [0, 2]
+        assert tail_l1 == pytest.approx(1.0)
 
     def test_s_zero(self):
-        a = best_s_term(np.array([3.0, -1.0, 2.0]), 0)
-        assert np.array_equal(a.x_best, np.zeros(3))
-        assert a.tail_l1 == pytest.approx(6.0)
+        head, tail_l1 = best_s_term(np.array([3.0, -1.0, 2.0]), 0)
+        assert head.size == 0
+        assert tail_l1 == pytest.approx(6.0)
 
     def test_tie_breaking_lowest_index(self):
-        a = best_s_term(np.array([1.0, 1.0, 1.0]), 2)
-        assert np.array_equal(a.x_best, [1.0, 1.0, 0.0])
-        assert a.tail_l1 == pytest.approx(1.0)
+        head, tail_l1 = best_s_term(np.array([1.0, 1.0, 1.0]), 2)
+        assert head.tolist() == [0, 1]
+        assert tail_l1 == pytest.approx(1.0)
+        # largest first, then the lowest index among equal magnitudes
+        assert s_term_head(np.array([1.0, -2.0, 0.0, 2.0, -1.0]), 4).tolist() == [1, 3, 0, 4]
 
     def test_tail_lq(self):
-        a = best_s_term(np.array([3.0, -1.0, 2.0, 0.5]), 2, q=0.5)
+        tail_lq = best_s_term(np.array([3.0, -1.0, 2.0, 0.5]), 2, q=0.5)[1]
         expected = (1.0 ** 0.5 + 0.5 ** 0.5) ** 2.0
-        assert a.tail_lq == pytest.approx(expected, rel=1e-12)
+        assert tail_lq == pytest.approx(expected, rel=1e-12)
 
     def test_sparsity_invariant(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
             x = rng.standard_normal(9)
             s = int(rng.integers(0, 10))
-            a = best_s_term(x, s)
-            assert np.count_nonzero(a.x_best) <= s
-            assert a.tail_l1 >= 0.0
+            head, tail_l1 = best_s_term(x, s)
+            assert len(set(head.tolist())) == head.size == s
+            assert tail_l1 >= 0.0
+
+    def test_refuses_bad_s_and_q(self):
+        x = np.array([3.0, -1.0, 2.0])
+        for s in (-1, 4):
+            with pytest.raises(ContractViolation):
+                s_term_head(x, s)
+            with pytest.raises(ContractViolation):
+                best_s_term(x, s)
+        for q in (0.0, 1.5):
+            with pytest.raises(ContractViolation):
+                best_s_term(x, 1, q)
+
+    def test_lq_mass(self):
+        x = np.array([[4.0, -1.0, 0.0], [0.0, 9.0, -16.0]])
+        assert lq_mass(x[0], 1.0) == 5.0
+        assert lq_mass(x[1], 0.5) == 7.0
+        assert isinstance(lq_mass(x[0], 0.5), float)
+        assert lq_mass(x, 0.5, axis=1).tolist() == [3.0, 7.0]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(entries, min_size=1, max_size=12), st.data(), st.floats(0.05, 1.0))
     def test_tail_identities(self, values, data, q):
         x = np.array(values)
         s = data.draw(st.integers(0, x.shape[0]))
-        a = best_s_term(x, s, q)
-        tail = x - a.x_best
-        assert np.all((a.x_best == 0.0) | (a.x_best == x))
-        assert np.count_nonzero(a.x_best) <= s
-        kept = np.abs(a.x_best[a.x_best != 0.0])
-        if kept.size < s:
-            assert not np.any(tail)
-        elif kept.size and np.any(tail):
-            assert kept.min() >= np.abs(tail).max()
+        head, tail_lq = best_s_term(x, s, q)
+        tail_l1 = best_s_term(x, s)[1]
+        assert np.array_equal(head, s_term_head(x, s))
+        assert len(set(head.tolist())) == head.size == s
+        kept = np.abs(x[head])
+        rest = np.delete(np.arange(x.shape[0]), head)
+        assert np.all(np.diff(kept) <= 0.0)  # largest first
+        if s and rest.size:
+            assert kept.min() >= np.abs(x[rest]).max()
+            # a dropped entry that ties the smallest kept one comes later
+            tied = rest[np.abs(x[rest]) == kept.min()]
+            assert not tied.size or tied.min() > head[kept == kept.min()].max()
         l1 = float(np.abs(x).sum())
-        assert a.tail_l1 == pytest.approx(l1 - float(np.abs(a.x_best).sum()),
-                                          rel=1e-12, abs=1e-12 * l1)
-        assert a.tail_lq ** q == pytest.approx(float(np.sum(np.abs(tail) ** q)),
-                                               rel=1e-9, abs=1e-300)
-        assert a.tail_lq >= a.tail_l1 * (1.0 - 1e-12)
+        assert tail_l1 == pytest.approx(l1 - float(kept.sum()), rel=1e-12, abs=1e-12 * l1)
+        assert tail_lq ** q == pytest.approx(float(np.sum(np.abs(x[rest]) ** q)),
+                                             rel=1e-9, abs=1e-300)
+        assert tail_lq >= tail_l1 * (1.0 - 1e-12)
         if q == 1.0:
-            assert a.tail_lq == a.tail_l1
+            assert tail_lq == tail_l1
 
     def test_exhaustive_optimality(self):
         from itertools import combinations
@@ -254,8 +278,10 @@ class TestBestSTerm:
         for length in (5, 8, 12):
             x = rng.standard_normal(length)
             for s in range(length + 1):
-                kept = best_s_term(x, s)
-                err = np.linalg.norm(x - kept.x_best)
+                kept = np.zeros(length)
+                head = best_s_term(x, s)[0]
+                kept[head] = x[head]
+                err = np.linalg.norm(x - kept)
                 for subset in combinations(range(length), s):
                     alt = np.zeros(length)
                     alt[list(subset)] = x[list(subset)]

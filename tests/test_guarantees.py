@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from framecs.drip import exact_drip
 from framecs.errors import ContractViolation, NotApplicableError
-from framecs.frames import make_identity_frame, make_random_tight_frame
+from framecs.frames import best_s_term, make_identity_frame, make_random_tight_frame
 from framecs.guarantees import (
     _first_share,
     _record,
@@ -437,6 +437,23 @@ class TestBlockPartition:
             assert np.abs(x_f[head]).min() >= np.abs(np.delete(x_f, head)).max()
         for earlier, later in zip(blocks[1:], blocks[2:]):
             assert np.abs(x_h[list(earlier)]).min() >= np.abs(x_h[list(later)]).max()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_head_and_tail_are_best_s_term(self, data):
+        d = data.draw(st.integers(1, 10))
+        s = data.draw(st.integers(1, d))
+        entries = st.integers(-2, 2).map(float) | st.floats(-10.0, 10.0)  # tied magnitudes
+        vectors = st.lists(entries, min_size=d, max_size=d).map(np.array)
+        x, x_h = data.draw(vectors), data.draw(vectors)
+        head, tail_l1 = best_s_term(x, s)
+        assert block_partition(x, x_h, s)[0] == tuple(sorted(head.tolist()))
+        # on an orthobasis D* f = f, and f_hat = f leaves l1[0] = 0, so the
+        # right side of cone_l1 is twice the l1 tail the audit read
+        a = gen_gaussian(max(1, d // 2), d, seed=d)
+        records = audit_lemmas(make_identity_frame(d), a, x, x, s, 1.0, 0.0, 0.2, y=a @ x)
+        cone = next(r for r in records if r.lemma_id == "cone_l1")
+        assert cone.rhs == 2.0 * tail_l1
 
 
 def _audited_instance(seed, eps=0.05, n=6, d=9, m=40, s=2):

@@ -165,7 +165,7 @@ class TestSolveP1:
         assert np.abs(frame.matrix.T @ res.f_hat).sum() <= np.abs(coeffs).sum()
         c0, c1 = constants_general(delta)
         from framecs.frames import best_s_term
-        tail = best_s_term(coeffs, 2).tail_l1
+        tail = best_s_term(coeffs, 2)[1]
         bound = error_bound(c0, c1, tail, 2, model.epsilon)
         assert np.linalg.norm(res.f_hat - f) <= bound * (1 + 1e-6)
 

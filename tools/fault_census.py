@@ -95,6 +95,10 @@ FAULTS = [
     ("a matrix file read as a vector", CLI, "if 1 not in m.shape:", "if False:"),
     ("CSV output without --out runs the trials", CLI,
      'if args.format == "csv" and not args.out:', "if False:"),
+    ("s-term head breaks ties toward the highest index", FRAMES,
+     'return np.argsort(-np.abs(x), kind="stable")[:s]',
+     'return (x.shape[0] - 1 - np.argsort(-np.abs(x[::-1]), kind="stable"))[:s]'),
+    ("audit tail keeps the head", GUAR, "tail[list(blocks[0])] = 0.0", "pass"),
 ]
 
 
