@@ -118,8 +118,8 @@ def build_parser() -> _Parser:
             e.add_argument("--s-max", type=int, required=True)
             e.add_argument("--feas-tol", type=float, default=1e-9,
                            help="a support wins when its stacked residual is within "
-                                "FEAS_TOL * max(1, ||y||); D* f_hat entries above that "
-                                "count as nonzero")
+                                "FEAS_TOL * ||y||, so the search is invariant to the scale "
+                                "of y; D* f_hat entries above that count as nonzero")
         else:
             e.add_argument("--max-iters", type=int, default=solvers.SolverOptions().max_iters)
             e.add_argument("--tol", type=float, default=solvers.SolverOptions().tol)

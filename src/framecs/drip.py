@@ -11,11 +11,11 @@ special case and directions with Dv = 0 impose no constraint.  Enumerating
 only |T| = s suffices since range(D_T') is contained in range(D_T) for T'
 inside T.
 
-Every public function here is a reduction over one kernel,
-`support_spectra`.  On each support T it takes the SVD of D_T, keeps the
-left singular vectors U_T with sigma > DEFAULT_TOL * sigma_max (a basis of
-range(D_T); a TightFrame has no zero column, so no D_T has rank 0) and reads
-the spectrum off eigvalsh(U_T^T A^T A U_T).  A chunk of supports, an index
+Every public function here is a reduction over one private kernel,
+`_spectra`.  On each support T it takes the SVD of D_T, keeps the left
+singular vectors U_T inside its `linalg.numeric_rank` (a basis of range(D_T);
+a TightFrame has no zero column, so no D_T has rank 0) and reads the
+spectrum off eigvalsh(U_T^T A^T A U_T).  A chunk of supports, an index
 array from `support_chunks` (the one enumerator, which the l0 oracle also
 reads), is one batched SVD and one batched eigvalsh per rank.  A pass keeps
 only the global extremes of the per-support spectra (`SpectrumExtremes`);
@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ContractViolation, EnumerationLimitError
 from .frames import TightFrame
-from .linalg import DEFAULT_TOL
+from .linalg import numeric_rank
 from .rng import rng_from_seed
 
 # Keeps exact computation under minutes at desk scale; past this only the
@@ -58,9 +58,10 @@ ENUMERATION_LIMIT = 10**7
 # Bound on the floats of the kernel's largest temporaries (for a chunk of k
 # supports of size s: the stacked n x s D_T and their bases U_T, and the
 # gathered s x s blocks), k * max(n, s) * s; the exclusion test holds two
-# s x s blocks per support.  The l0 oracle caps its batches of stacked [D*; A]
-# at this many floats (pinv's temporaries are a few times that).  Chunks
-# amortize the per-call overhead while peak memory stays flat in C(d, s) and in m.
+# s x s blocks per support.  The cosupport kernel of the solvers caps its
+# batches of stacked [D*; A] at this many floats (its batched SVD and
+# pseudo-inverse are a few times that).  Chunks amortize the per-call
+# overhead while peak memory stays flat in C(d, s) and in m.
 CHUNK_FLOATS = 2**15
 
 # How far inside the extremes so far (relative to the larger) a skipped
@@ -115,13 +116,13 @@ def _checked(a, frame: TightFrame, s: int) -> np.ndarray:
 
 
 def _spectra(mat: np.ndarray, gram: np.ndarray, idx: np.ndarray):
-    """Kernel body: (lo, hi) of U_T^T gram U_T per row T of the support index
-    array `idx`, U_T the left singular vectors of D_T = mat[:, T] with
-    sigma > DEFAULT_TOL * sigma_max (the package-wide rank rule)."""
+    """The kernel: (lo, hi) of U_T^T gram U_T per row T of the support index
+    array `idx`, U_T the left singular vectors of D_T = mat[:, T] inside its
+    `numeric_rank` (the package-wide rank rule)."""
     lo = np.empty(len(idx))
     hi = np.empty(len(idx))
     u, sv, _ = np.linalg.svd(mat[:, idx].transpose(1, 0, 2), full_matrices=False)
-    rank = np.count_nonzero(sv > DEFAULT_TOL * sv[:, :1], axis=1)
+    rank = numeric_rank(sv)
     for r in range(1, u.shape[2] + 1):
         sel = np.flatnonzero(rank == r)
         if sel.size:
@@ -165,24 +166,6 @@ def _pencil_inside(idx: np.ndarray, unit, lo: float, hi: float) -> np.ndarray:
     x = np.stack([t_hi * g - k, k - t_lo * g], axis=-1)[rows, cols]
     scale = np.abs([t_hi, t_lo]) * np.abs(g).max() + np.abs(k).max()
     return _definite(x, scale).all(axis=-1)
-
-
-def support_spectra(a, frame: TightFrame, supports) -> Tuple[np.ndarray, np.ndarray]:
-    """Extreme eigenvalues (lo, hi) of the measurement quadratic form on
-    range(D_T), for each support T (a row of `supports`).
-
-    The form is restricted to the left singular vectors of D_T with
-    sigma > DEFAULT_TOL * sigma_max.
-    """
-    a = frame.check_matrix(a)
-    idx = np.asarray(supports, dtype=np.intp)
-    if idx.ndim != 2:
-        raise ContractViolation("supports must be a 2-d array of column indices")
-    if idx.shape[1] == 0:
-        raise ContractViolation("supports must not be empty")
-    if idx.size and not (0 <= idx.min() and idx.max() < frame.d):
-        raise ContractViolation("support indices must lie in [0, %d)" % frame.d)
-    return _spectra(frame.matrix, a.T @ a, idx)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Input checks and the package-wide rank tolerance.
+"""Input checks and the package-wide rank rule.
 
 Matrices are plain float64 ndarrays with finite entries.
 """
@@ -10,6 +10,13 @@ from .errors import ContractViolation
 # Single rank-decision tolerance for the whole package, so subspace
 # computations are reproducible bit-for-bit across runs.
 DEFAULT_TOL = 1e-10
+
+
+def numeric_rank(svals: np.ndarray):
+    """The package's rank rule: the count of singular values above
+    DEFAULT_TOL times the largest, along the last axis of `svals` (each row
+    sorted descending, as an SVD returns it)."""
+    return np.count_nonzero(svals > DEFAULT_TOL * svals[..., :1], axis=-1)
 
 
 def as_matrix(a) -> np.ndarray:

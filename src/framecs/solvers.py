@@ -8,8 +8,9 @@
                    geometric continuation on the smoothing level; returns a
                    stationary point, not a certified global minimizer.
   P0 (oracle):     min ||D* f||_0      s.t. A f = y
-                   exhaustive support search, noiseless only, one batched
-                   SVD per chunk of supports from `drip.support_chunks`.
+                   exhaustive support search, noiseless only: the first hit
+                   of the cosupport kernel `_cosupport_solutions` over the
+                   chunks of `drip.support_chunks`.
 
 Both iterative solvers start from one thin SVD of A (`_span_coordinates`),
 share its three early exits and are fully deterministic.
@@ -24,7 +25,7 @@ import numpy as np
 from .drip import CHUNK_FLOATS, check_budget, support_chunks
 from .errors import ContractViolation
 from .frames import TightFrame, lq_mass
-from .linalg import DEFAULT_TOL
+from .linalg import numeric_rank
 from .sensing import SensingModel
 
 PROGRAM_P1 = "P1"
@@ -92,11 +93,11 @@ def _span_coordinates(model: SensingModel, tol: float):
 
     A' = [S V^T; 0] and y' = [U^T y; ||y - U U^T y||] keep every singular
     value, so ||A' f - y'|| = ||A f - y|| for every f on min(m, n) + 1 rows.
-    f0 is the minimum-norm least-squares point V_r S_r^-1 U_r^T y (singular
-    values s > DEFAULT_TOL * s_max count).  exit is None, or the note of a
-    case the solvers return at once with f0: zero lies in the eps-ball
-    ("zero_feasible", and f0 is zero); f0 misses it, so no point is feasible
-    ("no_feasible_point"); eps = 0 and rank(A) = n ("unique_feasible_point").
+    f0 is the minimum-norm least-squares point V_r S_r^-1 U_r^T y (r the
+    `numeric_rank` of A).  exit is None, or the note of a case the solvers
+    return at once with f0: zero lies in the eps-ball ("zero_feasible", and
+    f0 is zero); f0 misses it, so no point is feasible ("no_feasible_point");
+    eps = 0 and rank(A) = n ("unique_feasible_point").
     """
     a, y, eps = model.A, model.y, model.epsilon
     u, svals, vt = np.linalg.svd(a, full_matrices=False)
@@ -109,7 +110,7 @@ def _span_coordinates(model: SensingModel, tol: float):
         # zero is feasible and no point has a smaller objective
         return a_red, y_red, np.zeros(a.shape[1]), norm_a, {"note": "zero_feasible"}
 
-    rank = int(np.count_nonzero(svals > DEFAULT_TOL * norm_a))
+    rank = int(numeric_rank(svals))
     f0 = vt[:rank].T @ (coords[:rank] / svals[:rank])
     residual = _residual(a, f0, y)
     exit_note = None
@@ -241,8 +242,8 @@ def _weighted_solve(dmat, a, y, eps, weights):
     minimizer f = Q S^-1 V diag(c) U^T y, c = lambda sigma / (1 + lambda
     sigma^2), and ||A f - y||^2 = sum (w x)^2 + floor, with beta = U^T y,
     w = beta / sigma^2 and x = 1 / (1/sigma^2 + lambda) over sigma > 0, and
-    floor = ||y - U beta||^2 plus the beta^2 of sigma = 0 (sigma <=
-    DEFAULT_TOL * sigma_max counts as 0).  eps = 0, or eps^2 <= floor, takes
+    floor = ||y - U beta||^2 plus the beta^2 of sigma = 0 (sigma past the
+    `numeric_rank` counts as 0).  eps = 0, or eps^2 <= floor, takes
     c = 1/sigma.  Otherwise Newton on phi(lambda) = 1/||A f - y|| = 1/eps
     (More & Sorensen 1983) starts at lambda = 0, where phi = 1/||y|| < 1/eps
     (the solvers exit on a feasible zero).  phi rises, and phi'' <= 0 is
@@ -253,7 +254,7 @@ def _weighted_solve(dmat, a, y, eps, weights):
     _, s, qt = np.linalg.svd(np.sqrt(weights)[:, None] * dmat.T, full_matrices=False)
     q_s = qt.T / s
     u, sig, vt = np.linalg.svd(a @ q_s, full_matrices=False)
-    sig = np.where(sig > DEFAULT_TOL * sig[:1], sig, 0.0)
+    sig[numeric_rank(sig):] = 0.0
     sig2 = sig * sig
     beta = u.T @ y
     perp2 = float(np.sum((y - u @ beta) ** 2))
@@ -339,19 +340,36 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float,
     })
 
 
+def _cosupport_solutions(frame: TightFrame, a, y, supports):
+    """(f, residual, rank) per row T of the index array `supports`: the
+    minimum-norm least-squares solution of {D*_{T^c} f = 0, A f = y} ([D*; A]
+    with the rows of T zeroed), its residual and the system's `numeric_rank`
+    (n: f is the only solution).  One batched SVD; the pseudo-inverse keeps
+    the order of operations of NumPy's own, so f is bit for bit the same."""
+    rhs = np.concatenate([np.zeros(frame.d), y])
+    batch = np.repeat(np.vstack([frame.matrix.T, a])[None], len(supports), axis=0)
+    batch[np.arange(len(supports))[:, None], supports] = 0.0
+    u, svals, vt = np.linalg.svd(batch, full_matrices=False)
+    rank = numeric_rank(svals)
+    kept = np.arange(svals.shape[1]) < rank[:, None]
+    inv = np.divide(1.0, svals, out=np.zeros_like(svals), where=kept)
+    f = (vt.transpose(0, 2, 1) @ (inv[:, :, None] * u.transpose(0, 2, 1))) @ rhs
+    residual = np.linalg.norm((batch @ f[:, :, None])[:, :, 0] - rhs, axis=1)
+    return f, residual, rank
+
+
 def solve_p0_oracle(frame: TightFrame, model: SensingModel, s_max: int,
                     tol: float = 1e-9) -> RecoveryResult:
     """Exhaustive search for the sparsest analysis representation.
 
     Supports are enumerated in increasing size, lexicographically within a
-    size; the first support whose stacked system {D*_{T^c} f = 0, A f = y}
-    is solvable within tol * max(1, ||y||) wins, and `iterations` is its
-    position.  Each chunk of `support_chunks` is one batched SVD (pinv) of
-    [D*; A] with the rows of T zeroed (rank rule sigma > DEFAULT_TOL *
-    sigma_max, as lstsq's rcond).  With no winner up to s_max, f_hat is the
-    minimum-norm solution of A f = y, unconverged.  The objective counts the
-    entries of D* f_hat above tol * max(1, ||y||) in magnitude.  The scaled
-    cutoff makes the search invariant to the scale of y above 1.
+    size, in chunks of `support_chunks` (at most CHUNK_FLOATS floats of
+    [D*; A] each); the first support whose system {D*_{T^c} f = 0, A f = y}
+    `_cosupport_solutions` solves within tol * ||y|| wins, and `iterations`
+    is its position (at y = 0 the empty support, exactly).  With no winner
+    up to s_max, f_hat is the minimum-norm solution of A f = y, unconverged.
+    The objective counts the entries of D* f_hat above tol * ||y|| in
+    magnitude, so the search is invariant to the scale of y.
     """
     if model.epsilon > 0:
         raise ContractViolation("the l0 oracle is noiseless; got epsilon > 0")
@@ -361,21 +379,17 @@ def solve_p0_oracle(frame: TightFrame, model: SensingModel, s_max: int,
     check_budget(sum(math.comb(d, k) for k in range(s_max + 1)),
                  "sum of C(%d, k) over k <= %d" % (d, s_max))
     dmat = frame.matrix
-    tol = tol * max(1.0, float(np.linalg.norm(y)))
+    tol = tol * float(np.linalg.norm(y))
 
     def result(f, iterations, converged, **diagnostics):
         return _result(model, f, iterations, converged, PROGRAM_P0,
                        float(np.count_nonzero(np.abs(dmat.T @ f) > tol)), diagnostics)
 
-    stacked = np.vstack([dmat.T, a])
-    rhs = np.concatenate([np.zeros(d), y])
+    rows = max(1, CHUNK_FLOATS // ((d + a.shape[0]) * frame.n))
     tested = 0
     for size in range(s_max + 1):
-        for idx in support_chunks(d, size, max(1, CHUNK_FLOATS // stacked.size)):
-            batch = np.repeat(stacked[None], len(idx), axis=0)
-            batch[np.arange(len(idx))[:, None], idx] = 0.0
-            f = np.linalg.pinv(batch, DEFAULT_TOL) @ rhs
-            residual = np.linalg.norm((batch @ f[:, :, None])[:, :, 0] - rhs, axis=1)
+        for idx in support_chunks(d, size, rows):
+            f, residual, _ = _cosupport_solutions(frame, a, y, idx)
             i = int(np.argmax(residual <= tol))  # the first hit, if any
             if residual[i] <= tol:
                 return result(f[i], tested + i + 1, True, support=idx[i].tolist(),

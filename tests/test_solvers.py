@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from framecs import solvers
-from framecs.drip import exact_drip, support_spectrum_range
+from framecs.drip import exact_drip, support_chunks, support_spectrum_range
 from framecs.errors import ContractViolation
+from framecs.experiment import _draw_signal
 from framecs.frames import make_dct_frame, make_identity_frame, make_random_tight_frame
 from framecs.guarantees import error_bound, constants_general, threshold_general
 from framecs.sensing import SensingModel, gen_gaussian, measure
@@ -490,10 +491,10 @@ class TestSolveP0:
 def reference_p0_oracle(frame, model, s_max, tol=1e-9):
     """The l0 oracle one support at a time, each stacked system
     {D*_{T^c} f = 0, A f = y} solved by np.linalg.lstsq and a hit being a
-    residual within tol * max(1, ||y||): (support, iterations, f_hat),
-    support None when no support up to s_max solves."""
+    residual within tol * ||y||: (support, iterations, f_hat), support None
+    when no support up to s_max solves."""
     a, y, dmat = model.A, model.y, frame.matrix
-    tol = tol * max(1.0, np.linalg.norm(y))
+    tol = tol * np.linalg.norm(y)
     tested = 0
     for size in range(s_max + 1):
         for support in combinations(range(frame.d), size):
@@ -562,7 +563,7 @@ class TestP0MatchesThePerSupportLoop:
         assert res.iterations == iterations
         assert np.linalg.norm(res.f_hat - f_hat) <= 1e-9 * (1.0 + np.linalg.norm(f_hat))
         assert res.residual == np.linalg.norm(model.A @ res.f_hat - model.y)
-        cutoff = 1e-9 * max(1.0, np.linalg.norm(model.y))
+        cutoff = 1e-9 * np.linalg.norm(model.y)
         assert res.objective == np.count_nonzero(np.abs(frame.matrix.T @ res.f_hat) > cutoff)
         return res, want_support, cutoff
 
@@ -591,15 +592,76 @@ class TestP0MatchesThePerSupportLoop:
         assert res.iterations == sum(math.comb(d, k) for k in range(s_max + 1))
         assert res.diagnostics == {"note": "no feasible support up to s_max=%d" % s_max}
 
-    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e4, 1e6, 1e8])
     def test_hit_rule_is_relative_to_y(self, scale):
         # the (12, 9) DCT case with y scaled: an absolute residual cutoff of
-        # 1e-9 found its planted support at 1e4 but not at 1e6 or 1e8
+        # 1e-9 found its planted support at 1e4 but not at 1e6 or 1e8, and a
+        # cutoff of 1e-9 max(1, ||y||) took the empty support at 1e-9
         frame, model = p0_instance(*self.HITS[1][:5], self.HITS[1][6])
         res = solve_p0_oracle(frame, SensingModel(model.A, model.y * scale, 0.0), 2)
         assert res.converged
         assert res.diagnostics["support"] == [3, 8]
         assert res.objective == 2.0
+
+
+def vertex_l1_minimum(frame, a, y):
+    """min ||D* f||_1 over {A f = y}.  Each piece {sign(D* f) = const} of the
+    feasible set is a polyhedron with no line (D* is injective), and the
+    objective is linear on it, so the minimum sits at a vertex: a cosupport
+    of size n - rank A whose system {D*_cosupport f = 0, A f = y} has rank n.
+    `_cosupport_solutions` solves every such system, a support (the
+    complement of a cosupport) per row: (minimum, vertices)."""
+    n, d = frame.n, frame.d
+    best, vertices = math.inf, 0
+    for idx in support_chunks(d, d - (n - np.linalg.matrix_rank(a)), 128):
+        f, residual, rank = solvers._cosupport_solutions(frame, a, y, idx)
+        f = f[rank == n]
+        assert np.all(residual[rank == n] <= 1e-9 * np.linalg.norm(y))
+        if len(f):
+            best = min(best, float(np.abs(f @ frame.matrix).sum(axis=1).min()))
+        vertices += len(f)
+    return best, vertices
+
+
+class TestP1MeetsTheVertexOptimum:
+    """Noiseless P1 at m < n against the exact optimum of `vertex_l1_minimum`."""
+
+    # |rel| <= 1.9e-9 on the DCT cases and 3.7e-9 on the random ones that converge
+    OBJECTIVE_RTOL = 1e-7
+
+    @pytest.mark.parametrize("kind, seed", [("dct", k) for k in range(6)]
+                             + [("random", k) for k in range(6)])
+    def test_objective_is_the_vertex_minimum(self, kind, seed):
+        if kind == "dct":
+            frame, a = make_dct_frame(12), gen_gaussian(8, 12, seed=seed)
+        else:
+            frame = make_random_tight_frame(10, 14, seed=seed + 50)
+            a = gen_gaussian(7, 10, seed=seed)
+        model = measure(a, _draw_signal(frame, 2, seed + 1), "none")
+        best, vertices = vertex_l1_minimum(frame, a, model.y)
+        assert vertices == {"dct": math.comb(12, 4), "random": math.comb(14, 3)}[kind]
+        res = solve_p1(frame, model)
+        # random seed 3 runs out of its 20 000 iterations, and says so
+        assert res.converged or (kind, seed) == ("random", 3)
+        if res.converged:
+            assert abs(res.objective - best) <= self.OBJECTIVE_RTOL * best
+
+    def test_rank_is_that_of_the_stacked_system(self):
+        # A with two repeated rows: rank 8 on 10 rows, so the stacked systems
+        # of supports of sizes 8, 9 and 10 have rank 12, 11 and 10
+        frame, a = make_dct_frame(12), gen_gaussian(8, 12, seed=0)
+        a = np.vstack([a, a[:2]])
+        y = a @ np.ones(12)
+        ranks = set()
+        for size in (8, 9, 10):
+            for idx in support_chunks(12, size, 64):
+                _, _, rank = solvers._cosupport_solutions(frame, a, y, idx)
+                for support, r in zip(idx, rank):
+                    cosupport = [i for i in range(12) if i not in support]
+                    stacked = np.vstack([frame.matrix[:, cosupport].T, a])
+                    assert r == np.linalg.matrix_rank(stacked)
+                ranks.update(rank.tolist())
+        assert ranks == {10, 11, 12}
 
 
 def reference_p1_loop(frame, model, opts=SolverOptions()):

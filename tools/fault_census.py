@@ -35,9 +35,9 @@ FAULTS = [
     ("pivot test loosened to >= 0", DRIP, "ok &= x[j, j] > 0", "ok &= x[j, j] >= 0"),
     ("only the t_hi side tested", DRIP,
      "_definite(x, scale).all(axis=-1)", "_definite(x, scale)[:, 0]"),
-    ("rank rule counts every singular value", DRIP,
-     "np.count_nonzero(sv > DEFAULT_TOL * sv[:, :1], axis=1)",
-     "np.count_nonzero(sv >= 0, axis=1)"),
+    ("rank rule counts every singular value", LINALG,
+     "np.count_nonzero(svals > DEFAULT_TOL * svals[..., :1], axis=-1)",
+     "np.count_nonzero(svals >= 0, axis=-1)"),
     ("form on all of U, not its rank-r part", DRIP, "basis = u[sel, :, :r]", "basis = u[sel]"),
     ("witness position not offset by the chunk start", DRIP,
      "lo_at = float(c_lo[i]), (start + i,", "lo_at = float(c_lo[i]), (i,"),
@@ -77,8 +77,11 @@ FAULTS = [
     ("audit z23 images take rows 2:5", GUAR,
      "dz[2:4].sum(axis=0), adz[2:4].sum(axis=0)", "dz[2:5].sum(axis=0), adz[2:5].sum(axis=0)"),
     ("special regime ignores n <= 4 s", GUAR, "other_holds=n <= 4 * s", "other_holds=True"),
-    ("oracle hit rule absolute in y", SOLV,
-     "tol = tol * max(1.0, float(np.linalg.norm(y)))", "tol = tol"),
+    ("oracle hit rule absolute in y", SOLV, "tol = tol * float(np.linalg.norm(y))", "tol = tol"),
+    ("oracle hit rule absolute below ||y|| = 1", SOLV, "tol = tol * float(np.linalg.norm(y))",
+     "tol = tol * max(1.0, float(np.linalg.norm(y)))"),
+    ("cosupport kernel reports every system as full rank", SOLV,
+     "    return f, residual, rank", "    return f, residual, np.full_like(rank, frame.n)"),
     ("unconverged solve reported as converged", EXPT,
      "elif not res.converged:", "elif False:"),
     ("shape check refuses only extra columns", FRAMES,
