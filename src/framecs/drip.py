@@ -26,17 +26,18 @@ A pass solves only the supports that could move those extremes.  Where D_T
 has full column rank, the spectrum is that of the pencil (H_T, Phi_T) of the
 |T| x |T| blocks of Phi = D^T D and H = (A D)^T (A D).  A pass forms once
 the unit-diagonal pencil (K, G) = (R H R, R Phi R), R = diag(Phi)^-1/2,
-whose blocks K_T - t G_T are congruent to H_T - t Phi_T.  In each chunk it
-first solves the few supports whose diagonal quotients K_tt reach furthest
-out.  It skips any other support T (and, after the first chunk, any of
-those) once K_T - t G_T is proved negative definite at t just below the
-highest eigenvalue so far and positive definite at t just above the lowest:
-a Cholesky without pivoting, in numpy arithmetic, of each block shifted by
-a multiple of the unit roundoff that covers forming and eliminating it
-(Rump 2006) ends with every pivot positive.  A skipped support lies inside
-the extremes by the relative margin INSIDE_RTOL, far above round-off, so it
-could neither move nor tie one: the pass returns, to the bit, the
-`SpectrumExtremes` of solving every support.
+whose blocks K_T - t G_T are congruent to H_T - t Phi_T.  A chunk goes in
+rounds.  Each skips every open support T once K_T - t G_T is proved
+negative definite at t just below the highest eigenvalue so far and
+positive definite at t just above the lowest: a Cholesky without pivoting,
+in numpy arithmetic, of each block shifted by a multiple of the unit
+roundoff that covers forming and eliminating it (Rump 2006) ends with every
+pivot positive.  It then solves the next few open supports, twice as many
+each round, from both ends of the order of diagonal quotients K_tt (those
+reaching furthest out first), until none is open.  A skipped support lies
+inside the extremes by the relative margin INSIDE_RTOL, far above
+round-off, so it could neither move nor tie one: the pass returns, to the
+bit, the `SpectrumExtremes` of solving every support.
 """
 
 import math
@@ -68,8 +69,9 @@ CHUNK_FLOATS = 2**15
 # support is proved to lie: far above the kernel's round-off (~1e-14).
 INSIDE_RTOL = 1e-9
 
-# Supports per chunk solved first for each extreme (fewest matrices on held-out instances).
-SEEDS = 12
+# Supports a chunk's first round solves from each end of its order; each round
+# doubles it (chosen on held-out instances).
+FIRST_ROUND = 2
 
 METHOD_EXACT = "exact"
 METHOD_LOWER = "random_lower_bound"
@@ -205,25 +207,30 @@ def _scan(a: np.ndarray, frame: TightFrame, chunks: Iterable[np.ndarray],
     hi, hi_at = -np.inf, (0, ())
     start = 0
     for idx in chunks:
-        # solve first the supports whose diagonal quotients K_tt = H_tt / Phi_tt
-        # (each a Rayleigh quotient of the pencil) reach furthest out, then
-        # the rest, skipping those proved inside the extremes so far (after
-        # the first chunk, seeds too); a skipped support comes back as
-        # (inf, -inf) and wins no reduction
+        # each round proves the open supports inside the extremes so far (once
+        # there are any), then solves the next k open ones from each end of the
+        # order of diagonal quotients K_tt = H_tt / Phi_tt (each a Rayleigh
+        # quotient of the pencil); a skipped support comes back as (inf, -inf)
+        # and wins no reduction
         q = np.diagonal(unit[0])[idx]
-        first = np.zeros(len(idx), dtype=bool)
-        first[np.argsort(-q.max(axis=1), kind="stable")[:SEEDS]] = True
-        first[np.argsort(q.min(axis=1), kind="stable")[:SEEDS]] = True
+        ends = (np.argsort(-q.max(axis=1), kind="stable"),
+                np.argsort(q.min(axis=1), kind="stable"))
         c_lo = np.full(len(idx), np.inf)
         c_hi = np.full(len(idx), -np.inf)
-        seeds = np.flatnonzero(first)
-        if start:
-            seeds = seeds[~_pencil_inside(idx[seeds], unit, lo, hi)]
-        c_lo[seeds], c_hi[seeds] = _spectra(mat, gram, idx[seeds])
-        rest = np.flatnonzero(~first)
-        rest = rest[~_pencil_inside(idx[rest], unit, min(lo, c_lo.min()),
-                                    max(hi, c_hi.max()))]
-        c_lo[rest], c_hi[rest] = _spectra(mat, gram, idx[rest])
+        todo = np.ones(len(idx), dtype=bool)
+        k = FIRST_ROUND
+        while todo.any():
+            t_lo, t_hi = min(lo, c_lo.min()), max(hi, c_hi.max())
+            if t_lo <= t_hi:
+                rest = np.flatnonzero(todo)
+                todo[rest] = ~_pencil_inside(idx[rest], unit, t_lo, t_hi)
+            pick = np.zeros(len(idx), dtype=bool)
+            for end in ends:
+                pick[end[todo[end]][:k]] = True
+            if pick.any():
+                c_lo[pick], c_hi[pick] = _spectra(mat, gram, idx[pick])
+            todo &= ~pick
+            k *= 2
         i = int(np.argmin(c_lo))
         if c_lo[i] < lo:
             lo, lo_at = float(c_lo[i]), (start + i, tuple(idx[i].tolist()))
