@@ -37,7 +37,6 @@ from .guarantees import (
 from .sensing import SensingModel, concentration_probe, gen_gaussian, measure
 from .solvers import (
     RecoveryResult,
-    SolverOptions,
     solve_p0_oracle,
     solve_p1,
     solve_pq,

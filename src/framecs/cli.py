@@ -41,10 +41,6 @@ def _load_vector(path):
     return m.reshape(-1)
 
 
-def _solver_options(args):
-    return solvers.SolverOptions(max_iters=args.max_iters, tol=args.tol)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="framecs",
                      description="Compressed sensing with coherent tight frames: "
@@ -116,13 +112,6 @@ def build_parser() -> _Parser:
             e.add_argument("--q", type=float, required=True)
         if name == "l0":
             e.add_argument("--s-max", type=int, required=True)
-            e.add_argument("--feas-tol", type=float, default=1e-9,
-                           help="a support wins when its stacked residual is within "
-                                "FEAS_TOL * ||y||, so the search is invariant to the scale "
-                                "of y; D* f_hat entries above that count as nonzero")
-        else:
-            e.add_argument("--max-iters", type=int, default=solvers.SolverOptions().max_iters)
-            e.add_argument("--tol", type=float, default=solvers.SolverOptions().tol)
 
     p = sub.add_parser("lemmas", help="audit the guarantee inequality chain")
     lsub = p.add_subparsers(dest="action", required=True)
@@ -216,11 +205,11 @@ def _run(args) -> int:
         y = _load_vector(args.y)
         model = sensing.SensingModel(A=a, y=y, epsilon=args.eps)
         if args.action == "l1":
-            res = solvers.solve_p1(fr, model, _solver_options(args))
+            res = solvers.solve_p1(fr, model)
         elif args.action == "lq":
-            res = solvers.solve_pq(fr, model, args.q, _solver_options(args))
+            res = solvers.solve_pq(fr, model, args.q)
         else:
-            res = solvers.solve_p0_oracle(fr, model, args.s_max, args.feas_tol)
+            res = solvers.solve_p0_oracle(fr, model, args.s_max)
         _emit(json_dumps(res), args.out)
         return 0
 

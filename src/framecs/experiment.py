@@ -78,7 +78,6 @@ class ExperimentConfig:
     matrix: MatrixSpec = field(default_factory=MatrixSpec)
     signal: SignalSpec = field(default_factory=SignalSpec)
     noise_seed: int = 0
-    solver: solvers.SolverOptions = field(default_factory=solvers.SolverOptions)
     drip_mode: str = "exact"
     drip_trials: int = 2000
     drip_seed: int = 0
@@ -164,8 +163,12 @@ def _valid_scale(scale) -> bool:
 def frame_size(kind: str, n: int, d: Optional[int] = None) -> int:
     """The size d of a `kind` frame in R^n: the given d (default n) for
     "random", n for "identity" and "dct", 2 n for "union_dct".  A given d
-    that contradicts the kind is a ContractViolation."""
+    that contradicts the kind, or a random frame with d < n, is a
+    ContractViolation."""
     if kind == "random":
+        if d is not None and d < n:
+            raise ContractViolation("random frame in R^%d needs d >= %d, got d = %d"
+                                    % (n, n, d))
         return n if d is None else d
     fixed = 2 * n if kind == "union_dct" else n
     if d is not None and d != fixed:
@@ -310,8 +313,8 @@ def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
     certs = guarantees.certify(rip.delta, config.n, config.s, q_opt=q)
     cert = certs[-1] if q is not None else next((c for c in certs if c.applicable), certs[0])
 
-    res = (solvers.solve_p1(frame, model, config.solver) if q is None
-           else solvers.solve_pq(frame, model, q, config.solver))
+    res = (solvers.solve_p1(frame, model) if q is None
+           else solvers.solve_pq(frame, model, q))
 
     coeffs_true = frame.matrix.T @ f
     qq = q if q is not None else 1.0

@@ -18,7 +18,7 @@ share its three early exits and are fully deterministic.
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -32,19 +32,15 @@ PROGRAM_P1 = "P1"
 PROGRAM_PQ = "Pq"
 PROGRAM_P0 = "P0"
 
+# the stop rule of every solver, read at call time (the solvers take no
+# options): the cap on P1 steps and Pq weighted solves, and the tolerance of
+# the step tests, of a residual past eps (TOL <= feasibility_slack(eps)) and,
+# times ||y||, of the oracle's hit rule
+MAX_ITERS = 20000
+TOL = 1e-9
 # the lq smoothing schedule: mu shrinks by this factor per level, to the floor
 CONTINUATION_FACTOR = 0.7
 SMOOTHING_FLOOR = 1e-10
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    max_iters: int = 20000
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.max_iters < 1 or not 0 < self.tol < math.inf:
-            raise ContractViolation("max_iters >= 1 and a finite tol > 0 required")
 
 
 @dataclass(frozen=True)
@@ -69,11 +65,6 @@ def feasibility_slack(eps: float) -> float:
     return eps * 1e-6 + 1e-9
 
 
-def _feasibility_tol(eps: float, tol: float) -> float:
-    # convergence never certifies more infeasibility than the invariant allows
-    return min(tol, feasibility_slack(eps))
-
-
 def _residual(a, f, y) -> float:
     gap = a @ f - y
     return math.sqrt(gap @ gap)
@@ -88,7 +79,7 @@ def _result(model: SensingModel, f, iterations, converged, program, objective,
                           program=program, diagnostics=diagnostics)
 
 
-def _span_coordinates(model: SensingModel, tol: float):
+def _span_coordinates(model: SensingModel):
     """(A', y', f0, ||A||_2, exit) from one thin SVD A = U S V^T.
 
     A' = [S V^T; 0] and y' = [U^T y; ||y - U U^T y||] keep every singular
@@ -114,7 +105,7 @@ def _span_coordinates(model: SensingModel, tol: float):
     f0 = vt[:rank].T @ (coords[:rank] / svals[:rank])
     residual = _residual(a, f0, y)
     exit_note = None
-    if residual - eps > _feasibility_tol(eps, tol):
+    if residual - eps > TOL:
         # f0 is the minimum-norm least-squares point: nothing comes closer
         exit_note = {"note": "no_feasible_point", "min_residual": residual}
     elif eps == 0.0 and rank == a.shape[1]:
@@ -123,8 +114,7 @@ def _span_coordinates(model: SensingModel, tol: float):
     return a_red, y_red, f0, norm_a, exit_note
 
 
-def solve_p1(frame: TightFrame, model: SensingModel,
-             opts: Optional[SolverOptions] = None) -> RecoveryResult:
+def solve_p1(frame: TightFrame, model: SensingModel) -> RecoveryResult:
     """Primal-dual splitting for the constrained l1 analysis program.
 
     The loop starts from f0 of `_span_coordinates` and runs on its data
@@ -138,17 +128,18 @@ def solve_p1(frame: TightFrame, model: SensingModel,
     contributes exactly 1).  tau and sigma are rebalanced on the fly to
     equalize the primal and dual residuals with geometrically diminishing
     adjustments, which keeps the product (hence convergence) intact while
-    avoiding the long plateaus of fixed steps.  The residual is evaluated
-    only on steps that pass the step test; the final iterate is returned
-    with its residual ||A f - y|| in the full space.  The three exits of
-    `_span_coordinates` return f0 with 0 iterations and their note.
+    avoiding the long plateaus of fixed steps.  The loop stops at the first
+    step within TOL (1 + ||f||) that lies within eps + TOL of y (the residual
+    is evaluated on those steps only), or after MAX_ITERS steps, and returns
+    its final iterate with its residual ||A f - y|| in the full space.  The
+    three exits of `_span_coordinates` return f0 with 0 iterations and their
+    note.
     """
-    opts = opts or SolverOptions()
     a, y, eps = frame.check_matrix(model.A), model.y, model.epsilon
     dmat = frame.matrix
     d, n = frame.d, frame.n
 
-    a_red, y_red, f, norm_a, exit_note = _span_coordinates(model, opts.tol)
+    a_red, y_red, f, norm_a, exit_note = _span_coordinates(model)
     big_k = math.sqrt(1.0 + (norm_a * (1.0 + 1e-6)) ** 2)
     tau = sigma = 0.99 / big_k
 
@@ -161,7 +152,6 @@ def solve_p1(frame: TightFrame, model: SensingModel,
     if exit_note:
         return result(f, 0, exit_note["note"] != "no_feasible_point", 0.0, **exit_note)
 
-    feas_tol = _feasibility_tol(eps, opts.tol)
     stacked = np.vstack([dmat.T, a_red])
     stacked_t = stacked.T
     # the loop writes into these instead of allocating; (dual, p, r) and
@@ -173,11 +163,11 @@ def solve_p1(frame: TightFrame, model: SensingModel,
     dual_step = np.empty_like(image)
     back, f_new, move = np.empty(n), np.empty(n), np.empty(n)
     f_bar = f.copy()
-    tol = opts.tol
+    tol = TOL
     converged = False
     balance = 0.5  # diminishing rebalancing strength
 
-    for iterations in range(1, opts.max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         stacked.dot(f_bar, out=image)
         # p_new = clip(p + sigma K_1 f_bar, -1, 1)
         np.multiply(image_p, sigma, out=p_new)
@@ -218,7 +208,7 @@ def solve_p1(frame: TightFrame, model: SensingModel,
                 balance *= 0.95
 
         if step <= tol * (1.0 + math.sqrt(f.dot(f))):
-            if _residual(a, f_new, y) - eps <= feas_tol:
+            if _residual(a, f_new, y) - eps <= tol:
                 f = f_new
                 converged = True
                 break
@@ -279,20 +269,21 @@ def _weighted_solve(dmat, a, y, eps, weights):
     return q_s @ (vt.T @ (c * beta)), lam
 
 
-def solve_pq(frame: TightFrame, model: SensingModel, q: float,
-             opts: Optional[SolverOptions] = None) -> RecoveryResult:
+def solve_pq(frame: TightFrame, model: SensingModel, q: float) -> RecoveryResult:
     """Iteratively reweighted least squares for the lq analysis program.
 
     Weights w_i = ((D* f)_i^2 + mu^2)^(q/2 - 1) at smoothing level mu, which
-    decays geometrically to the floor.  Start and exits are those of
-    `solve_p1` (`_span_coordinates`).  Each weighted subproblem
-    min ||sqrt(W) D* f||_2 s.t. ||A' f - y'||_2 <= eps is solved in closed
-    form by `_weighted_solve`, which factors A' Q S^-1 (min(m, n) + 1 rows),
-    on the boundary when eps > 0 and on the least-squares set when eps = 0.
+    decays geometrically to the floor.  A level ends after 25 solves or at a
+    solve that moves f by at most TOL (1 + ||f||); the loop converges when a
+    level moves f that little, or gives up after MAX_ITERS solves.  Start
+    and exits are those of `solve_p1` (`_span_coordinates`).  Each weighted
+    subproblem min ||sqrt(W) D* f||_2 s.t. ||A' f - y'||_2 <= eps is solved
+    in closed form by `_weighted_solve`, which factors A' Q S^-1
+    (min(m, n) + 1 rows), on the boundary when eps > 0 and on the
+    least-squares set when eps = 0.
     """
     if not 0.0 < q < 1.0:
         raise ContractViolation("solve_pq needs 0 < q < 1")
-    opts = opts or SolverOptions()
     frame.check_matrix(model.A)
     eps, dmat = model.epsilon, frame.matrix
 
@@ -300,7 +291,7 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float,
         return _result(model, f, iters, converged, PROGRAM_PQ,
                        lq_mass(dmat.T @ f, q), extra)
 
-    a_red, y_red, f, _, exit_note = _span_coordinates(model, opts.tol)
+    a_red, y_red, f, _, exit_note = _span_coordinates(model)
     if exit_note:
         return result(f, 0, exit_note["note"] != "no_feasible_point", exit_note)
 
@@ -312,7 +303,7 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float,
     f_prev_level = None
     inner_cap = 25
 
-    while total_solves < opts.max_iters:
+    while total_solves < MAX_ITERS:
         level_trace = []
         for _ in range(inner_cap):
             coeffs = dmat.T @ f
@@ -323,12 +314,12 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float,
             inner_step = float(np.linalg.norm(f_new - f))
             inner_ref = 1.0 + float(np.linalg.norm(f))
             f = f_new
-            if inner_step <= opts.tol * inner_ref or total_solves >= opts.max_iters:
+            if inner_step <= TOL * inner_ref or total_solves >= MAX_ITERS:
                 break
         level_traces.append(level_trace)
         if f_prev_level is not None:
             level_step = float(np.linalg.norm(f - f_prev_level))
-            if level_step <= opts.tol * (1.0 + float(np.linalg.norm(f_prev_level))):
+            if level_step <= TOL * (1.0 + float(np.linalg.norm(f_prev_level))):
                 converged = True
                 break
         f_prev_level = f.copy()
@@ -358,28 +349,28 @@ def _cosupport_solutions(frame: TightFrame, a, y, supports):
     return f, residual, rank
 
 
-def solve_p0_oracle(frame: TightFrame, model: SensingModel, s_max: int,
-                    tol: float = 1e-9) -> RecoveryResult:
+def solve_p0_oracle(frame: TightFrame, model: SensingModel, s_max: int) -> RecoveryResult:
     """Exhaustive search for the sparsest analysis representation.
 
     Supports are enumerated in increasing size, lexicographically within a
     size, in chunks of `support_chunks` (at most CHUNK_FLOATS floats of
     [D*; A] each); the first support whose system {D*_{T^c} f = 0, A f = y}
-    `_cosupport_solutions` solves within tol * ||y|| wins, and `iterations`
+    `_cosupport_solutions` solves within TOL * ||y|| wins, and `iterations`
     is its position (at y = 0 the empty support, exactly).  With no winner
     up to s_max, f_hat is the minimum-norm solution of A f = y, unconverged.
-    The objective counts the entries of D* f_hat above tol * ||y|| in
-    magnitude, so the search is invariant to the scale of y.
+    The objective counts the entries of D* f_hat above TOL * ||y|| in
+    magnitude.  Both rules are relative to ||y||, so the search is invariant
+    to the scale of y.
     """
     if model.epsilon > 0:
         raise ContractViolation("the l0 oracle is noiseless; got epsilon > 0")
     a, y, d = frame.check_matrix(model.A), model.y, frame.d
-    if not 0 <= s_max <= d or not 0 < tol < math.inf:
-        raise ContractViolation("s_max in [0, d] and a finite tol > 0 required")
+    if not 0 <= s_max <= d:
+        raise ContractViolation("s_max in [0, d] required")
     check_budget(sum(math.comb(d, k) for k in range(s_max + 1)),
                  "sum of C(%d, k) over k <= %d" % (d, s_max))
     dmat = frame.matrix
-    tol = tol * float(np.linalg.norm(y))
+    tol = TOL * float(np.linalg.norm(y))
 
     def result(f, iterations, converged, **diagnostics):
         return _result(model, f, iterations, converged, PROGRAM_P0,
@@ -395,5 +386,5 @@ def solve_p0_oracle(frame: TightFrame, model: SensingModel, s_max: int,
                 return result(f[i], tested + i + 1, True, support=idx[i].tolist(),
                               stacked_residual=float(residual[i]))
             tested += len(idx)
-    return result(_span_coordinates(model, tol)[2], tested, False,
+    return result(_span_coordinates(model)[2], tested, False,
                   note="no feasible support up to s_max=%d" % s_max)

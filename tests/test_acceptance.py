@@ -344,15 +344,17 @@ def test_criterion_8_lemma_audit_suite():
         eps = (0.0, 0.05, 0.1)[seed % 3]
         frame = frames.make_random_tight_frame(6, 9, seed=seed)
         a = sensing.gen_gaussian(48, 6, seed=seed + 5000)
-        lo, hi = drip.support_spectrum_range(a, frame, 4)
-        a = a * math.sqrt(2.0 / (hi + lo))
+        # one pass gives the scale and, rescaled by c^2, the constant of c A
+        spectrum = drip.spectrum_extremes(a, frame, 4)
+        c = math.sqrt(2.0 / (spectrum.hi + spectrum.lo))
+        a = a * c
         rng = np.random.default_rng(seed + 6000)
         x = np.zeros(9)
         x[rng.choice(9, 2, replace=False)] = rng.standard_normal(2)
         f = frame.matrix @ x
         model = sensing.measure(a, f, "bounded" if eps else "none", eps,
                                 seed=seed + 7000)
-        delta = drip.exact_drip(a, frame, 4).delta
+        delta = spectrum.report(4, c * c).delta
         if q == 1.0:
             res = solvers.solve_p1(frame, model)
         else:

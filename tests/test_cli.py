@@ -18,14 +18,22 @@ MALFORMED_MATRICES = ((b"x y\n1 2\n", 1), (b"-1 2\n", 1), (b"0 2\n", 1), (b"", 1
                       (b"1 2\n1 2\n3 4\n", 3), (b"2 2\n1 2\n", 3),
                       (b"1 2\n1 \xff\n", 2))
 
-# solve commands with a noise budget or tolerance that is not a finite
-# number (or, for --feas-tol, not positive); l0 takes no --tol
-NON_FINITE_SOLVES = [(program, flag, value)
-                     for program in ("l1", "lq", "l0")
-                     for flag, value in (("--eps", "nan"), ("--eps", "inf"),
-                                         ("--tol", "nan"))] + [
-    ("l0", "--feas-tol", "nan"), ("l0", "--feas-tol", "-1")]
+# solve commands with a noise budget that is not a finite number
+NON_FINITE_SOLVES = [(program, "--eps", value)
+                     for program in ("l1", "lq", "l0") for value in ("nan", "inf")]
 SOLVE_FLAGS = {"l1": (), "lq": ("--q", "0.5"), "l0": ("--s-max", "1")}
+
+# commands with a count, level or vector length out of range, with {A} and
+# {nu} for a 2 x 2 matrix and a length-2 vector, and the error each prints
+OUT_OF_RANGE = (
+    (("drip", "lower", "--matrix", "{A}", "--s", "1", "--trials", "0"),
+     "trials must be >= 1"),
+    (("sense", "probe", "--m", "4", "--n", "3", "--delta", "0.5", "--trials", "0"),
+     "trials must be >= 1"),
+    (("sense", "probe", "--m", "4", "--n", "3", "--delta", "1"), "delta must be in (0, 1)"),
+    (("sense", "probe", "--m", "4", "--n", "3", "--delta", "0.5", "--nu", "{nu}"),
+     "nu length 2 != n=3"),
+)
 
 # every command that reads a matrix file, with {} for the file
 MATRIX_COMMANDS = (
@@ -409,6 +417,28 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error: eps must be a finite number >= 0")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", OUT_OF_RANGE,
+                             ids=("drip lower", "probe trials", "probe delta", "probe nu"))
+    def test_out_of_range_is_one(self, capsys, tmp_path, argv, message):
+        files = {"A": str(tmp_path / "A.txt"), "nu": str(tmp_path / "nu.txt")}
+        save_matrix(files["A"], np.diag([1.0, 0.5]))
+        save_matrix(files["nu"], np.ones((2, 1)))
+        code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+    # the solvers' stop rule is a pair of constants, not flags
+    @pytest.mark.parametrize("program, flag, value", [
+        ("l1", "--tol", "1e-6"), ("lq", "--max-iters", "5"), ("l0", "--feas-tol", "1e-9")])
+    def test_stop_flags_are_unknown(self, capsys, tmp_path, program, flag, value):
+        a = np.random.default_rng(0).standard_normal((8, 6))
+        save_matrix(tmp_path / "A.txt", a)
+        save_matrix(tmp_path / "y.txt", (a @ np.ones(6)).reshape(-1, 1))
+        code, out, err = run(capsys, "solve", program, "--matrix", str(tmp_path / "A.txt"),
+                             "--y", str(tmp_path / "y.txt"), *SOLVE_FLAGS[program],
+                             flag, value)
+        assert (code, out) == (1, "")
+        assert err.endswith("\nerror: unrecognized arguments: %s %s\n" % (flag, value))
 
     def test_workers_is_unknown(self, capsys, tmp_path):
         code, _, err = run(capsys, "experiment", "run", "--config",

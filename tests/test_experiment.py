@@ -22,8 +22,8 @@ from framecs.experiment import (
     run_experiment,
     write_csv,
 )
+from framecs import solvers
 from framecs.serialize import format_real, json_dumps
-from framecs.solvers import SolverOptions
 
 
 def small_config(**overrides):
@@ -47,10 +47,8 @@ class TestConfig:
             "matrix": {"kind": "gaussian", "seed": 2},
             "signal": {"mode": "synthesis", "seed": 3},
             "noise_seed": 4,
-            "solver": {"max_iters": 500, "tol": 1e-6},
         }
         cfg = ExperimentConfig.from_dict(raw)
-        assert cfg.solver.max_iters == 500
         assert cfg.frame.kind == "random"
 
     def test_rejects_bad_dims(self):
@@ -77,14 +75,15 @@ class TestConfig:
         ({"n": 8, "d": 12, "m": 64, "s": 2, "matrix": []}, "matrix must be a JSON object"),
         ({"n": 8, "d": 12, "m": 64, "s": 2, "eps": True}, "eps must be float"),
         ({"n": 8, "d": 12, "m": 64, "s": 2, "q": "0.5"}, "q must be float or null"),
-        ({"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"tol": "x"}}, "solver.tol"),
+        # the solvers take no options: any "solver" entry is an unknown key
+        ({"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"tol": 1e-6}},
+         "unknown key 'solver' in config"),
         ([8, 12], "config must be a JSON object"),
-        ({"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"seed": 0}}, "'seed' in solver"),
-        # the lq smoothing schedule is a pair of solver constants, not config keys
+        ({"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"max_iters": 500}},
+         "unknown key 'solver' in config"),
         ({"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"continuation_factor": 0.5}},
-         "unknown key 'continuation_factor' in solver"),
-        ({"n": 8, "d": 12, "m": 64, "s": 2, "solver": {"smoothing_floor": 1e-9}},
-         "unknown key 'smoothing_floor' in solver"),
+         "unknown key 'solver' in config"),
+        ({"n": 8, "d": 12, "m": 64, "s": 2, "solver": {}}, "unknown key 'solver' in config"),
     ] + [({"n": 8, "d": 12, "m": 64, "s": 2, "matrix": {"scale": scale}}, "matrix.scale")
          for scale in ("bogus", -1, 0, True, float("nan"), {"target_delta": 2},
                        {"targt_delta": 0.5}, {"target_delta": 0.5, "typo": 1})] + [
@@ -102,7 +101,9 @@ class TestConfig:
         ({"program": "p0"}, "program must be one of"),
         ({"drip_mode": "bogus"}, "drip_mode must be 'exact' or 'lower'"),
         # CSV output goes where `experiment run --out` says
-        ({"out": "run.csv"}, "unknown key 'out' in config"))])
+        ({"out": "run.csv"}, "unknown key 'out' in config"),
+        # make_random_tight_frame would refuse it inside every trial
+        ({"d": 6}, "random frame .* needs d >= 8, got d = 6"))])
     def test_from_dict_names_the_bad_entry(self, raw, named):
         with pytest.raises(ContractViolation, match=named):
             ExperimentConfig.from_dict(raw)
@@ -217,11 +218,12 @@ class TestRunExperiment:
         with pytest.raises(ContractViolation, match="drip_mode"):
             run_experiment(cfg)
 
-    def test_lower_bound_mode_never_enumerates(self):
+    def test_lower_bound_mode_never_enumerates(self, monkeypatch):
         # the random pass alone picks the auto_min scale, so a (d, 2s) past
         # the exact budget still runs
+        monkeypatch.setattr(solvers, "MAX_ITERS", 20)
         cfg = small_config(n=10, d=80, m=20, s=6, trials=1, drip_mode="lower",
-                           drip_trials=50, solver=SolverOptions(max_iters=20))
+                           drip_trials=50)
         rec, = run_experiment(cfg)
         assert rec.drip_method == "random_lower_bound"
         assert rec.status == "lower_bound_only" and rec.reason is None
@@ -233,14 +235,14 @@ class TestRunExperiment:
             assert rec.within_bound is None
             assert rec.status == "lower_bound_only"
 
-    def test_unconverged_solve_makes_no_claim(self):
+    def test_unconverged_solve_makes_no_claim(self, monkeypatch):
+        monkeypatch.setattr(solvers, "MAX_ITERS", 5)
         records = run_experiment(ExperimentConfig.from_dict({
             "n": 6, "d": 9, "m": 48, "s": 2, "trials": 2, "eps": 0.05,
             "noise_mode": "bounded", "program": "p1",
             "frame": {"kind": "random", "seed": 5},
             "matrix": {"kind": "gaussian", "seed": 6, "scale": "auto_min"},
             "signal": {"seed": 7}, "noise_seed": 8,
-            "solver": {"max_iters": 5},
         }))
         for rec in records:
             assert rec.status == "not_converged" and rec.iters == 5
@@ -353,6 +355,11 @@ class TestCsv:
     def test_parse_rejects_bad_header(self, tmp_path):
         (tmp_path / "bad.csv").write_text("nope\n", encoding="utf-8")
         with pytest.raises(ContractViolation):
+            read_csv(tmp_path / "bad.csv")
+
+    def test_parse_rejects_a_short_row(self, tmp_path):
+        (tmp_path / "bad.csv").write_text(CSV_HEADER + "\n0,8,12\n", encoding="utf-8")
+        with pytest.raises(ContractViolation, match="bad CSV row: '0,8,12'"):
             read_csv(tmp_path / "bad.csv")
 
 

@@ -30,7 +30,7 @@ from framecs.guarantees import (
 )
 from framecs.sensing import gen_gaussian, measure
 from framecs.serialize import json_dumps
-from framecs.solvers import feasibility_slack, solve_p1
+from framecs.solvers import solve_p1
 from test_acceptance import mp_rho_general, mp_rho_q, mp_rho_special
 
 
@@ -537,14 +537,24 @@ class TestAuditLemmas:
             audit_lemmas(frame, a, f, bad, 2, 1.0, model.epsilon, delta,
                          y=model.y)
 
+    @pytest.mark.parametrize("true_signal, match", [
+        ("far", "true signal is infeasible"), ("short", "the signals must have the frame's 6")])
+    def test_bad_true_signal_rejected(self, true_signal, match):
+        frame, a, f, model = _audited_instance(4)
+        delta = exact_drip(a, frame, 4).delta
+        bad = f + 10.0 * np.ones(frame.n) if true_signal == "far" else f[:-1]
+        with pytest.raises(ContractViolation, match=match):
+            audit_lemmas(frame, a, bad, f, 2, 1.0, model.epsilon, delta, y=model.y)
+
     @pytest.mark.parametrize("with_y", [True, False])
     def test_one_and_a_half_slacks_past_eps_is_infeasible(self, with_y):
-        # the audit allows the solvers' own slack past eps, and no more
+        # the audit allows the solvers' own slack past eps, eps 1e-6 + 1e-9
+        # (written out, so a looser `feasibility_slack` fails here), and no more
         frame, a, f, _ = _audited_instance(4)
         eps = 0.05
         delta = exact_drip(a, frame, 4).delta
         w = np.ones(frame.n)
-        gap = (eps + 1.5 * feasibility_slack(eps)) * (1.0 if with_y else 2.0)
+        gap = (eps + 1.5 * (eps * 1e-6 + 1e-9)) * (1.0 if with_y else 2.0)
         bad = f + w * (gap / np.linalg.norm(a @ w))
         with pytest.raises(ContractViolation, match="infeasible|exceeds 2 eps"):
             audit_lemmas(frame, a, f, bad, 2, 1.0, eps, delta,

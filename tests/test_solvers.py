@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from itertools import combinations
 from unittest import mock
@@ -15,10 +14,12 @@ from framecs.guarantees import error_bound, constants_general, threshold_general
 from framecs.sensing import SensingModel, gen_gaussian, measure
 from framecs.solvers import (
     CONTINUATION_FACTOR,
+    MAX_ITERS,
     SMOOTHING_FLOOR,
-    SolverOptions,
+    TOL,
     _span_coordinates,
     _weighted_solve,
+    feasibility_slack,
     solve_p0_oracle,
     solve_p1,
     solve_pq,
@@ -44,21 +45,15 @@ def normalized_instance(seed, n=8, d=12, m=128, s=2, eps=0.05, frame_kind="rando
 
 
 class TestSolverOptions:
+    # the solvers take no options: their stop rule is a pair of constants
     def test_defaults(self):
-        opts = SolverOptions()
-        assert opts.max_iters == 20000
-        assert opts.tol == 1e-9
-        assert [f.name for f in dataclasses.fields(SolverOptions)] == ["max_iters", "tol"]
+        assert (MAX_ITERS, TOL) == (20000, 1e-9)
         assert (CONTINUATION_FACTOR, SMOOTHING_FLOOR) == (0.7, 1e-10)
 
     def test_validation(self):
-        with pytest.raises(ContractViolation):
-            SolverOptions(max_iters=0)
-        for tol in (0.0, math.nan, math.inf):
-            with pytest.raises(ContractViolation):
-                SolverOptions(tol=tol)
-        with pytest.raises(TypeError):
-            SolverOptions(continuation_factor=0.5)
+        # a P1 stop and the no-feasible-point exit accept a residual up to
+        # eps + TOL, so TOL must stay within the slack of every eps
+        assert TOL <= feasibility_slack(0.0)
 
 
 class TestSolveP1:
@@ -122,9 +117,10 @@ class TestSolveP1:
         assert res.residual == np.linalg.norm(a @ res.f_hat - model.y) <= 1e-9
         assert res.iterations == reference_p1_loop(frame, model)[1]
 
-    def test_max_iters_returns_the_last_iterate(self):
+    def test_max_iters_returns_the_last_iterate(self, monkeypatch):
+        monkeypatch.setattr(solvers, "MAX_ITERS", 1)
         frame, a, f, model = normalized_instance(7)
-        res = solve_p1(frame, model, SolverOptions(max_iters=1))
+        res = solve_p1(frame, model)
         assert res.iterations == 1 and not res.converged
         assert res.residual == np.linalg.norm(model.A @ res.f_hat - model.y)
 
@@ -203,31 +199,15 @@ class TestSolveP1:
                 assert float(np.abs(frame.matrix.T @ res.f_hat).sum()) \
                     <= float(np.abs(frame.matrix.T @ f).sum()) + 1e-6
 
-    def test_operator_norm_is_exact(self):
+    def test_operator_norm_is_exact(self, monkeypatch):
         # tall Gaussian matrices; the step sizes rest on the exact ||A||_2
+        monkeypatch.setattr(solvers, "MAX_ITERS", 1)
         for seed in range(10):
             a = gen_gaussian(160, 10, seed=seed + 80)
             model = SensingModel(A=a, y=np.ones(160), epsilon=0.0)
-            res = solve_p1(make_identity_frame(10), model, SolverOptions(max_iters=1))
+            res = solve_p1(make_identity_frame(10), model)
             assert res.diagnostics["operator_norm"] == pytest.approx(
                 np.linalg.norm(a, 2), rel=1e-13)
-
-    def test_custom_options(self):
-        frame, a, f, model = normalized_instance(19)
-        res = solve_p1(frame, model, SolverOptions(max_iters=50, tol=1e-3))
-        assert res.iterations <= 50
-
-
-class TestFeasibleAtLooseTol:
-    # at tol = 1e-4 the feasibility tolerance eps 1e-6 + 1e-9, not tol, is
-    # what lets a noisy solve stop; the default tol of 1e-9 would hide it
-    @pytest.mark.parametrize("seed", range(3))
-    def test_residual_within_the_invariant(self, seed):
-        frame, a, _, model = normalized_instance(seed, eps=0.05)
-        opts = SolverOptions(tol=1e-4)
-        for res in (solve_p1(frame, model, opts), solve_pq(frame, model, 0.5, opts)):
-            residual = np.linalg.norm(a @ res.f_hat - model.y)
-            assert residual <= model.epsilon * (1 + 1e-6) + 1e-9
 
 
 class TestSolvePq:
@@ -349,7 +329,7 @@ class TestSpanCoordinates:
         rng = np.random.default_rng(m)
         # y outside range(A) whenever A has fewer than m independent columns
         model = SensingModel(A=a, y=rng.standard_normal(m), epsilon=0.1)
-        a_red, y_red, _, norm_a, _ = _span_coordinates(model, 1e-9)
+        a_red, y_red, _, norm_a, _ = _span_coordinates(model)
         assert a_red.shape == (min(m, n) + 1, n) and y_red.shape == (min(m, n) + 1,)
         assert norm_a == pytest.approx(np.linalg.norm(a, 2), rel=1e-13)
         for _ in range(5):
@@ -374,7 +354,7 @@ class TestWeightedSolve:
         oracle = _penalized_oracle(frame.matrix, a, model.y, weights, lam)
         assert np.linalg.norm(f - oracle) <= 1e-8 * np.linalg.norm(oracle)
         # the span(A, y) data term gives the same solve
-        a_red, y_red = _span_coordinates(model, 1e-9)[:2]
+        a_red, y_red = _span_coordinates(model)[:2]
         f_red, lam_red = _weighted_solve(frame.matrix, a_red, y_red, 0.1, weights)
         assert np.linalg.norm(f_red - f) <= 1e-12 * np.linalg.norm(f)
         assert lam_red == pytest.approx(lam, rel=1e-10)
@@ -391,7 +371,7 @@ class TestWeightedSolve:
         oracle = _null_space_oracle(frame.matrix, a, y, weights)
         assert np.linalg.norm(f - oracle) <= 1e-8 * np.linalg.norm(oracle)
         # the span(A, y) data term gives the same solve
-        a_red, y_red = _span_coordinates(SensingModel(A=a, y=y, epsilon=0.0), 1e-9)[:2]
+        a_red, y_red = _span_coordinates(SensingModel(A=a, y=y, epsilon=0.0))[:2]
         f_red, lam_red = _weighted_solve(frame.matrix, a_red, y_red, 0.0, weights)
         assert lam_red is None
         assert np.linalg.norm(f_red - f) <= 1e-12 * np.linalg.norm(f)
@@ -486,6 +466,12 @@ class TestSolveP0:
         model = SensingModel(A=np.eye(2), y=np.ones(2), epsilon=0.1)
         with pytest.raises(ContractViolation):
             solve_p0_oracle(make_identity_frame(2), model, 1)
+
+    @pytest.mark.parametrize("s_max", [-1, 3])
+    def test_rejects_s_max_outside_zero_to_d(self, s_max):
+        model = SensingModel(A=np.eye(2), y=np.ones(2), epsilon=0.0)
+        with pytest.raises(ContractViolation, match=r"s_max in \[0, d\] required"):
+            solve_p0_oracle(make_identity_frame(2), model, s_max)
 
 
 def reference_p0_oracle(frame, model, s_max, tol=1e-9):
@@ -664,10 +650,11 @@ class TestP1MeetsTheVertexOptimum:
         assert ranks == {10, 11, 12}
 
 
-def reference_p1_loop(frame, model, opts=SolverOptions()):
+def reference_p1_loop(frame, model):
     """The primal-dual loop of `solve_p1` written with fresh arrays, np.clip,
     np.concatenate and np.linalg.norm: (f_hat, iterations, objective,
     objective_trace, tau)."""
+    max_iters, tol = MAX_ITERS, TOL
     a, y, eps = model.A, model.y, model.epsilon
     dmat = frame.matrix
     d = frame.d
@@ -675,7 +662,7 @@ def reference_p1_loop(frame, model, opts=SolverOptions()):
     big_k = math.sqrt(1.0 + (float(svals[0]) * (1.0 + 1e-6)) ** 2)
     tau = sigma = 0.99 / big_k
     stacked = np.vstack([dmat.T, a])
-    feas_tol = min(opts.tol, eps * 1e-6 + 1e-9)
+    feas_tol = min(tol, eps * 1e-6 + 1e-9)
 
     def evaluate(candidate):
         image = stacked @ candidate
@@ -689,7 +676,7 @@ def reference_p1_loop(frame, model, opts=SolverOptions()):
     p, r = np.zeros(d), np.zeros(a.shape[0])
     f_bar = f.copy()
     balance = 0.5
-    for iterations in range(1, opts.max_iters + 1):
+    for iterations in range(1, max_iters + 1):
         image_bar = stacked @ f_bar
         p_new = np.clip(p + sigma * image_bar[:d], -1.0, 1.0)
         w = r + sigma * (image_bar[d:] - y)
@@ -715,7 +702,7 @@ def reference_p1_loop(frame, model, opts=SolverOptions()):
         if viol <= feas_tol and obj < best_obj:
             best_obj, best_f = obj, f.copy()
         trace.append(best_obj if best_f is not None else obj)
-        if step <= opts.tol * ref and viol <= feas_tol:
+        if step <= tol * ref and viol <= feas_tol:
             break
     f_hat = f if best_f is None else best_f
     return f_hat, iterations, float(np.abs(dmat.T @ f_hat).sum()), trace, tau

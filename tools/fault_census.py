@@ -65,14 +65,15 @@ FAULTS = [
     ("lq admits q = q0", GUAR, "0.0 < q < q0 or", "0.0 < q <= q0 or"),
     ("feasibility slack x1000", SOLV,
      "return eps * 1e-6 + 1e-9", "return 1000 * (eps * 1e-6 + 1e-9)"),
-    ("solver stop ignores the feasibility slack", SOLV,
-     "return min(tol, feasibility_slack(eps))", "return tol"),
+    ("TOL above the feasibility slack", SOLV, "TOL = 1e-9", "TOL = 2e-9"),
+    ("no-feasible-point exit at any residual past eps", SOLV,
+     "residual - eps > TOL", "residual - eps > 0.0"),
     ("oracle takes the last hit in a chunk", SOLV, "np.argmax(residual <= tol)",
      "len(residual) - 1 - np.argmax(residual[::-1] <= tol)"),
     ("oracle iterations omit earlier chunks of the size", SOLV,
      "tested + i + 1", "sum(math.comb(d, k) for k in range(size)) + i + 1"),
     ("oracle returns zero when no support solves", SOLV,
-     "_span_coordinates(model, tol)[2]", "np.zeros(frame.n)"),
+     "_span_coordinates(model)[2]", "np.zeros(frame.n)"),
     ("audit skips the surrogate gate", GUAR, "    if not lq_gate:", "    if False:"),
     ("audit feasibility slack x1000", GUAR, "feas_slack = feasibility_slack(eps)",
      "feas_slack = 1000 * feasibility_slack(eps)"),
@@ -83,9 +84,9 @@ FAULTS = [
     ("audit z23 images take rows 2:5", GUAR,
      "dz[2:4].sum(axis=0), adz[2:4].sum(axis=0)", "dz[2:5].sum(axis=0), adz[2:5].sum(axis=0)"),
     ("special regime ignores n <= 4 s", GUAR, "other_holds=n <= 4 * s", "other_holds=True"),
-    ("oracle hit rule absolute in y", SOLV, "tol = tol * float(np.linalg.norm(y))", "tol = tol"),
-    ("oracle hit rule absolute below ||y|| = 1", SOLV, "tol = tol * float(np.linalg.norm(y))",
-     "tol = tol * max(1.0, float(np.linalg.norm(y)))"),
+    ("oracle hit rule absolute in y", SOLV, "tol = TOL * float(np.linalg.norm(y))", "tol = TOL"),
+    ("oracle hit rule absolute below ||y|| = 1", SOLV, "tol = TOL * float(np.linalg.norm(y))",
+     "tol = TOL * max(1.0, float(np.linalg.norm(y)))"),
     ("cosupport kernel reports every system as full rank", SOLV,
      "    return f, residual, rank", "    return f, residual, np.full_like(rank, frame.n)"),
     ("unconverged solve reported as converged", EXPT,
