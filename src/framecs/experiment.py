@@ -261,16 +261,6 @@ def _resolve_scale(spec, lo, hi) -> Tuple[float, Optional[str]]:
     return math.sqrt((1.0 + t) / hi), None
 
 
-def _spectrum(config: ExperimentConfig, a, frame, trial) -> drip.SpectrumExtremes:
-    """The one pass over the order-2s supports of a trial: all of them, or
-    the seeded random ones of "drip_mode": "lower"."""
-    order = 2 * config.s
-    if config.drip_mode == "lower":
-        return drip.random_spectrum_extremes(a, frame, order, config.drip_trials,
-                                             derive_seed(config.drip_seed, trial))
-    return drip.spectrum_extremes(a, frame, order)
-
-
 def _draw_signal(frame, s, seed) -> np.ndarray:
     # synthesis-sparse draw f = D x with x s-sparse; on an orthobasis frame
     # this is also exactly analysis-sparse, which is all the "analysis"
@@ -284,24 +274,39 @@ def _draw_signal(frame, s, seed) -> np.ndarray:
 
 
 def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
+    """Draw trial `trial`'s frame, unscaled A and signal from the config's
+    seeds, and `evaluate` that instance."""
     seeds = {
         "frame": derive_seed(config.frame.seed, trial),
         "matrix": derive_seed(config.matrix.seed, trial),
         "signal": derive_seed(config.signal.seed, trial),
         "noise": derive_seed(config.noise_seed, trial),
     }
-    order = 2 * config.s
     frame = build_frame(config.frame.kind, config.n, config.d, seeds["frame"])
     a = sensing.gen_matrix(config.matrix.kind, config.m, config.n, seeds["matrix"])
+    f = _draw_signal(frame, config.s, seeds["signal"])
+    return evaluate(config, trial, seeds, frame, a, f)
+
+
+def evaluate(config: ExperimentConfig, trial: int, seeds: Dict[str, int],
+             frame: frames.TightFrame, a, f) -> ExperimentRecord:
+    """The record of one instance (frame, unscaled A, signal f) under the
+    config's s, q, eps, noise, scale and drip settings; its n, d and m are
+    the instance's, and the noise is drawn from seeds["noise"].  One pass
+    over the order-2s supports (all, or the seeded random ones of
+    "drip_mode": "lower") picks the scale and, rescaled by scale^2, gives
+    the constant of the scaled A."""
+    order = 2 * config.s
     reasons = []
-    # one pass picks the scale and, rescaled by scale^2, gives the constant
-    # of the scaled matrix
-    spectrum = _spectrum(config, a, frame, trial)
+    if config.drip_mode == "lower":
+        spectrum = drip.random_spectrum_extremes(a, frame, order, config.drip_trials,
+                                                 derive_seed(config.drip_seed, trial))
+    else:
+        spectrum = drip.spectrum_extremes(a, frame, order)
     scale, why = _resolve_scale(config.matrix.scale, spectrum.lo, spectrum.hi)
     if why:
         reasons.append(why)
     a = a * scale
-    f = _draw_signal(frame, config.s, seeds["signal"])
     model = sensing.measure(a, f, mode=config.noise_mode, level=config.eps,
                             seed=seeds["noise"])
 
@@ -310,7 +315,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
 
     # pq reads the lq certificate; p1 the first applicable l1 one, else general
     q = config.q
-    certs = guarantees.certify(rip.delta, config.n, config.s, q_opt=q)
+    certs = guarantees.certify(rip.delta, frame.n, config.s, q_opt=q)
     cert = certs[-1] if q is not None else next((c for c in certs if c.applicable), certs[0])
 
     res = (solvers.solve_p1(frame, model) if q is None
@@ -351,7 +356,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
             reasons.append("audit_lemmas rejected the instance: %s" % exc)
 
     return ExperimentRecord(
-        trial=trial, seeds=seeds, n=config.n, d=config.d, m=config.m,
+        trial=trial, seeds=seeds, n=frame.n, d=frame.d, m=model.A.shape[0],
         s=config.s, q=q, eps=model.epsilon, delta_2s=rip.delta,
         drip_method=rip.method, regime=cert.regime, applicable=cert.applicable,
         rho=cert.rho, C0=cert.C0, C1=cert.C1, q0=cert.q0, tail=tail,

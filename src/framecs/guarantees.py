@@ -20,7 +20,7 @@ and a regime-specific C0.
 
 A regime's precondition on d (and q) is tested only by its constants_*,
 which raise NotApplicableError outside it; certify builds its certificates
-from them, and audit_lemmas and experiment.run_trial read those.
+from them, and audit_lemmas and experiment.evaluate read those.
 """
 
 import math

@@ -31,7 +31,7 @@ def as_matrix(a) -> np.ndarray:
 def as_vector(a) -> np.ndarray:
     v = np.asarray(a, dtype=float)
     if v.ndim != 1:
-        v = v.reshape(-1)
+        raise ContractViolation("expected a 1-d vector, got ndim=%d" % v.ndim)
     if v.size and not np.all(np.isfinite(v)):
         raise ContractViolation("vector entries must be finite")
     return v

@@ -90,6 +90,8 @@ def measure(a, f, mode: str = "none", level: float = 0.0, seed: int = 0) -> Sens
     if level < 0:
         raise ContractViolation("noise level must be >= 0")
     m = a.shape[0]
+    if m < 1:
+        raise ContractViolation("A must have at least one row")
     if mode == "none" or level == 0.0:
         z = np.zeros(m)
         epsilon = 0.0
@@ -98,11 +100,7 @@ def measure(a, f, mode: str = "none", level: float = 0.0, seed: int = 0) -> Sens
         epsilon = float(np.linalg.norm(z))
     else:
         direction = rng_from_seed(seed).standard_normal(m)
-        norm = np.linalg.norm(direction)
-        if norm == 0.0:
-            direction = np.ones(m)
-            norm = np.linalg.norm(direction)
-        z = direction * (level / norm)
+        z = direction * (level / np.linalg.norm(direction))
         epsilon = float(level)
     y = a @ f + z
     return SensingModel(A=a, y=y, epsilon=epsilon, f_true=f, z=z)

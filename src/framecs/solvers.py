@@ -60,8 +60,10 @@ class RecoveryResult:
 
 
 def feasibility_slack(eps: float) -> float:
-    """How far past eps a result may lie: every solver result keeps the
-    invariant ||A f_hat - y|| <= eps + feasibility_slack(eps)."""
+    """How far past eps a result may lie: every converged solver result
+    keeps ||A f_hat - y|| <= eps + feasibility_slack(eps).  The
+    "no_feasible_point" exit misses it by definition, and an unconverged
+    result need not meet it."""
     return eps * 1e-6 + 1e-9
 
 
@@ -107,7 +109,7 @@ def _span_coordinates(model: SensingModel):
     exit_note = None
     if residual - eps > TOL:
         # f0 is the minimum-norm least-squares point: nothing comes closer
-        exit_note = {"note": "no_feasible_point", "min_residual": residual}
+        exit_note = {"note": "no_feasible_point"}
     elif eps == 0.0 and rank == a.shape[1]:
         # A is injective: A f = y has no other solution
         exit_note = {"note": "unique_feasible_point"}

@@ -17,6 +17,7 @@ from framecs.experiment import (
     MatrixSpec,
     SignalSpec,
     compare_reported_constants,
+    evaluate,
     run_experiment,
     write_csv,
 )
@@ -336,46 +337,41 @@ def test_criterion_7_lq_bound():
 
 def test_criterion_8_lemma_audit_suite():
     t0 = time.perf_counter()
-    audited = holds = total = 0
+    # (q, eps) cycles with seed % 3 over (0.5, 0), (1, 0.05), (1, 0.1); q = 1 is P1
+    configs = [ExperimentConfig(
+        n=6, d=9, m=48, s=2, q=q, eps=eps, noise_mode="bounded" if eps else "none",
+        program="pq" if q else "p1", matrix=MatrixSpec(scale="auto_min"),
+    ) for q, eps in ((0.5, 0.0), (None, 0.05), (None, 0.1))]
+    audited = holds = total = bounded = 0
     seed = 0
-    while audited < 200 and seed < 600:
-        seed += 1
-        q = 1.0 if seed % 3 else 0.5
-        eps = (0.0, 0.05, 0.1)[seed % 3]
-        frame = frames.make_random_tight_frame(6, 9, seed=seed)
-        a = sensing.gen_gaussian(48, 6, seed=seed + 5000)
-        # one pass gives the scale and, rescaled by c^2, the constant of c A
-        spectrum = drip.spectrum_extremes(a, frame, 4)
-        c = math.sqrt(2.0 / (spectrum.hi + spectrum.lo))
-        a = a * c
-        rng = np.random.default_rng(seed + 6000)
-        x = np.zeros(9)
-        x[rng.choice(9, 2, replace=False)] = rng.standard_normal(2)
-        f = frame.matrix @ x
-        model = sensing.measure(a, f, "bounded" if eps else "none", eps,
-                                seed=seed + 7000)
-        delta = spectrum.report(4, c * c).delta
-        if q == 1.0:
-            res = solvers.solve_p1(frame, model)
-        else:
-            res = solvers.solve_pq(frame, model, q)
-        assert_feasible(model, res)
-        if not res.converged:
-            continue
-        if not guarantees.surrogate_gate(frame.matrix.T @ res.f_hat,
-                                         frame.matrix.T @ f, q)[0]:
-            continue
-        records = guarantees.audit_lemmas(frame, a, f, res.f_hat, 2, q,
-                                          model.epsilon, delta, y=model.y)
-        audited += 1
-        total += len(records)
-        holds += sum(1 for r in records if r.holds)
-        bad = [(r.lemma_id, r.slack) for r in records if not r.holds]
-        assert not bad, "instance seed=%d violated %s" % (seed, bad)
+    with feasible_results():
+        while audited < 200 and seed < 600:
+            seed += 1
+            frame = frames.make_random_tight_frame(6, 9, seed=seed)
+            a = sensing.gen_gaussian(48, 6, seed=seed + 5000)
+            rng = np.random.default_rng(seed + 6000)
+            x = np.zeros(9)
+            x[rng.choice(9, 2, replace=False)] = rng.standard_normal(2)
+            seeds = {"frame": seed, "matrix": seed + 5000, "signal": seed + 6000,
+                     "noise": seed + 7000}
+            rec = evaluate(configs[seed % 3], seed, seeds, frame, a, frame.matrix @ x)
+            assert rec.reason is None, "instance seed=%d: %s" % (seed, rec.reason)
+            if rec.status == "ok":
+                assert rec.within_bound, "instance seed=%d exceeds its bound" % seed
+                bounded += 1
+            if rec.status not in ("ok", "not_applicable"):
+                continue  # unconverged, or the surrogate gate failed: no audit
+            audited += 1
+            total += rec.audit_total
+            holds += rec.audit_pass
+            assert rec.audit_pass == rec.audit_total, \
+                "instance seed=%d violated %d inequalities" % (
+                    seed, rec.audit_total - rec.audit_pass)
     elapsed = time.perf_counter() - t0
     assert audited >= 200
     assert holds == total
     assert elapsed < 300.0
+    assert bounded >= 150  # the audit suite also exercises the bound
     report(8, "%d instances, %d/%d inequality records hold" % (audited, holds, total), t0)
 
 

@@ -69,6 +69,19 @@ class TestConstruction:
         with pytest.raises(ContractViolation):
             make_union_frame(np.eye(3) * 2.0, np.eye(3))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: TightFrame(np.ones((2, 1))), "d >= n >= 1"),
+        (lambda: make_identity_frame(0), "n must be >= 1"),
+        (lambda: make_dct_frame(0), "n must be >= 1"),
+        (lambda: make_union_frame(np.ones((2, 3)), np.eye(2)), "b1 must be square"),
+        (lambda: make_union_frame(np.eye(2), np.eye(3)), "matching shapes"),
+        (lambda: column_coherence(np.array([[1.0, 0.0], [1.0, 0.0]])), "zero column"),
+    ], ids=["d < n", "identity n = 0", "dct n = 0", "union non-square", "union shapes",
+            "coherence zero column"])
+    def test_rejects(self, call, message):
+        with pytest.raises(ContractViolation, match=message):
+            call()
+
     def test_random_tight(self):
         f = make_random_tight_frame(4, 8, seed=1)
         assert tightness_defect(f.matrix) <= 1e-10

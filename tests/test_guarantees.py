@@ -471,6 +471,24 @@ def _audited_instance(seed, eps=0.05, n=6, d=9, m=40, s=2):
     return frame, a, f, model
 
 
+class TestRejections:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: rho_special(1.0), "rho_special needs 0 <= delta < 1"),
+        (lambda: rho_q(1.0, 0.5), "rho_q needs 0 <= delta < 1"),
+        (lambda: rho_q(0.1, 0.0), r"rho_q needs q in \(0, 1\]"),
+        (lambda: error_bound(1.0, 1.0, -1.0, 2, 0.0), "must be nonnegative"),
+        (lambda: error_bound(1.0, 1.0, 1.0, 2, 0.0, 1.5), r"q must be in \(0, 1\]"),
+        (lambda: certify(0.1, 0, 2), "n and s must be >= 1"),
+        (lambda: certify(0.1, 8, 2, q_opt=1.5), r"q must be in \(0, 1\]"),
+        (lambda: block_partition(np.ones(4), np.ones(3), 2), "equal length"),
+        (lambda: block_partition(np.ones(4), np.ones(4), 5), "1 <= s <= d"),
+    ], ids=["rho_special delta", "rho_q delta", "rho_q q", "error_bound tail",
+            "error_bound q", "certify n", "certify q", "partition lengths", "partition s"])
+    def test_rejects(self, call, message):
+        with pytest.raises(ContractViolation, match=message):
+            call()
+
+
 class TestAuditLemmas:
     @pytest.mark.parametrize("rhs", [1.0, 250.0])
     def test_a_record_short_by_1e_7_fails(self, rhs):

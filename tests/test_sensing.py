@@ -105,6 +105,20 @@ class TestMeasure:
             with pytest.raises(ContractViolation):
                 SensingModel(A=np.eye(2), y=np.ones(2), epsilon=eps)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: measure(np.zeros((0, 3)), np.ones(3), "bounded", 0.1), "at least one row"),
+        (lambda: measure(np.eye(2), np.ones(3)), "signal length 3 != n=2"),
+        (lambda: measure(np.eye(2), np.ones(2), "uniform", 0.1), "unknown noise mode"),
+        (lambda: measure(np.ones(2), np.ones(2)), "2-d matrix, got ndim=1"),
+        (lambda: measure(np.eye(2), np.ones((2, 1))), "1-d vector, got ndim=2"),
+        (lambda: SensingModel(A=np.eye(2), y=np.ones(2), epsilon=1.0, f_true=np.zeros(2),
+                              z=np.zeros(2)), "stored y does not equal"),
+    ], ids=["no rows", "signal length", "noise mode", "A not 2-d", "f not 1-d",
+            "y not A f + z"])
+    def test_rejects(self, call, message):
+        with pytest.raises(ContractViolation, match=message):
+            call()
+
 
 class TestConcentrationProbe:
     def test_large_m_concentrates(self):
@@ -147,6 +161,10 @@ class TestConcentrationProbe:
     def test_rejects_bad_dims(self, m):
         with pytest.raises(ContractViolation):
             concentration_probe("gaussian", m, 3, np.ones(3), 0.5, 10, 0)
+
+    def test_unknown_generator_rejected(self):
+        with pytest.raises(ContractViolation, match="unknown generator 'poisson'"):
+            concentration_probe("poisson", 4, 3, np.ones(3), 0.5, 10, 0)
 
     def test_zero_nu_rejected(self):
         with pytest.raises(ContractViolation):

@@ -82,7 +82,8 @@ class TestSolveP1:
         res0 = np.linalg.norm(a @ f0 - y)
         assert res.iterations == 0 and not res.converged
         assert res.diagnostics["note"] == "no_feasible_point"
-        assert res.diagnostics["min_residual"] == res.residual
+        # the residual is the result's own; the note does not repeat it
+        assert "min_residual" not in res.diagnostics
         assert res.residual == pytest.approx(res0, rel=1e-12) and res0 > eps + 1.0
         assert np.allclose(res.f_hat, f0, atol=1e-12)
         assert res.objective == float(np.abs(res.f_hat).sum())
@@ -336,6 +337,16 @@ class TestSpanCoordinates:
             f = rng.standard_normal(n)
             full = np.linalg.norm(a @ f - model.y)
             assert abs(np.linalg.norm(a_red @ f - y_red) - full) <= 1e-12 * full
+
+    def test_rank_one_short_of_n_takes_no_exit(self):
+        # eps = 0 and rank(A) = n - 1: A f = y has a line of solutions, so
+        # neither the unique-point exit nor any other applies, and P1 iterates
+        a = gen_gaussian(20, 8, seed=28)
+        a[:, 1] = a[:, 0]
+        model = SensingModel(A=a, y=a @ np.arange(1.0, 9.0), epsilon=0.0)
+        assert _span_coordinates(model)[4] is None
+        res = solve_p1(make_identity_frame(8), model)
+        assert res.iterations > 0 and "note" not in res.diagnostics
 
 
 class TestWeightedSolve:

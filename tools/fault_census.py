@@ -24,7 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DRIP, GUAR, SOLV = "src/framecs/drip.py", "src/framecs/guarantees.py", "src/framecs/solvers.py"
-EXPT, SER = "src/framecs/experiment.py", "src/framecs/serialize.py"
+EXPT, SER, SENS = "src/framecs/experiment.py", "src/framecs/serialize.py", "src/framecs/sensing.py"
 LINALG, FRAMES, CLI = "src/framecs/linalg.py", "src/framecs/frames.py", "src/framecs/cli.py"
 
 # (name, file, text, replacement); text occurs exactly once in the file
@@ -109,6 +109,22 @@ FAULTS = [
      'return np.argsort(-np.abs(x), kind="stable")[:s]',
      'return (x.shape[0] - 1 - np.argsort(-np.abs(x[::-1]), kind="stable"))[:s]'),
     ("audit tail keeps the head", GUAR, "tail[list(blocks[0])] = 0.0", "pass"),
+    ("P1 certificate always the first", EXPT,
+     "next((c for c in certs if c.applicable), certs[0])", "certs[0]"),
+    ("error bound drops the eps term", GUAR,
+     "s ** (1.0 / q - 0.5) + c1 * eps", "s ** (1.0 / q - 0.5)"),
+    ("best s-term tail returned as the lq mass", FRAMES,
+     "lq_mass(tail, q) ** (1.0 / q)", "lq_mass(tail, q)"),
+    ("zero-feasible exit never taken", SOLV,
+     "if float(np.linalg.norm(y)) <= eps:", "if False:"),
+    ("unreachable target_delta reason never set", EXPT,
+     "    if why:\n        reasons.append(why)", "    if False:\n        reasons.append(why)"),
+    ("bounded noise not rescaled to its level", SENS,
+     "z = direction * (level / np.linalg.norm(direction))", "z = direction"),
+    ("CSV None cell written as None", EXPT,
+     'if value is None:\n        return ""', 'if value is None:\n        return "None"'),
+    ("unique-point exit at rank n - 1", SOLV,
+     "rank == a.shape[1]:", "rank >= a.shape[1] - 1:"),
 ]
 
 
