@@ -17,10 +17,10 @@ singular vectors U_T inside its `linalg.numeric_rank` (a basis of range(D_T);
 a TightFrame has no zero column, so no D_T has rank 0) and reads the
 spectrum off eigvalsh(U_T^T A^T A U_T).  A chunk of supports, an index
 array from `support_chunks` (the one enumerator, which the l0 oracle also
-reads), is one batched SVD and one batched eigvalsh per rank.  A pass keeps
-only the global extremes of the per-support spectra (`SpectrumExtremes`);
-since scaling A by c maps every spectrum by c^2, one pass gives the
-constant at any scale.
+reads), is one batched SVD and one batched eigvalsh (one per rank where
+some D_T is rank-deficient).  A pass keeps only the global extremes of the
+per-support spectra (`SpectrumExtremes`); since scaling A by c maps every
+spectrum by c^2, one pass gives the constant at any scale.
 
 A pass solves only the supports that could move those extremes.  Where D_T
 has full column rank, the spectrum is that of the pencil (H_T, Phi_T) of the
@@ -33,8 +33,15 @@ positive definite at t just above the lowest: a Cholesky without pivoting,
 in numpy arithmetic, of each block shifted by a multiple of the unit
 roundoff that covers forming and eliminating it (Rump 2006) ends with every
 pivot positive.  It then solves the next few open supports, twice as many
-each round, from both ends of the order of diagonal quotients K_tt (those
-reaching furthest out first), until none is open.  A skipped support lies
+each round, from both ends of the order of pair keys (those reaching
+furthest out first), until none is open.  The pass forms, in closed form,
+the two roots of each pair's 2 x 2 pencil (K_P, G_P), P = {i, j}: the Ritz
+values of A^T A on span(d_i, d_j), a 2-dimensional subspace of range(D_T)
+for every support T holding i and j.  A support's top key, the largest top
+root over its pairs i < j, is thus at most its highest eigenvalue, and its
+bottom key, the smallest bottom root, at least its lowest: inner bounds
+tighter than the diagonal quotients K_tt (Ritz values on span(d_t)), which
+stand in where a pair is degenerate and at s = 1.  A skipped support lies
 inside the extremes by the relative margin INSIDE_RTOL, far above
 round-off, so it could neither move nor tie one: the pass returns, to the
 bit, the `SpectrumExtremes` of solving every support.
@@ -43,7 +50,7 @@ bit, the `SpectrumExtremes` of solving every support.
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, NamedTuple, Tuple
 
 import numpy as np
 
@@ -68,6 +75,11 @@ CHUNK_FLOATS = 2**15
 # How far inside the extremes so far (relative to the larger) a skipped
 # support is proved to lie: far above the kernel's round-off (~1e-14).
 INSIDE_RTOL = 1e-9
+
+# Pairs with 1 - G_ij^2 at or below this are keyed by their diagonal
+# quotients: the closed-form roots carry a relative error of about
+# u / (1 - G_ij^2), u = 2^-53 (chosen on held-out instances).
+FLAT_PAIR = 1e-6
 
 # Supports a chunk's first round solves from each end of its order; each round
 # doubles it (chosen on held-out instances).
@@ -121,10 +133,13 @@ def _spectra(mat: np.ndarray, gram: np.ndarray, idx: np.ndarray):
     """The kernel: (lo, hi) of U_T^T gram U_T per row T of the support index
     array `idx`, U_T the left singular vectors of D_T = mat[:, T] inside its
     `numeric_rank` (the package-wide rank rule)."""
-    lo = np.empty(len(idx))
-    hi = np.empty(len(idx))
     u, sv, _ = np.linalg.svd(mat[:, idx].transpose(1, 0, 2), full_matrices=False)
     rank = numeric_rank(sv)
+    if (rank == u.shape[2]).all():  # every D_T of full rank: one eigvalsh
+        w = np.linalg.eigvalsh(u.transpose(0, 2, 1) @ gram @ u)
+        return w[:, 0], w[:, -1]
+    lo = np.empty(len(idx))
+    hi = np.empty(len(idx))
     for r in range(1, u.shape[2] + 1):
         sel = np.flatnonzero(rank == r)
         if sel.size:
@@ -154,19 +169,70 @@ def _definite(x: np.ndarray, scale) -> np.ndarray:
     return ok
 
 
-def _pencil_inside(idx: np.ndarray, unit, lo: float, hi: float) -> np.ndarray:
+class _Pencil(NamedTuple):
+    """A pass's unit-diagonal pencil (K, G) = (R H R, R Phi R), R =
+    diag(Phi)^-1/2, with max|K| and max|G| (the scale of its proofs), and the
+    d x d tables `top` and `bottom` of the extremes of each pair's 2 x 2
+    pencil (`_pair_extremes`)."""
+
+    k: np.ndarray
+    g: np.ndarray
+    k_max: float
+    g_max: float
+    top: np.ndarray
+    bottom: np.ndarray
+
+
+def _unit_pencil(a: np.ndarray, mat: np.ndarray) -> _Pencil:
+    ad = a @ mat
+    phi = mat.T @ mat
+    r = 1.0 / np.sqrt(np.diagonal(phi))
+    k, g = r[:, None] * (ad.T @ ad) * r, r[:, None] * phi * r
+    return _Pencil(k, g, np.abs(k).max(), np.abs(g).max(), *_pair_extremes(k, g))
+
+
+def _pair_extremes(k: np.ndarray, g: np.ndarray):
+    """Tables (top, bottom) of the larger and smaller root t of
+    det(K_P - t G_P) = (1 - g^2) t^2 - (K_ii + K_jj - 2 g K_ij) t
+    + K_ii K_jj - K_ij^2 = 0, g = G_ij, for each pair P = {i, j}: the Ritz
+    values of A^T A on span(d_i, d_j), a subspace of range(D_T) for every
+    support T holding i and j, so T's lowest eigenvalue is at most the
+    smaller root and its highest at least the larger.  Where
+    1 - g^2 <= FLAT_PAIR (the diagonal, and columns too close to parallel
+    for the closed form) they are the diagonal quotients K_ii and K_jj, the
+    Ritz values on span(d_i) and span(d_j)."""
+    q = np.diagonal(k)
+    det_g = 1.0 - g * g
+    flat = det_g <= FLAT_PAIR
+    det_g = np.where(flat, 1.0, det_g)
+    b = q[:, None] + q - 2.0 * g * k
+    root = np.sqrt(np.maximum(b * b - 4.0 * det_g * (q[:, None] * q - k * k), 0.0))
+    return (np.where(flat, np.maximum.outer(q, q), (b + root) / (2.0 * det_g)),
+            np.where(flat, np.minimum.outer(q, q), (b - root) / (2.0 * det_g)))
+
+
+def _pair_keys(unit: _Pencil, idx: np.ndarray):
+    """Per support (a row of `idx`), the largest `top` and the smallest
+    `bottom` of its pairs i < j: inner bounds on its highest and lowest
+    eigenvalue.  At s = 1 the one "pair" (0, 0) gives its diagonal quotient."""
+    first, second = np.array(list(combinations(range(idx.shape[1]), 2)) or [(0, 0)]).T
+    pairs = idx[:, first], idx[:, second]
+    return unit.top[pairs].max(axis=1), unit.bottom[pairs].min(axis=1)
+
+
+def _pencil_inside(idx: np.ndarray, unit: _Pencil, lo: float, hi: float) -> np.ndarray:
     """Where the pencil (H_T, Phi_T) of a support (a row of `idx`) is proved
     to have every eigenvalue in (t_lo, t_hi) = (lo + margin, hi - margin),
     margin = INSIDE_RTOL max(|lo|, |hi|): t_hi G_T - K_T > 0 and
-    K_T - t_lo G_T > 0 in `unit` = (K, G) = (R H R, R Phi R), whose blocks are
-    congruent to H_T - t Phi_T.  A singular Phi_T never passes: both
-    differences vanish on its null vectors."""
-    k, g = unit
+    K_T - t_lo G_T > 0 in the unit pencil, whose blocks are congruent to
+    H_T - t Phi_T.  A singular Phi_T never passes: both differences vanish
+    on its null vectors."""
+    k, g = unit.k, unit.g
     margin = INSIDE_RTOL * max(abs(lo), abs(hi))
     t_lo, t_hi = lo + margin, hi - margin
     rows, cols = idx.T[:, None, :], idx.T[None, :, :]
     x = np.stack([t_hi * g - k, k - t_lo * g], axis=-1)[rows, cols]
-    scale = np.abs([t_hi, t_lo]) * np.abs(g).max() + np.abs(k).max()
+    scale = np.abs([t_hi, t_lo]) * unit.g_max + unit.k_max
     return _definite(x, scale).all(axis=-1)
 
 
@@ -198,10 +264,7 @@ class SpectrumExtremes:
 def _scan(a: np.ndarray, frame: TightFrame, chunks: Iterable[np.ndarray],
           method: str) -> SpectrumExtremes:
     mat = frame.matrix
-    ad = a @ mat
-    phi = mat.T @ mat
-    r = 1.0 / np.sqrt(np.diagonal(phi))
-    unit = (r[:, None] * (ad.T @ ad) * r, r[:, None] * phi * r)
+    unit = _unit_pencil(a, mat)
     gram = a.T @ a
     lo, lo_at = np.inf, (0, ())
     hi, hi_at = -np.inf, (0, ())
@@ -209,12 +272,10 @@ def _scan(a: np.ndarray, frame: TightFrame, chunks: Iterable[np.ndarray],
     for idx in chunks:
         # each round proves the open supports inside the extremes so far (once
         # there are any), then solves the next k open ones from each end of the
-        # order of diagonal quotients K_tt = H_tt / Phi_tt (each a Rayleigh
-        # quotient of the pencil); a skipped support comes back as (inf, -inf)
-        # and wins no reduction
-        q = np.diagonal(unit[0])[idx]
-        ends = (np.argsort(-q.max(axis=1), kind="stable"),
-                np.argsort(q.min(axis=1), kind="stable"))
+        # order of pair keys (those reaching furthest out first); a skipped
+        # support comes back as (inf, -inf) and wins no reduction
+        key_hi, key_lo = _pair_keys(unit, idx)
+        ends = (np.argsort(-key_hi, kind="stable"), np.argsort(key_lo, kind="stable"))
         c_lo = np.full(len(idx), np.inf)
         c_hi = np.full(len(idx), -np.inf)
         todo = np.ones(len(idx), dtype=bool)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from itertools import combinations, islice
 from unittest import mock
 
@@ -494,24 +495,27 @@ class TestSkippedSupports:
 
     @staticmethod
     def near_tie_instance(gap):
-        # identity frame, H = A^T A block diagonal.  Column 0 alone reaches
-        # 1.9 (its pairs are solved first, by their diagonal quotient); the
-        # coupled pairs {2, 3} and {6, 7} reach 1.9 (1 + gap) with diagonal
-        # quotients of only 1, so they are solved only if not skipped
+        # identity frame, H = A^T A block diagonal, order 3.  Column 0 alone
+        # reaches 1.9 (the supports holding it are solved first: each has a
+        # pair key of 1.9); the coupled triples {1, 2, 3} and {5, 6, 7}
+        # (H = I + b (J - I) on each) reach 1 + 2 b = 1.9 (1 + gap) with pair
+        # keys of only 1 + b, about 1.45, so they are solved only if not
+        # skipped
         h = np.diag([1.9, 1.0, 1.0, 1.0, 0.01, 1.0, 1.0, 1.0])
-        b = 1.9 * (1.0 + gap) - 1.0
-        h[2, 3] = h[3, 2] = h[6, 7] = h[7, 6] = b
+        b = 0.5 * (1.9 * (1.0 + gap) - 1.0)
+        for block in ([1, 2, 3], [5, 6, 7]):
+            h[np.ix_(block, block)] += b * (1.0 - np.eye(3))
         return np.linalg.cholesky(h).T, make_identity_frame(8)
 
     @pytest.mark.parametrize("gap", [1e-12, 0.0])
     def test_a_support_at_the_running_extreme_is_solved(self, gap):
         a, frame = self.near_tie_instance(gap)
-        got = spectrum_extremes(a, frame, 2)
-        want = reference_extremes(a, frame, combinations(range(8), 2), "exact")
+        got = spectrum_extremes(a, frame, 3)
+        want = reference_extremes(a, frame, combinations(range(8), 3), "exact")
         assert got == want
         if gap:
-            # {2, 3} exceeds 1.9 by about 2e-12 and comes first of the two
-            assert got.hi_at == (list(combinations(range(8), 2)).index((2, 3)), (2, 3))
+            # {1, 2, 3} exceeds 1.9 by about 2e-12 and comes first of the two
+            assert got.hi_at == (list(combinations(range(8), 3)).index((1, 2, 3)), (1, 2, 3))
             assert got.hi > 1.9 * (1.0 + 0.5 * gap)
 
     @staticmethod
@@ -539,7 +543,7 @@ class TestSkippedSupports:
         monkeypatch.undo()
         assert ext.supports_examined == 10626
         assert ext == reference_extremes(a, frame, combinations(range(24), 4), "exact")
-        # 19 of them here
+        # 11 of them here
         assert counts["svd"] <= 0.01 * 10626
         assert counts["eigvalsh"] <= counts["svd"]
 
@@ -559,17 +563,18 @@ class TestSkippedSupports:
                    build_frame("random", n, d, derive_seed(100 + config, t)))
 
     def test_benchmark_rounds_solve_few_supports(self, monkeypatch):
-        # rounds 0 (the benchmark's reference round) and 1: 642 supports
-        # solved in all.  Solving 12 supports from each end, then every one
-        # left open after one proof, took 1 489 (740 in round 0); the same
-        # rounds with the top end of the order reversed took 801
+        # rounds 0 (the benchmark's reference round) and 1: 387 supports
+        # solved in all.  Keys from the diagonal quotients alone took 642,
+        # the top end of the order reversed 745, and the bottom key taken
+        # as the largest bottom of the pairs 451, and solving every support
+        # left open after the first round's proof 1 228
         instances = [*self.p1_auto_round(0), *self.p1_auto_round(1)]
         counts = self.count_solves(monkeypatch)
         got = [spectrum_extremes(a, frame, 4) for a, frame in instances]
         monkeypatch.undo()
         assert got == [reference_extremes(a, frame, combinations(range(frame.d), 4), "exact")
                        for a, frame in instances]
-        assert counts["svd"] <= 1.1 * 642
+        assert counts["svd"] <= 400
         assert counts["eigvalsh"] <= counts["svd"]
 
 
@@ -605,13 +610,6 @@ class TestProof:
         x = np.diag([lam, 1.0])[:, :, None]
         assert drip._definite(x, 1.0)[0] == proved
 
-    @staticmethod
-    def unit_pencil(a, frame):
-        ad = a @ frame.matrix
-        phi, h = frame.matrix.T @ frame.matrix, ad.T @ ad
-        r = 1.0 / np.sqrt(np.diagonal(phi))
-        return r[:, None] * h * r, r[:, None] * phi * r
-
     @pytest.mark.parametrize("seed", range(5))
     def test_never_proves_a_support_with_duplicate_columns(self, seed):
         # D = [B, B] / sqrt(2): D_T has a null vector whenever T holds j and
@@ -620,7 +618,7 @@ class TestProof:
         b, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
         frame = make_union_frame(b, b)
         a = gen_gaussian(9, n, seed=seed)
-        unit = self.unit_pencil(a, frame)
+        unit = drip._unit_pencil(a, frame.matrix)
         idx = np.array([t for t in combinations(range(2 * n), 3)
                         if any(j + n in t for j in t)])
         assert not drip._pencil_inside(idx, unit, -1e3, 1e3).any()
@@ -632,7 +630,7 @@ class TestProof:
         # identity frame: G = I and K = A^T A = diag(w), so support {i, j}
         # has the spectrum {w_i, w_j}
         w = np.array([0.5, 1.0, 1.5, 2.0])
-        unit = self.unit_pencil(np.diag(np.sqrt(w)), make_identity_frame(4))
+        unit = drip._unit_pencil(np.diag(np.sqrt(w)), make_identity_frame(4).matrix)
         idx = np.array([[0, 1], [1, 2], [2, 3]])
         assert drip._pencil_inside(idx, unit, 0.4, 2.1).tolist() == [True, True, True]
         assert drip._pencil_inside(idx, unit, 0.6, 2.1).tolist() == [False, True, True]
@@ -641,6 +639,83 @@ class TestProof:
         assert drip._pencil_inside(idx, unit, 0.5, 2.0).tolist() == [False, True, False]
         near = (0.5 * (1 - 1e-10), 2.0 * (1 + 1e-10))
         assert drip._pencil_inside(idx, unit, *near).tolist() == [False, True, False]
+
+
+def mp_pair_roots(k, g):
+    """(smaller, larger) root t of det(K - t G), G = [[1, g], [g, 1]], for a
+    2 x 2 K, from 40-digit eigsy of L^-1 K L^-T (G = L L^T) with the float
+    inputs."""
+    with mp.workdps(40):
+        inv = mp.inverse(mp.cholesky(mp.matrix([[1, g], [g, 1]])))
+        w = mp.eigsy(inv * mp.matrix(k.tolist()) * inv.T, eigvals_only=True)
+        return float(min(w)), float(max(w))
+
+
+class TestPairKeys:
+    """The pick order's keys: the extremes of the 2 x 2 pencils of a
+    support's pairs, which are Ritz values of A^T A on range(D_T) and so lie
+    inside its spectrum."""
+
+    U = 2.0 ** -53
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_closed_form_matches_40_digit_roots(self, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.uniform(-0.999, 0.999)
+        w = rng.standard_normal((3, 2)) * 10.0 ** rng.uniform(-3, 3)
+        k = w.T @ w
+        top, bottom = drip._pair_extremes(k, np.array([[1.0, g], [g, 1.0]]))
+        lo, hi = mp_pair_roots(k, g)
+        # a root carries about u max|K| / (1 - g^2) of forming b and c
+        tol = 64 * self.U * np.abs(k).max() / (1.0 - g * g)
+        assert abs(top[0, 1] - hi) <= tol and abs(bottom[0, 1] - lo) <= tol
+        assert (top[1, 0], bottom[1, 0]) == (top[0, 1], bottom[0, 1])
+        assert np.diagonal(top).tolist() == np.diagonal(bottom).tolist() == \
+            np.diagonal(k).tolist()
+
+    @staticmethod
+    def frames():
+        rot = np.eye(6)
+        for (i, j), angle in (((0, 1), 0.5), ((2, 3), 0.02), ((4, 5), 1e-6)):
+            c, s = np.cos(angle), np.sin(angle)
+            rot[[i, i, j, j], [i, j, i, j]] = c, -s, s, c
+        b, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((4, 4)))
+        return {"random": make_random_tight_frame(5, 8, seed=3),
+                # duplicate columns: singular 2 x 2 G blocks
+                "union": make_union_frame(b, b),
+                # pairs at angles 0.5, 0.02 and 1e-6 (1 - g^2 = 1e-12: flat)
+                "rotated": make_union_frame(np.eye(6), rot)}
+
+    @pytest.mark.parametrize("kind", ["random", "union", "rotated"])
+    @pytest.mark.parametrize("s, m", [(1, 3), (2, 1), (2, 9), (3, 4), (4, 11)])
+    def test_keys_lie_inside_every_support_spectrum(self, kind, s, m):
+        frame = self.frames()[kind]
+        a = gen_gaussian(m, frame.n, seed=7 * s + m)
+        unit = drip._unit_pencil(a, frame.matrix)
+        idx = np.array(list(combinations(range(frame.d), s)))
+        key_hi, key_lo = drip._pair_keys(unit, idx)
+        lo, hi = kernel_spectra(a, frame, idx)
+        # the closed form's round-off, about u max|K| / (1 - g^2), at the
+        # least 1 - g^2 it is taken at
+        det_g = 1.0 - unit.g ** 2
+        tol = 64 * self.U * unit.k_max / det_g[det_g > drip.FLAT_PAIR].min()
+        assert (key_hi <= hi + tol).all() and (key_lo >= lo - tol).all()
+        assert (key_lo <= key_hi).all()
+        if s == 1:  # the diagonal quotient K_tt
+            assert key_hi.tolist() == key_lo.tolist() == np.diagonal(unit.k).tolist()
+
+    @pytest.mark.parametrize("a", [np.diag([1.0, 0.0, 2.0]), np.zeros((2, 3))])
+    def test_degenerate_pairs_raise_no_warning(self, a):
+        # G_{i, i + 3} = 1 and K_ii = 0 where A D e_i = 0
+        frame = make_union_frame(np.eye(3), np.eye(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit = drip._unit_pencil(a, frame.matrix)
+        q = np.diagonal(unit.k)
+        for i in range(3):
+            assert unit.top[i, i + 3] == max(q[i], q[i + 3])
+            assert unit.bottom[i, i + 3] == min(q[i], q[i + 3])
+        assert np.isfinite(unit.top).all() and np.isfinite(unit.bottom).all()
 
 
 class TestFoundBySearch:

@@ -26,10 +26,11 @@ ROOT = Path(__file__).resolve().parent.parent
 DRIP, GUAR, SOLV = "src/framecs/drip.py", "src/framecs/guarantees.py", "src/framecs/solvers.py"
 EXPT, SER, SENS = "src/framecs/experiment.py", "src/framecs/serialize.py", "src/framecs/sensing.py"
 LINALG, FRAMES, CLI = "src/framecs/linalg.py", "src/framecs/frames.py", "src/framecs/cli.py"
+RNG = "src/framecs/rng.py"
 
 # (name, file, text, replacement); text occurs exactly once in the file
 FAULTS = [
-    ("G left unscaled (= Phi)", DRIP, "r[:, None] * phi * r)", "phi)"),
+    ("G left unscaled (= Phi)", DRIP, "r[:, None] * phi * r", "phi"),
     ("margin sign flipped", DRIP,
      "t_lo, t_hi = lo + margin, hi - margin", "t_lo, t_hi = lo - margin, hi + margin"),
     ("margin zero", DRIP, "INSIDE_RTOL = 1e-9", "INSIDE_RTOL = 0.0"),
@@ -45,8 +46,15 @@ FAULTS = [
     ("form on all of U, not its rank-r part", DRIP, "basis = u[sel, :, :r]", "basis = u[sel]"),
     ("witness position not offset by the chunk start", DRIP,
      "lo_at = float(c_lo[i]), (start + i,", "lo_at = float(c_lo[i]), (i,"),
-    ("picks ordered lowest quotient first for the top extreme", DRIP,
-     "np.argsort(-q.max(axis=1)", "np.argsort(q.max(axis=1)"),
+    ("picks ordered lowest key first for the top extreme", DRIP,
+     "np.argsort(-key_hi", "np.argsort(key_hi"),
+    ("pick keys from the diagonal quotients alone", DRIP,
+     "list(combinations(range(idx.shape[1]), 2)) or [(0, 0)]",
+     "[(t, t) for t in range(idx.shape[1])]"),
+    ("bottom pair key taken as the largest of the pairs", DRIP,
+     "unit.bottom[pairs].min(axis=1)", "unit.bottom[pairs].max(axis=1)"),
+    ("flat pairs taken by the closed form", DRIP, "FLAT_PAIR = 1e-6", "FLAT_PAIR = -1.0"),
+    ("full-rank path taken at any rank", DRIP, "if (rank == u.shape[2]).all():", "if True:"),
     ("a round solves every open support without re-proving", DRIP,
      "            k *= 2", "            k = len(idx)"),
     ("support_chunks drops the last short chunk", DRIP,
@@ -125,6 +133,10 @@ FAULTS = [
      'if value is None:\n        return ""', 'if value is None:\n        return "None"'),
     ("unique-point exit at rank n - 1", SOLV,
      "rank == a.shape[1]:", "rank >= a.shape[1] - 1:"),
+    ("CSV booleans written as True/False", EXPT,
+     'return "true" if value else "false"', "return str(value)"),
+    ("rng substreams ignore their index", RNG,
+     "spawn_key=(int(index),))\n    )", "spawn_key=())\n    )"),
 ]
 
 
