@@ -133,19 +133,15 @@ def _spectra(mat: np.ndarray, gram: np.ndarray, idx: np.ndarray):
     """The kernel: (lo, hi) of U_T^T gram U_T per row T of the support index
     array `idx`, U_T the left singular vectors of D_T = mat[:, T] inside its
     `numeric_rank` (the package-wide rank rule)."""
-    u, sv, _ = np.linalg.svd(mat[:, idx].transpose(1, 0, 2), full_matrices=False)
-    rank = numeric_rank(sv)
-    if (rank == u.shape[2]).all():  # every D_T of full rank: one eigvalsh
-        w = np.linalg.eigvalsh(u.transpose(0, 2, 1) @ gram @ u)
-        return w[:, 0], w[:, -1]
     lo = np.empty(len(idx))
     hi = np.empty(len(idx))
-    for r in range(1, u.shape[2] + 1):
+    u, sv, _ = np.linalg.svd(mat[:, idx].transpose(1, 0, 2), full_matrices=False)
+    rank = numeric_rank(sv)
+    for r in np.flatnonzero(np.bincount(rank)):  # the ranks present (np.unique imports numpy.ma)
         sel = np.flatnonzero(rank == r)
-        if sel.size:
-            basis = u[sel, :, :r]
-            w = np.linalg.eigvalsh(basis.transpose(0, 2, 1) @ gram @ basis)
-            lo[sel], hi[sel] = w[:, 0], w[:, -1]
+        basis = u[sel, :, :r]
+        w = np.linalg.eigvalsh(basis.transpose(0, 2, 1) @ gram @ basis)
+        lo[sel], hi[sel] = w[:, 0], w[:, -1]
     return lo, hi
 
 

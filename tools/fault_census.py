@@ -54,7 +54,9 @@ FAULTS = [
     ("bottom pair key taken as the largest of the pairs", DRIP,
      "unit.bottom[pairs].min(axis=1)", "unit.bottom[pairs].max(axis=1)"),
     ("flat pairs taken by the closed form", DRIP, "FLAT_PAIR = 1e-6", "FLAT_PAIR = -1.0"),
-    ("full-rank path taken at any rank", DRIP, "if (rank == u.shape[2]).all():", "if True:"),
+    ("rank loop visits only the largest rank", DRIP,
+     "for r in np.flatnonzero(np.bincount(rank)):",
+     "for r in np.flatnonzero(np.bincount(rank))[-1:]:"),
     ("a round solves every open support without re-proving", DRIP,
      "            k *= 2", "            k = len(idx)"),
     ("support_chunks drops the last short chunk", DRIP,
