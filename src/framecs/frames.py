@@ -108,6 +108,8 @@ def make_union_frame(b1, b2) -> TightFrame:
 def make_random_tight_frame(n: int, d: int, seed: int) -> TightFrame:
     """Generic coherent tight frame: first n rows of an orthonormalized
     seeded Gaussian d x d matrix.  Deterministic given the seed."""
+    if n < 1:
+        raise ContractViolation("n must be >= 1")
     if d < n:
         raise ContractViolation("need d >= n, got n=%d d=%d" % (n, d))
     rng = rng_from_seed(seed)

@@ -2,8 +2,7 @@
 
 All reals written by this package go through :func:`format_real`, which is
 enough digits for a float64 to round-trip bit-exactly through text.  A
-dataclass record is written as an object of its fields in declaration order,
-unless it defines a `to_json_dict` hook.
+dataclass record is written as an object of its fields in declaration order.
 """
 
 import dataclasses
@@ -63,8 +62,6 @@ def _emit(obj, out):
                 out.append(", ")
             _emit(v, out)
         out.append("]")
-    elif hasattr(obj, "to_json_dict"):
-        _emit(obj.to_json_dict(), out)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         _emit({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out)
     else:

@@ -53,11 +53,6 @@ class RecoveryResult:
     program: str
     diagnostics: Dict = field(default_factory=dict)
 
-    def to_json_dict(self):
-        # per-iteration traces stay in memory only
-        diag = {k: v for k, v in self.diagnostics.items() if k != "level_traces"}
-        return {**vars(self), "diagnostics": diag}
-
 
 def feasibility_slack(eps: float) -> float:
     """How far past eps a result may lie: every converged solver result
@@ -222,10 +217,6 @@ def solve_p1(frame: TightFrame, model: SensingModel) -> RecoveryResult:
     return result(f, iterations, converged, step)
 
 
-def _smoothed_objective(coeffs: np.ndarray, mu: float, q: float) -> float:
-    return float(np.sum((coeffs * coeffs + mu * mu) ** (q / 2.0)))
-
-
 def _weighted_solve(dmat, a, y, eps, weights):
     """argmin ||sqrt(W) D* f||_2 s.t. ||A f - y||_2 <= eps, and its penalty
     weight lambda (None for the limit lambda -> inf).
@@ -282,7 +273,9 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float) -> RecoveryResult
     subproblem min ||sqrt(W) D* f||_2 s.t. ||A' f - y'||_2 <= eps is solved
     in closed form by `_weighted_solve`, which factors A' Q S^-1
     (min(m, n) + 1 rows), on the boundary when eps > 0 and on the
-    least-squares set when eps = 0.
+    least-squares set when eps = 0.  The diagnostics hold the final mu
+    (`mu_final`), the last penalty weight lambda (`lambda_final`) and the
+    number of smoothing levels run (`levels`).
     """
     if not 0.0 < q < 1.0:
         raise ContractViolation("solve_pq needs 0 < q < 1")
@@ -299,38 +292,34 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float) -> RecoveryResult
 
     mu = max(float(np.abs(dmat.T @ f).max()), SMOOTHING_FLOOR)
     lam = None
-    total_solves = 0
-    level_traces = []
+    total_solves = levels = 0
     converged = False
     f_prev_level = None
     inner_cap = 25
 
     while total_solves < MAX_ITERS:
-        level_trace = []
         for _ in range(inner_cap):
             coeffs = dmat.T @ f
             weights = (coeffs * coeffs + mu * mu) ** (q / 2.0 - 1.0)
             f_new, lam = _weighted_solve(dmat, a_red, y_red, eps, weights)
             total_solves += 1
-            level_trace.append(_smoothed_objective(dmat.T @ f_new, mu, q))
             inner_step = float(np.linalg.norm(f_new - f))
             inner_ref = 1.0 + float(np.linalg.norm(f))
             f = f_new
             if inner_step <= TOL * inner_ref or total_solves >= MAX_ITERS:
                 break
-        level_traces.append(level_trace)
+        levels += 1
         if f_prev_level is not None:
             level_step = float(np.linalg.norm(f - f_prev_level))
             if level_step <= TOL * (1.0 + float(np.linalg.norm(f_prev_level))):
                 converged = True
                 break
-        f_prev_level = f.copy()
+        # f is rebound by each solve, never written in place
+        f_prev_level = f
         mu = max(CONTINUATION_FACTOR * mu, SMOOTHING_FLOOR)
 
-    return result(f, total_solves, converged, {
-        "mu_final": mu, "lambda_final": lam,
-        "levels": len(level_traces), "level_traces": level_traces,
-    })
+    return result(f, total_solves, converged,
+                  {"mu_final": mu, "lambda_final": lam, "levels": levels})
 
 
 def _cosupport_solutions(frame: TightFrame, a, y, supports):

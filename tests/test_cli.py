@@ -96,6 +96,15 @@ class TestFrameCommands:
             assert code == 1 and err.startswith("error: ") and "got d = %s" % d in err
             assert not path.exists()
 
+    @pytest.mark.parametrize("size", [("--n", "-1", "--d", "5"), ("--n", "-1")],
+                             ids=["with --d", "without --d"])
+    def test_gen_random_rejects_n_below_one(self, tmp_path, capsys, size):
+        path = tmp_path / "D.txt"
+        code, _, err = run(capsys, "frame", "gen", "--kind", "random", *size,
+                           "--out", str(path))
+        assert code == 1 and err.startswith("error: ") and "n must be >= 1" in err
+        assert not path.exists()
+
     def test_verify_reports_non_tight(self, tmp_path, capsys):
         save_matrix(tmp_path / "bad.txt", 2.0 * np.eye(3))
         code, out, _ = run(capsys, "frame", "verify", "--frame",

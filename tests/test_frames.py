@@ -73,11 +73,13 @@ class TestConstruction:
         (lambda: TightFrame(np.ones((2, 1))), "d >= n >= 1"),
         (lambda: make_identity_frame(0), "n must be >= 1"),
         (lambda: make_dct_frame(0), "n must be >= 1"),
+        (lambda: make_random_tight_frame(-2, 6, 0), "n must be >= 1"),
+        (lambda: make_random_tight_frame(-1, -1, 0), "n must be >= 1"),
         (lambda: make_union_frame(np.ones((2, 3)), np.eye(2)), "b1 must be square"),
         (lambda: make_union_frame(np.eye(2), np.eye(3)), "matching shapes"),
         (lambda: column_coherence(np.array([[1.0, 0.0], [1.0, 0.0]])), "zero column"),
-    ], ids=["d < n", "identity n = 0", "dct n = 0", "union non-square", "union shapes",
-            "coherence zero column"])
+    ], ids=["d < n", "identity n = 0", "dct n = 0", "random n = -2, d = 6",
+            "random n = d = -1", "union non-square", "union shapes", "coherence zero column"])
     def test_rejects(self, call, message):
         with pytest.raises(ContractViolation, match=message):
             call()

@@ -63,15 +63,6 @@ class _Record:
     arr: np.ndarray = None
 
 
-@dataclass(frozen=True)
-class _Hooked:
-    kept: int
-    dropped: int
-
-    def to_json_dict(self):
-        return {"kept": self.kept}
-
-
 class TestRecords:
     def test_fields_in_declaration_order(self):
         rec = _Record(zeta="z", alpha=(3, 1), inner=_Inner(b=2, a=0.5),
@@ -80,18 +71,15 @@ class TestRecords:
             '{"zeta": "z", "alpha": [3, 1], "inner": {"b": 2, "a": 0.5}, '
             '"table": {"y": 1, "x": 2}, "arr": [[1, 2], [3, 4]]}')
 
-    def test_hook_takes_precedence(self):
-        assert json_dumps([_Hooked(kept=1, dropped=2)]) == '[{"kept": 1}]'
-
     def test_dataclass_type_is_not_a_record(self):
         with pytest.raises(TypeError, match="cannot serialize"):
             json_dumps(_Inner)
 
-    def test_recovery_result_leaves_out_level_traces(self):
+    def test_pq_result_keys(self):
         model = SensingModel(A=np.eye(3), y=np.array([1.0, 0.0, 2.0]), epsilon=0.1)
         res = solve_pq(make_identity_frame(3), model, 0.5)
-        assert "level_traces" in res.diagnostics
         payload = json.loads(json_dumps(res))
         assert list(payload) == ["f_hat", "iterations", "converged", "residual",
                                  "objective", "program", "diagnostics"]
-        assert "level_traces" not in payload["diagnostics"]
+        assert list(payload["diagnostics"]) == ["mu_final", "lambda_final", "levels"]
+        assert payload["diagnostics"]["levels"] == res.diagnostics["levels"] > 0

@@ -263,13 +263,23 @@ class TestSolvePq:
         # classical majorize-minimize property at fixed smoothing, on a noisy
         # instance: the feasible set is a ball, so the iterates move
         frame, a, f, model = normalized_instance(31, eps=0.05)
-        res = solve_pq(frame, model, 0.5)
+        q, dmat = 0.5, frame.matrix
+        a_red, y_red, f, _, exit_note = _span_coordinates(model)
+        assert exit_note is None
+        mu = float(np.abs(dmat.T @ f).max())
         descents = 0
-        for level in res.diagnostics["level_traces"]:
-            diffs = np.diff(np.asarray(level))
-            if diffs.size:
-                assert np.all(diffs <= 1e-10)
-                descents += bool(diffs.min() < -1e-10)
+        for _ in range(4):
+            coeffs = dmat.T @ f
+            trace = [float(np.sum((coeffs * coeffs + mu * mu) ** (q / 2)))]
+            for _ in range(10):
+                weights = (coeffs * coeffs + mu * mu) ** (q / 2 - 1)
+                f = _weighted_solve(dmat, a_red, y_red, model.epsilon, weights)[0]
+                coeffs = dmat.T @ f
+                trace.append(float(np.sum((coeffs * coeffs + mu * mu) ** (q / 2))))
+            diffs = np.diff(trace)
+            assert np.all(diffs <= 1e-10)
+            descents += bool(diffs.min() < -1e-10)
+            mu *= CONTINUATION_FACTOR
         assert descents > 0
 
     def test_undersampled_dct(self):

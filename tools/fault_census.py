@@ -139,6 +139,17 @@ FAULTS = [
      'return "true" if value else "false"', "return str(value)"),
     ("rng substreams ignore their index", RNG,
      "spawn_key=(int(index),))\n    )", "spawn_key=())\n    )"),
+    ("P1 dual clip widened to +-2", SOLV,
+     "np.minimum(np.maximum(p_new, -1.0, out=p_new), 1.0, out=p_new)",
+     "np.minimum(np.maximum(p_new, -2.0, out=p_new), 2.0, out=p_new)"),
+    ("P1 eps-ball shrink dropped", SOLV,
+     "r_new *= max(0.0, 1.0 - sigma * eps / norm_w)", "pass"),
+    ("P1 rebalance shrinks tau on both sides", SOLV,
+     "tau *= 1.0 + balance", "tau /= 1.0 + balance"),
+    ("Pq smoothing level never shrinks", SOLV,
+     "mu = max(CONTINUATION_FACTOR * mu, SMOOTHING_FLOOR)", "mu = max(mu, SMOOTHING_FLOOR)"),
+    ("random frame admits n < 1", FRAMES,
+     'if n < 1:\n        raise ContractViolation("n must be >= 1")\n    if d < n:', "if d < n:"),
 ]
 
 
