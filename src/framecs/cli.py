@@ -2,7 +2,8 @@
 
 Subcommands: frame gen|verify, sense gen|probe, drip exact|lower, certify,
 solve l1|lq|l0, lemmas audit, experiment run.  Exit codes: 0 success,
-1 contract violation or usage error, 2 I/O error.
+1 contract violation, usage error or numerical failure (an overflow or a
+LAPACK routine that does not converge on extreme input), 2 I/O error.
 """
 
 import argparse
@@ -53,7 +54,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("frame", help="construct or validate tight frames")
     fsub = p.add_subparsers(dest="action", required=True)
     g = fsub.add_parser("gen", help="generate a frame and write it as text")
-    g.add_argument("--kind", choices=experiment.FRAME_KINDS, default="random")
+    g.add_argument("--kind", choices=frames.FRAME_KINDS, default="random")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--d", type=int, help="frame size (defaults per kind)")
     g.add_argument("--seed", type=int, default=0)
@@ -148,8 +149,7 @@ def _frame_for(args, n):
 def _run(args) -> int:
     if args.command == "frame":
         if args.action == "gen":
-            d = experiment.frame_size(args.kind, args.n, args.d)
-            fr = experiment.build_frame(args.kind, args.n, d, args.seed)
+            fr = frames.make_frame(args.kind, args.n, args.d, args.seed)
             frames.save_matrix(args.out, fr.matrix)
             print("wrote %d x %d frame to %s" % (fr.n, fr.d, args.out))
         else:
@@ -264,6 +264,9 @@ def cli_main(argv=None) -> int:
         return _run(args)
     except ContractViolation as err:
         print("error: %s" % err, file=sys.stderr)
+        return 1
+    except (ArithmeticError, np.linalg.LinAlgError) as err:
+        print("error: numerical failure (%s: %s)" % (type(err).__name__, err), file=sys.stderr)
         return 1
     except OSError as err:
         print("i/o error: %s" % err, file=sys.stderr)

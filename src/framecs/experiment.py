@@ -29,7 +29,6 @@ CSV_COLUMNS = ("trial", "n", "d", "m", "s", "q", "eps", "delta_2s", "regime",
                "within_bound", "iters", "status", "audit_pass", "audit_total")
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
-FRAME_KINDS = ("identity", "dct", "random", "union_dct")
 SIGNAL_MODES = ("synthesis", "analysis")
 PROGRAMS = ("p1", "pq")
 
@@ -89,8 +88,6 @@ class ExperimentConfig:
             raise ContractViolation("trials must be >= 1")
         if self.eps < 0:
             raise ContractViolation("eps must be >= 0")
-        if self.frame.kind not in FRAME_KINDS:
-            raise ContractViolation("unknown frame kind %r" % self.frame.kind)
         if self.matrix.kind not in sensing.MATRIX_KINDS:
             raise ContractViolation("unknown matrix kind %r" % self.matrix.kind)
         if self.signal.mode not in SIGNAL_MODES:
@@ -113,7 +110,7 @@ class ExperimentConfig:
             raise ContractViolation(
                 "matrix.scale must be a positive number, \"auto_min\" or "
                 "{\"target_delta\": t} with 0 < t < 1, got %r" % (self.matrix.scale,))
-        frame_size(self.frame.kind, self.n, self.d)
+        frames.frame_size(self.frame.kind, self.n, self.d)
         if self.signal.mode == "analysis" and self.frame.kind not in ("identity", "dct"):
             raise ContractViolation(
                 "exact-analysis-sparse signals are only offered for orthobasis frames"
@@ -158,23 +155,6 @@ def _valid_scale(scale) -> bool:
     if isinstance(scale, str):
         return scale == "auto_min"
     return _matches(scale, float) and scale > 0.0
-
-
-def frame_size(kind: str, n: int, d: Optional[int] = None) -> int:
-    """The size d of a `kind` frame in R^n: the given d (default n) for
-    "random", n for "identity" and "dct", 2 n for "union_dct".  A given d
-    that contradicts the kind, or a random frame with d < n, is a
-    ContractViolation."""
-    if kind == "random":
-        if d is not None and d < n:
-            raise ContractViolation("random frame in R^%d needs d >= %d, got d = %d"
-                                    % (n, n, d))
-        return n if d is None else d
-    fixed = 2 * n if kind == "union_dct" else n
-    if d is not None and d != fixed:
-        raise ContractViolation("%s frame in R^%d has d = %d, got d = %d"
-                                % (kind, n, fixed, d))
-    return fixed
 
 
 def _from_raw(cls, raw, where: str):
@@ -234,16 +214,6 @@ class ExperimentRecord:
     reason: Optional[str] = None
 
 
-def build_frame(kind: str, n: int, d: int, seed: int) -> frames.TightFrame:
-    if kind == "identity":
-        return frames.make_identity_frame(n)
-    if kind == "dct":
-        return frames.make_dct_frame(n)
-    if kind == "union_dct":
-        return frames.make_union_frame(np.eye(n), frames.make_dct_frame(n).matrix)
-    return frames.make_random_tight_frame(n, d, seed)
-
-
 def _resolve_scale(spec, lo, hi) -> Tuple[float, Optional[str]]:
     """Scale for A under the (validated) `matrix.scale` spec, given the
     global spectrum range (lo, hi) of the order-2s forms, and the reason when
@@ -282,7 +252,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> ExperimentRecord:
         "signal": derive_seed(config.signal.seed, trial),
         "noise": derive_seed(config.noise_seed, trial),
     }
-    frame = build_frame(config.frame.kind, config.n, config.d, seeds["frame"])
+    frame = frames.make_frame(config.frame.kind, config.n, config.d, seeds["frame"])
     a = sensing.gen_matrix(config.matrix.kind, config.m, config.n, seeds["matrix"])
     f = _draw_signal(frame, config.s, seeds["signal"])
     return evaluate(config, trial, seeds, frame, a, f)

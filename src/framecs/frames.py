@@ -7,7 +7,7 @@ f = sum_k <f, D_k> D_k.  Everything here is real-valued and dense.
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from .serialize import format_real
 # Constructions achieve ~1e-10; the looser acceptance tolerance guards
 # against accumulated round-off in user-supplied frames.
 TIGHT_TOL = 1e-8
+
+FRAME_KINDS = ("identity", "dct", "random", "union_dct")
 
 
 @dataclass(frozen=True)
@@ -108,16 +110,47 @@ def make_union_frame(b1, b2) -> TightFrame:
 def make_random_tight_frame(n: int, d: int, seed: int) -> TightFrame:
     """Generic coherent tight frame: first n rows of an orthonormalized
     seeded Gaussian d x d matrix.  Deterministic given the seed."""
-    if n < 1:
-        raise ContractViolation("n must be >= 1")
-    if d < n:
-        raise ContractViolation("need d >= n, got n=%d d=%d" % (n, d))
+    frame_size("random", n, d)
     rng = rng_from_seed(seed)
     g = rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     # fix the sign convention so the result does not depend on LAPACK's choice
     q = q * np.sign(np.where(np.diag(r) == 0.0, 1.0, np.diag(r)))
     return TightFrame(q[:n, :])
+
+
+def frame_size(kind: str, n: int, d: Optional[int] = None) -> int:
+    """The size d of a `kind` frame in R^n: the given d (default n) for
+    "random", n for "identity" and "dct", 2 n for "union_dct".  An unknown
+    kind, n < 1, a given d that contradicts the kind, or a random frame with
+    d < n is a ContractViolation."""
+    if kind not in FRAME_KINDS:
+        raise ContractViolation("unknown frame kind %r" % (kind,))
+    if n < 1:
+        raise ContractViolation("n must be >= 1")
+    if kind == "random":
+        if d is not None and d < n:
+            raise ContractViolation("random frame in R^%d needs d >= %d, got d = %d"
+                                    % (n, n, d))
+        return n if d is None else d
+    fixed = 2 * n if kind == "union_dct" else n
+    if d is not None and d != fixed:
+        raise ContractViolation("%s frame in R^%d has d = %d, got d = %d"
+                                % (kind, n, fixed, d))
+    return fixed
+
+
+def make_frame(kind: str, n: int, d: Optional[int] = None, seed: int = 0) -> TightFrame:
+    """The `kind` frame in R^n with `frame_size(kind, n, d)` columns; only a
+    random frame reads the seed."""
+    d = frame_size(kind, n, d)
+    if kind == "identity":
+        return make_identity_frame(n)
+    if kind == "dct":
+        return make_dct_frame(n)
+    if kind == "union_dct":
+        return make_union_frame(np.eye(n), make_dct_frame(n).matrix)
+    return make_random_tight_frame(n, d, seed)
 
 
 def column_coherence(m) -> float:

@@ -105,6 +105,15 @@ class TestFrameCommands:
         assert code == 1 and err.startswith("error: ") and "n must be >= 1" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("kind", ["identity", "dct", "union_dct"])
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_gen_fixed_kinds_reject_n_below_one(self, tmp_path, capsys, kind, n):
+        path = tmp_path / "D.txt"
+        code, out, err = run(capsys, "frame", "gen", "--kind", kind, "--n", n,
+                             "--out", str(path))
+        assert (code, out, err) == (1, "", "error: n must be >= 1\n")
+        assert not path.exists()
+
     def test_verify_reports_non_tight(self, tmp_path, capsys):
         save_matrix(tmp_path / "bad.txt", 2.0 * np.eye(3))
         code, out, _ = run(capsys, "frame", "verify", "--frame",
@@ -435,6 +444,24 @@ class TestExitCodes:
         save_matrix(files["nu"], np.ones((2, 1)))
         code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
         assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+    # an operator norm whose square overflows the step-size bound, and an
+    # SVD that LAPACK cannot finish at either end of the float range; numpy's
+    # overflow warnings on the way there are expected, so they do not fail it
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("program, diagonal", [
+        ("l1", (1e160,)), ("lq", (1e300, 1e300)), ("lq", (1e-310, 1e-310))],
+        ids=["l1 overflow", "lq huge", "lq subnormal"])
+    def test_numerical_failure_is_one(self, capsys, tmp_path, program, diagonal):
+        save_matrix(tmp_path / "A.txt", np.diag(diagonal))
+        save_matrix(tmp_path / "y.txt", np.ones((len(diagonal), 1)))
+        out_path = tmp_path / "out.json"
+        flags = ("--q", "0.5", "--eps", "0.1") if program == "lq" else ()
+        code, out, err = run(capsys, "solve", program, "--matrix", str(tmp_path / "A.txt"),
+                             "--y", str(tmp_path / "y.txt"), *flags, "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: numerical failure (") and err.count("\n") == 1
+        assert not out_path.exists()
 
     # the solvers' stop rule is a pair of constants, not flags
     @pytest.mark.parametrize("program, flag, value", [

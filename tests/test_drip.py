@@ -20,8 +20,8 @@ from framecs.drip import (
     support_spectrum_range,
 )
 from framecs.errors import ContractViolation, EnumerationLimitError
-from framecs.experiment import build_frame
 from framecs.frames import (
+    make_frame,
     make_identity_frame,
     make_random_tight_frame,
     make_union_frame,
@@ -536,7 +536,7 @@ class TestSkippedSupports:
         # the largest p1_auto benchmark instance: (n, d, m) = (16, 24, 320),
         # order 4, 10 626 supports; a pass that solves every support takes
         # 10 626 svd and 10 626 eigvalsh matrices
-        frame = build_frame("random", 16, 24, derive_seed(109, 9))
+        frame = make_frame("random", 16, 24, derive_seed(109, 9))
         a = gen_matrix("gaussian", 320, 16, derive_seed(209, 9))
         counts = self.count_solves(monkeypatch)
         ext = spectrum_extremes(a, frame, 4)
@@ -560,7 +560,7 @@ class TestSkippedSupports:
         for p, (size, n, d, m) in enumerate(slots):
             config, t = 3 * size + (p + r) % 3, 10 * r + p
             yield (gen_matrix("gaussian", m, n, derive_seed(200 + config, t)),
-                   build_frame("random", n, d, derive_seed(100 + config, t)))
+                   make_frame("random", n, d, derive_seed(100 + config, t)))
 
     def test_benchmark_rounds_solve_few_supports(self, monkeypatch):
         # rounds 0 (the benchmark's reference round) and 1: 387 supports

@@ -102,7 +102,8 @@ class TestConfig:
         ({"drip_mode": "bogus"}, "drip_mode must be 'exact' or 'lower'"),
         # CSV output goes where `experiment run --out` says
         ({"out": "run.csv"}, "unknown key 'out' in config"),
-        # make_random_tight_frame would refuse it inside every trial
+        # refused when the config loads, by the frame_size rule that
+        # make_random_tight_frame reads inside every trial
         ({"d": 6}, "random frame .* needs d >= 8, got d = 6"))])
     def test_from_dict_names_the_bad_entry(self, raw, named):
         with pytest.raises(ContractViolation, match=named):

@@ -12,6 +12,7 @@ from framecs.frames import (
     load_matrix,
     lq_mass,
     make_dct_frame,
+    make_frame,
     make_identity_frame,
     make_random_tight_frame,
     make_union_frame,
@@ -78,8 +79,13 @@ class TestConstruction:
         (lambda: make_union_frame(np.ones((2, 3)), np.eye(2)), "b1 must be square"),
         (lambda: make_union_frame(np.eye(2), np.eye(3)), "matching shapes"),
         (lambda: column_coherence(np.array([[1.0, 0.0], [1.0, 0.0]])), "zero column"),
+        (lambda: make_frame("union_dct", -1), "^n must be >= 1$"),
+        (lambda: make_frame("union_dct", 0), "^n must be >= 1$"),
+        (lambda: make_frame("bogus", 3), "^unknown frame kind 'bogus'$"),
+        (lambda: make_frame("identity", 3, 5), "^identity frame in R\\^3 has d = 3, got d = 5$"),
     ], ids=["d < n", "identity n = 0", "dct n = 0", "random n = -2, d = 6",
-            "random n = d = -1", "union non-square", "union shapes", "coherence zero column"])
+            "random n = d = -1", "union non-square", "union shapes", "coherence zero column",
+            "union_dct n = -1", "union_dct n = 0", "unknown kind", "identity d contradicts"])
     def test_rejects(self, call, message):
         with pytest.raises(ContractViolation, match=message):
             call()
@@ -99,8 +105,12 @@ class TestConstruction:
         assert np.array_equal(a.matrix, b.matrix)
 
     def test_random_rejects_d_lt_n(self):
-        with pytest.raises(ContractViolation):
-            make_random_tight_frame(5, 4, seed=0)
+        # one rule and one message, whether the frame is built directly or by kind
+        for build in (lambda: make_random_tight_frame(5, 4, seed=0),
+                      lambda: make_frame("random", 5, 4)):
+            with pytest.raises(ContractViolation,
+                               match=r"^random frame in R\^5 needs d >= 5, got d = 4$"):
+                build()
 
     def test_rejects_zero_column(self):
         m = np.hstack([np.eye(3), np.zeros((3, 1))])

@@ -149,7 +149,16 @@ FAULTS = [
     ("Pq smoothing level never shrinks", SOLV,
      "mu = max(CONTINUATION_FACTOR * mu, SMOOTHING_FLOOR)", "mu = max(mu, SMOOTHING_FLOOR)"),
     ("random frame admits n < 1", FRAMES,
-     'if n < 1:\n        raise ContractViolation("n must be >= 1")\n    if d < n:', "if d < n:"),
+     '    if n < 1:\n        raise ContractViolation("n must be >= 1")\n    if kind == "random":',
+     '    if n < 1 and kind != "random":\n        raise ContractViolation("n must be >= 1")\n'
+     '    if kind == "random":'),
+    ("frame size admits n < 1 (union_dct)", FRAMES,
+     '    if n < 1:\n        raise ContractViolation("n must be >= 1")\n    if kind == "random":',
+     '    if n < 1 and kind != "union_dct":\n        raise ContractViolation("n must be >= 1")\n'
+     '    if kind == "random":'),
+    ("random frame admits d < n", FRAMES, "if d is not None and d < n:", "if False:"),
+    ("CLI lets numerical failures escape", CLI,
+     "except (ArithmeticError, np.linalg.LinAlgError) as err:", "except () as err:"),
 ]
 
 
