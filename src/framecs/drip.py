@@ -158,10 +158,13 @@ def _definite(x: np.ndarray, scale) -> np.ndarray:
     diag = np.arange(k)
     x[diag, diag] -= 2 * (k + 2) * k * 2.0**-53 * scale
     ok = np.ones(x.shape[2:], dtype=bool)
-    for j in range(k):
-        ok &= x[j, j] > 0
-        col = x[j + 1:, j] / np.sqrt(np.where(ok, x[j, j], 1.0))
-        x[j + 1:, j + 1:] -= col[:, None] * col[None, :]
+    # a block past a failed pivot goes on eliminating with pivot 1, so its
+    # entries may square up to overflow; they are never read again
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(k):
+            ok &= x[j, j] > 0
+            col = x[j + 1:, j] / np.sqrt(np.where(ok, x[j, j], 1.0))
+            x[j + 1:, j + 1:] -= col[:, None] * col[None, :]
     return ok
 
 
@@ -180,11 +183,18 @@ class _Pencil(NamedTuple):
 
 
 def _unit_pencil(a: np.ndarray, mat: np.ndarray) -> _Pencil:
-    ad = a @ mat
-    phi = mat.T @ mat
-    r = 1.0 / np.sqrt(np.diagonal(phi))
-    k, g = r[:, None] * (ad.T @ ad) * r, r[:, None] * phi * r
-    return _Pencil(k, g, np.abs(k).max(), np.abs(g).max(), *_pair_extremes(k, g))
+    """The pass's pencil, refused when K or a pair root overflows floats (A
+    too large): no spectrum or proof could be read off past that."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ad = a @ mat
+        phi = mat.T @ mat
+        r = 1.0 / np.sqrt(np.diagonal(phi))
+        k, g = r[:, None] * (ad.T @ ad) * r, r[:, None] * phi * r
+        top, bottom = _pair_extremes(k, g)
+    if not (np.isfinite(k).all() and np.isfinite(top).all() and np.isfinite(bottom).all()):
+        raise ContractViolation("the pencil of A on the frame overflows: max |A| = %g"
+                                % np.abs(a).max())
+    return _Pencil(k, g, np.abs(k).max(), np.abs(g).max(), top, bottom)
 
 
 def _pair_extremes(k: np.ndarray, g: np.ndarray):
@@ -196,15 +206,19 @@ def _pair_extremes(k: np.ndarray, g: np.ndarray):
     smaller root and its highest at least the larger.  Where
     1 - g^2 <= FLAT_PAIR (the diagonal, and columns too close to parallel
     for the closed form) they are the diagonal quotients K_ii and K_jj, the
-    Ritz values on span(d_i) and span(d_j)."""
+    Ritz values on span(d_i) and span(d_j).  The roots are formed on
+    K / 2^e, 2^e > max K_ii >= max |K|, so the squares of b stay below 16;
+    a power of two changes no bit of a root short of underflow."""
+    pow2 = 2.0 ** np.frexp(np.diagonal(k).max())[1]
+    k = k / pow2
     q = np.diagonal(k)
     det_g = 1.0 - g * g
     flat = det_g <= FLAT_PAIR
     det_g = np.where(flat, 1.0, det_g)
     b = q[:, None] + q - 2.0 * g * k
     root = np.sqrt(np.maximum(b * b - 4.0 * det_g * (q[:, None] * q - k * k), 0.0))
-    return (np.where(flat, np.maximum.outer(q, q), (b + root) / (2.0 * det_g)),
-            np.where(flat, np.minimum.outer(q, q), (b - root) / (2.0 * det_g)))
+    return (pow2 * np.where(flat, np.maximum.outer(q, q), (b + root) / (2.0 * det_g)),
+            pow2 * np.where(flat, np.minimum.outer(q, q), (b - root) / (2.0 * det_g)))
 
 
 def _pair_keys(unit: _Pencil, idx: np.ndarray):

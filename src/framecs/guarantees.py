@@ -379,6 +379,8 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
     feas_slack = feasibility_slack(eps)
     if y is not None:
         y = as_vector(y)
+        if y.shape[0] != a.shape[0]:
+            raise ContractViolation("y length %d != m=%d" % (y.shape[0], a.shape[0]))
         res_hat = float(np.linalg.norm(a @ f_hat - y))
         res_true = float(np.linalg.norm(a @ f - y))
         if res_hat > eps + feas_slack:

@@ -82,10 +82,12 @@ def _span_coordinates(model: SensingModel):
     A' = [S V^T; 0] and y' = [U^T y; ||y - U U^T y||] keep every singular
     value, so ||A' f - y'|| = ||A f - y|| for every f on min(m, n) + 1 rows.
     f0 is the minimum-norm least-squares point V_r S_r^-1 U_r^T y (r the
-    `numeric_rank` of A).  exit is None, or the note of a case the solvers
-    return at once with f0: zero lies in the eps-ball ("zero_feasible", and
-    f0 is zero); f0 misses it, so no point is feasible ("no_feasible_point");
-    eps = 0 and rank(A) = n ("unique_feasible_point").
+    `numeric_rank` of A); an f0 that overflows floats, from kept singular
+    values too small to divide by, is refused with a ContractViolation.
+    exit is None, or the note of a case the solvers return at once with f0:
+    zero lies in the eps-ball ("zero_feasible", and f0 is zero); f0 misses
+    it, so no point is feasible ("no_feasible_point"); eps = 0 and
+    rank(A) = n ("unique_feasible_point").
     """
     a, y, eps = model.A, model.y, model.epsilon
     u, svals, vt = np.linalg.svd(a, full_matrices=False)
@@ -99,7 +101,12 @@ def _span_coordinates(model: SensingModel):
         return a_red, y_red, np.zeros(a.shape[1]), norm_a, {"note": "zero_feasible"}
 
     rank = int(numeric_rank(svals))
-    f0 = vt[:rank].T @ (coords[:rank] / svals[:rank])
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0 = vt[:rank].T @ (coords[:rank] / svals[:rank])
+    if not np.isfinite(f0).all():
+        raise ContractViolation(
+            "the minimum-norm start overflows: A's singular values reach down to %g"
+            % svals[rank - 1])
     residual = _residual(a, f0, y)
     exit_note = None
     if residual - eps > TOL:
@@ -151,13 +158,11 @@ def solve_p1(frame: TightFrame, model: SensingModel) -> RecoveryResult:
 
     stacked = np.vstack([dmat.T, a_red])
     stacked_t = stacked.T
-    # the loop writes into these instead of allocating; (dual, p, r) and
-    # (dual_new, p_new, r_new), like f and f_new, swap each step
+    rhs = np.concatenate([np.zeros(d), y_red])
+    # the loop writes into these instead of allocating; the dual (p, r) =
+    # (dual[:d], dual[d:]) and dual_new, like f and f_new, swap each step
     image = np.empty(stacked.shape[0])
-    image_p, image_r = image[:d], image[d:]
     dual, dual_new = np.zeros_like(image), np.empty_like(image)
-    p, r, p_new, r_new = dual[:d], dual[d:], dual_new[:d], dual_new[d:]
-    dual_step = np.empty_like(image)
     back, f_new, move = np.empty(n), np.empty(n), np.empty(n)
     f_bar = f.copy()
     tol = TOL
@@ -165,15 +170,14 @@ def solve_p1(frame: TightFrame, model: SensingModel) -> RecoveryResult:
     balance = 0.5  # diminishing rebalancing strength
 
     for iterations in range(1, MAX_ITERS + 1):
+        # dual_new = dual + sigma (K f_bar - rhs); then its p block is clipped
+        # to [-1, 1] and its r block shrunk onto the eps-ball dual
         stacked.dot(f_bar, out=image)
-        # p_new = clip(p + sigma K_1 f_bar, -1, 1)
-        np.multiply(image_p, sigma, out=p_new)
-        p_new += p
+        np.subtract(image, rhs, out=dual_new)
+        dual_new *= sigma
+        dual_new += dual
+        p_new, r_new = dual_new[:d], dual_new[d:]
         np.minimum(np.maximum(p_new, -1.0, out=p_new), 1.0, out=p_new)
-        # r_new = shrink(r + sigma (A' f_bar - y')) onto the eps-ball dual
-        np.subtract(image_r, y_red, out=r_new)
-        r_new *= sigma
-        r_new += r
         norm_w = math.sqrt(r_new.dot(r_new))
         if norm_w > 0.0 and eps > 0.0:
             r_new *= max(0.0, 1.0 - sigma * eps / norm_w)
@@ -184,17 +188,11 @@ def solve_p1(frame: TightFrame, model: SensingModel) -> RecoveryResult:
         step = math.sqrt(move.dot(move))
 
         if iterations % 10 == 0 and balance > 1e-4:
-            # f_bar is free until it is rebuilt below
-            np.subtract(dual, dual_new, out=dual_step)
-            np.subtract(f, f_new, out=f_bar)
-            stacked.dot(f_bar, out=image)
-            f_bar /= tau
-            stacked_t.dot(dual_step, out=back)
-            f_bar -= back
-            primal_res = math.sqrt(f_bar.dot(f_bar))
-            dual_step /= sigma
-            dual_step -= image
-            dual_res = math.sqrt(dual_step.dot(dual_step))
+            f_diff, dual_diff = f - f_new, dual - dual_new
+            primal_gap = f_diff / tau - stacked_t @ dual_diff
+            dual_gap = dual_diff / sigma - stacked @ f_diff
+            primal_res = math.sqrt(primal_gap.dot(primal_gap))
+            dual_res = math.sqrt(dual_gap.dot(dual_gap))
             if primal_res > 2.0 * dual_res:
                 tau *= 1.0 + balance
                 sigma /= 1.0 + balance
@@ -212,7 +210,7 @@ def solve_p1(frame: TightFrame, model: SensingModel) -> RecoveryResult:
         np.multiply(f_new, 2.0, out=f_bar)
         f_bar -= f
         f, f_new = f_new, f
-        dual, dual_new, p, p_new, r, r_new = dual_new, dual, p_new, p, r_new, r
+        dual, dual_new = dual_new, dual
 
     return result(f, iterations, converged, step)
 
@@ -268,7 +266,8 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float) -> RecoveryResult
     Weights w_i = ((D* f)_i^2 + mu^2)^(q/2 - 1) at smoothing level mu, which
     decays geometrically to the floor.  A level ends after 25 solves or at a
     solve that moves f by at most TOL (1 + ||f||); the loop converges when a
-    level moves f that little, or gives up after MAX_ITERS solves.  Start
+    level after the first ends within TOL (1 + ||f_start||) of the point
+    f_start it started from, or gives up after MAX_ITERS solves.  Start
     and exits are those of `solve_p1` (`_span_coordinates`).  Each weighted
     subproblem min ||sqrt(W) D* f||_2 s.t. ||A' f - y'||_2 <= eps is solved
     in closed form by `_weighted_solve`, which factors A' Q S^-1
@@ -294,11 +293,11 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float) -> RecoveryResult
     lam = None
     total_solves = levels = 0
     converged = False
-    f_prev_level = None
-    inner_cap = 25
 
     while total_solves < MAX_ITERS:
-        for _ in range(inner_cap):
+        # f is rebound by each solve, never written in place
+        f_start = f
+        for _ in range(25):
             coeffs = dmat.T @ f
             weights = (coeffs * coeffs + mu * mu) ** (q / 2.0 - 1.0)
             f_new, lam = _weighted_solve(dmat, a_red, y_red, eps, weights)
@@ -309,13 +308,11 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float) -> RecoveryResult
             if inner_step <= TOL * inner_ref or total_solves >= MAX_ITERS:
                 break
         levels += 1
-        if f_prev_level is not None:
-            level_step = float(np.linalg.norm(f - f_prev_level))
-            if level_step <= TOL * (1.0 + float(np.linalg.norm(f_prev_level))):
-                converged = True
-                break
-        # f is rebound by each solve, never written in place
-        f_prev_level = f
+        # from the second level on, a level that ends where it started converges
+        if levels > 1 and float(np.linalg.norm(f - f_start)) <= TOL * (
+                1.0 + float(np.linalg.norm(f_start))):
+            converged = True
+            break
         mu = max(CONTINUATION_FACTOR * mu, SMOOTHING_FLOOR)
 
     return result(f, total_solves, converged,

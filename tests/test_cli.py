@@ -23,6 +23,10 @@ NON_FINITE_SOLVES = [(program, "--eps", value)
                      for program in ("l1", "lq", "l0") for value in ("nan", "inf")]
 SOLVE_FLAGS = {"l1": (), "lq": ("--q", "0.5"), "l0": ("--s-max", "1")}
 
+# the errors of a solver start and a drip pencil that overflow floats
+START_OVERFLOW = "the minimum-norm start overflows: A's singular values reach down to 1e-310"
+PENCIL_OVERFLOW = "the pencil of A on the frame overflows: max |A| = 1e+200"
+
 # commands with a count, level or vector length out of range, with {A} and
 # {nu} for a 2 x 2 matrix and a length-2 vector, and the error each prints
 OUT_OF_RANGE = (
@@ -446,12 +450,11 @@ class TestExitCodes:
         assert (code, out, err) == (1, "", "error: %s\n" % message)
 
     # an operator norm whose square overflows the step-size bound, and an
-    # SVD that LAPACK cannot finish at either end of the float range; numpy's
+    # SVD that LAPACK cannot finish at the top of the float range; numpy's
     # overflow warnings on the way there are expected, so they do not fail it
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("program, diagonal", [
-        ("l1", (1e160,)), ("lq", (1e300, 1e300)), ("lq", (1e-310, 1e-310))],
-        ids=["l1 overflow", "lq huge", "lq subnormal"])
+        ("l1", (1e160,)), ("lq", (1e300, 1e300))], ids=["l1 overflow", "lq huge"])
     def test_numerical_failure_is_one(self, capsys, tmp_path, program, diagonal):
         save_matrix(tmp_path / "A.txt", np.diag(diagonal))
         save_matrix(tmp_path / "y.txt", np.ones((len(diagonal), 1)))
@@ -462,6 +465,36 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error: numerical failure (") and err.count("\n") == 1
         assert not out_path.exists()
+
+    # inputs past the float range, each refused by name with no warning: a
+    # least-squares start of 1e310 (A = diag(1e-310, 1e-310), y = (1, 1)) and
+    # a pencil of 1e400 (A = [[1e200]])
+    @pytest.mark.parametrize("argv, diagonal, message", [
+        (("solve", "l1"), (1e-310, 1e-310), START_OVERFLOW),
+        (("solve", "lq", "--q", "0.5"), (1e-310, 1e-310), START_OVERFLOW),
+        (("solve", "lq", "--q", "0.5", "--eps", "0.1"), (1e-310, 1e-310), START_OVERFLOW),
+        (("solve", "l0", "--s-max", "1"), (1e-310, 1e-310), START_OVERFLOW),
+        (("drip", "exact", "--s", "1"), (1e200,), PENCIL_OVERFLOW),
+        (("drip", "lower", "--s", "1", "--trials", "3"), (1e200,), PENCIL_OVERFLOW)],
+        ids=["l1 start", "lq start", "lq subnormal", "l0 start", "exact pencil",
+             "lower pencil"])
+    def test_unrepresentable_input_is_one(self, capsys, tmp_path, argv, diagonal, message):
+        save_matrix(tmp_path / "A.txt", np.diag(diagonal))
+        save_matrix(tmp_path / "y.txt", np.ones((len(diagonal), 1)))
+        out_path = tmp_path / "out.json"
+        y = ("--y", str(tmp_path / "y.txt")) if argv[0] == "solve" else ()
+        code, out, err = run(capsys, *argv, "--matrix", str(tmp_path / "A.txt"), *y,
+                             "--out", str(out_path))
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
+        assert not out_path.exists()
+
+    def test_audit_y_of_the_wrong_length_is_one(self, capsys, tmp_path):
+        save_matrix(tmp_path / "A.txt", np.random.default_rng(1).standard_normal((8, 4)))
+        save_matrix(tmp_path / "f.txt", np.ones((4, 1)))
+        code, out, err = run(capsys, "lemmas", "audit", "--matrix", str(tmp_path / "A.txt"),
+                             "--f", str(tmp_path / "f.txt"), "--fhat", str(tmp_path / "f.txt"),
+                             "--s", "1", "--y", str(tmp_path / "f.txt"))
+        assert (code, out, err) == (1, "", "error: y length 4 != m=8\n")
 
     # the solvers' stop rule is a pair of constants, not flags
     @pytest.mark.parametrize("program, flag, value", [

@@ -44,6 +44,32 @@ class TestExactDrip:
         rep = exact_drip(2.0 * np.eye(3), frame, 1)
         assert rep.delta == pytest.approx(3.0, abs=1e-12)
 
+    # K = 1e400 on the identity, and K about 1e320 on a random frame: no
+    # constant can be read off either
+    @pytest.mark.parametrize("frame, a", [
+        (make_identity_frame(1), np.array([[1e200]])),
+        (make_random_tight_frame(4, 7, seed=1), 1e160 * gen_gaussian(9, 4, seed=1))],
+        ids=["identity", "random"])
+    @pytest.mark.parametrize("run", [
+        lambda a, frame: exact_drip(a, frame, 1),
+        lambda a, frame: random_spectrum_extremes(a, frame, 1, 3, seed=0)],
+        ids=["exact", "lower"])
+    def test_refuses_a_pencil_that_overflows(self, run, frame, a):
+        with pytest.raises(ContractViolation, match="the pencil of A on the frame overflows"):
+            run(a, frame)
+
+    # K about 1e200, whose square overflows: the one flat pair of a single
+    # column, and the pair roots of a random frame, scale with K
+    @pytest.mark.parametrize("frame, a, s", [
+        (make_identity_frame(1), np.ones((1, 1)), 1),
+        (make_random_tight_frame(4, 7, seed=1), gen_gaussian(9, 4, seed=1), 2)],
+        ids=["identity", "random"])
+    def test_large_pencil_within_floats(self, frame, a, s):
+        unit, scaled = spectrum_extremes(a, frame, s), spectrum_extremes(1e100 * a, frame, s)
+        assert scaled.lo == pytest.approx(1e200 * unit.lo, rel=1e-12)
+        assert scaled.hi == pytest.approx(1e200 * unit.hi, rel=1e-12)
+        assert (scaled.lo_at, scaled.hi_at) == (unit.lo_at, unit.hi_at)
+
     def test_diag_s1(self):
         rep = exact_drip(np.diag([1.0, 0.5]), make_identity_frame(2), 1)
         assert rep.delta == pytest.approx(0.75, abs=1e-12)
@@ -599,6 +625,15 @@ class TestProof:
         for w in ([1.0, 0.5, -1e-3], [-1e-3, 0.5, 1.0], [2.0, -0.5, 1.0]):
             x = ((q * w) @ q.T)[:, :, None]
             assert not drip._definite(x, 2.0).any()
+
+    def test_failed_blocks_overflow_quietly(self):
+        # s = 7 > n = 3: every block is singular, and past its failed pivot
+        # the elimination squares entries of about 1e40 until they overflow
+        frame = make_random_tight_frame(3, 8, seed=4)
+        a = gen_gaussian(7, 3, seed=4)
+        unit = spectrum_extremes(a, frame, 7)
+        scaled = spectrum_extremes(1e20 * a, frame, 7)
+        assert scaled.hi == pytest.approx(1e40 * unit.hi, rel=1e-12)
 
     # k = 2, scale = 1: c = 16 u = 2^-49, and the elimination of a diagonal
     # block is exact

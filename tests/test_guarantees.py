@@ -564,6 +564,11 @@ class TestAuditLemmas:
         with pytest.raises(ContractViolation, match=match):
             audit_lemmas(frame, a, bad, f, 2, 1.0, model.epsilon, delta, y=model.y)
 
+    def test_y_of_the_wrong_length_rejected(self):
+        frame, a, f, model = _audited_instance(4)
+        with pytest.raises(ContractViolation, match="y length 39 != m=40"):
+            audit_lemmas(frame, a, f, f, 2, 1.0, model.epsilon, 0.1, y=model.y[:-1])
+
     @pytest.mark.parametrize("with_y", [True, False])
     def test_one_and_a_half_slacks_past_eps_is_infeasible(self, with_y):
         # the audit allows the solvers' own slack past eps, eps 1e-6 + 1e-9
