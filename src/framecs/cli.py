@@ -140,96 +140,64 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _frame_for(args, n):
+def _instance(args):
+    """The --matrix A and its frame: the --frame file, or else the identity
+    on A's columns."""
+    a = frames.load_matrix(args.matrix)
     if args.frame:
-        return frames.TightFrame(frames.load_matrix(args.frame))
-    return frames.make_identity_frame(n)
+        return a, frames.TightFrame(frames.load_matrix(args.frame))
+    return a, frames.make_identity_frame(a.shape[1])
 
 
-def _run(args) -> int:
+def _run(args):
+    """The command's JSON payload; None for a command that writes its own file."""
     if args.command == "frame":
         if args.action == "gen":
             fr = frames.make_frame(args.kind, args.n, args.d, args.seed)
             frames.save_matrix(args.out, fr.matrix)
             print("wrote %d x %d frame to %s" % (fr.n, fr.d, args.out))
-        else:
-            m = frames.load_matrix(args.frame)
-            defect = frames.tightness_defect(m)
-            nonzero_columns = bool(np.all(np.linalg.norm(m, axis=0) > 0.0))
-            coherence = None
-            if m.shape[1] >= 2 and nonzero_columns:
-                coherence = frames.column_coherence(m)
-            report = {
-                "n": m.shape[0], "d": m.shape[1],
-                "defect": defect,
+            return None
+        m = frames.load_matrix(args.frame)
+        defect = frames.tightness_defect(m)
+        nonzero_columns = bool(np.all(np.linalg.norm(m, axis=0) > 0.0))
+        coherence = None
+        if m.shape[1] >= 2 and nonzero_columns:
+            coherence = frames.column_coherence(m)
+        return {"n": m.shape[0], "d": m.shape[1], "defect": defect,
                 "nonzero_columns": nonzero_columns,
                 "tight": bool(defect <= frames.TIGHT_TOL and nonzero_columns),
-                "coherence": coherence,
-            }
-            _emit(json_dumps(report), args.out)
-        return 0
+                "coherence": coherence}
 
     if args.command == "sense":
         if args.action == "gen":
             a = sensing.gen_matrix(args.kind, args.m, args.n, args.seed)
             frames.save_matrix(args.out, a)
             print("wrote %d x %d matrix to %s" % (args.m, args.n, args.out))
-        else:
-            nu = _load_vector(args.nu) if args.nu else np.ones(args.n)
-            freq = sensing.concentration_probe(args.kind, args.m, args.n, nu,
-                                               args.delta, args.trials, args.seed)
-            _emit(json_dumps({"empirical_prob": freq, "trials": args.trials,
-                              "m": args.m, "n": args.n, "delta": args.delta}),
-                  args.out)
-        return 0
+            return None
+        nu = _load_vector(args.nu) if args.nu else np.ones(args.n)
+        freq = sensing.concentration_probe(args.kind, args.m, args.n, nu,
+                                           args.delta, args.trials, args.seed)
+        return {"empirical_prob": freq, "trials": args.trials,
+                "m": args.m, "n": args.n, "delta": args.delta}
 
     if args.command == "drip":
-        a = frames.load_matrix(args.matrix)
-        fr = _frame_for(args, a.shape[1])
+        a, fr = _instance(args)
         if args.action == "exact":
-            report = drip.exact_drip(a, fr, args.s)
-        else:
-            report = drip.random_spectrum_extremes(a, fr, args.s, args.trials,
-                                                   args.seed).report(args.s)
-        _emit(json_dumps(report), args.out)
-        return 0
+            return drip.exact_drip(a, fr, args.s)
+        return drip.random_spectrum_extremes(a, fr, args.s, args.trials,
+                                             args.seed).report(args.s)
 
     if args.command == "certify":
-        certs = guarantees.certify(args.delta, args.n, args.s, q_opt=args.q)
-        _emit(json_dumps(certs), args.out)
-        return 0
+        return guarantees.certify(args.delta, args.n, args.s, q_opt=args.q)
 
     if args.command == "solve":
-        a = frames.load_matrix(args.matrix)
-        fr = _frame_for(args, a.shape[1])
-        y = _load_vector(args.y)
-        model = sensing.SensingModel(A=a, y=y, epsilon=args.eps)
+        a, fr = _instance(args)
+        model = sensing.SensingModel(A=a, y=_load_vector(args.y), epsilon=args.eps)
         if args.action == "l1":
-            res = solvers.solve_p1(fr, model)
-        elif args.action == "lq":
-            res = solvers.solve_pq(fr, model, args.q)
-        else:
-            res = solvers.solve_p0_oracle(fr, model, args.s_max)
-        _emit(json_dumps(res), args.out)
-        return 0
-
-    if args.command == "lemmas":
-        a = frames.load_matrix(args.matrix)
-        fr = _frame_for(args, a.shape[1])
-        f = _load_vector(args.f)
-        f_hat = _load_vector(args.fhat)
-        y = _load_vector(args.y) if args.y else None
-        rip = drip.exact_drip(a, fr, 2 * args.s)
-        records = guarantees.audit_lemmas(fr, a, f, f_hat, args.s, args.q,
-                                          args.eps, rip.delta, y=y)
-        payload = {
-            "delta_2s": rip.delta,
-            "records": records,
-            "holds": sum(1 for r in records if r.holds),
-            "total": len(records),
-        }
-        _emit(json_dumps(payload), args.out)
-        return 0
+            return solvers.solve_p1(fr, model)
+        if args.action == "lq":
+            return solvers.solve_pq(fr, model, args.q)
+        return solvers.solve_p0_oracle(fr, model, args.s_max)
 
     if args.command == "experiment":
         if args.format == "csv" and not args.out:
@@ -237,17 +205,23 @@ def _run(args) -> int:
         config = experiment.ExperimentConfig.from_json_file(args.config)
         records = experiment.run_experiment(config)
         if args.format == "json":
-            _emit(json_dumps(records), args.out)
-        else:
-            experiment.write_csv(records, args.out)
-            print("wrote %d records to %s" % (len(records), args.out))
-        return 0
+            return records
+        experiment.write_csv(records, args.out)
+        print("wrote %d records to %s" % (len(records), args.out))
+        return None
 
     if args.command == "compare":
-        _emit(json_dumps(experiment.compare_reported_constants()), args.out)
-        return 0
+        return experiment.compare_reported_constants()
 
-    raise ContractViolation("unknown command %r" % args.command)
+    # lemmas audit, the last command argparse admits
+    a, fr = _instance(args)
+    f, f_hat = _load_vector(args.f), _load_vector(args.fhat)
+    y = _load_vector(args.y) if args.y else None
+    rip = drip.exact_drip(a, fr, 2 * args.s)
+    records = guarantees.audit_lemmas(fr, a, f, f_hat, args.s, args.q,
+                                      args.eps, rip.delta, y=y)
+    return {"delta_2s": rip.delta, "records": records,
+            "holds": sum(1 for r in records if r.holds), "total": len(records)}
 
 
 def cli_main(argv=None) -> int:
@@ -261,7 +235,10 @@ def cli_main(argv=None) -> int:
     except SystemExit as err:  # --help
         return int(err.code or 0)
     try:
-        return _run(args)
+        payload = _run(args)
+        if payload is not None:
+            _emit(json_dumps(payload), args.out)
+        return 0
     except ContractViolation as err:
         print("error: %s" % err, file=sys.stderr)
         return 1

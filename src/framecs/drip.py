@@ -125,7 +125,7 @@ def _chunk_rows(frame: TightFrame, s: int) -> int:
 def _checked(a, frame: TightFrame, s: int) -> np.ndarray:
     a = frame.check_matrix(a)
     if not 1 <= s <= frame.d:
-        raise ContractViolation("s must satisfy 1 <= s <= d")
+        raise ContractViolation("order %d must satisfy 1 <= order <= d = %d" % (s, frame.d))
     return a
 
 

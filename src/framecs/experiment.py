@@ -111,6 +111,8 @@ class ExperimentConfig:
                 "matrix.scale must be a positive number, \"auto_min\" or "
                 "{\"target_delta\": t} with 0 < t < 1, got %r" % (self.matrix.scale,))
         frames.frame_size(self.frame.kind, self.n, self.d)
+        if 2 * self.s > self.d:
+            raise ContractViolation("s = %d needs 2s <= d, got d = %d" % (self.s, self.d))
         if self.signal.mode == "analysis" and self.frame.kind not in ("identity", "dct"):
             raise ContractViolation(
                 "exact-analysis-sparse signals are only offered for orthobasis frames"

@@ -345,10 +345,11 @@ def solve_p0_oracle(frame: TightFrame, model: SensingModel, s_max: int) -> Recov
     [D*; A] each); the first support whose system {D*_{T^c} f = 0, A f = y}
     `_cosupport_solutions` solves within TOL * ||y|| wins, and `iterations`
     is its position (at y = 0 the empty support, exactly).  With no winner
-    up to s_max, f_hat is the minimum-norm solution of A f = y, unconverged.
-    The objective counts the entries of D* f_hat above TOL * ||y|| in
-    magnitude.  Both rules are relative to ||y||, so the search is invariant
-    to the scale of y.
+    up to s_max, f_hat is the minimum-norm solution of A f = y, unconverged;
+    it is formed before the search, so a start that overflows is refused
+    before any support is solved.  The objective counts the entries of
+    D* f_hat above TOL * ||y|| in magnitude.  Both rules are relative to
+    ||y||, so the search is invariant to the scale of y.
     """
     if model.epsilon > 0:
         raise ContractViolation("the l0 oracle is noiseless; got epsilon > 0")
@@ -357,6 +358,7 @@ def solve_p0_oracle(frame: TightFrame, model: SensingModel, s_max: int) -> Recov
         raise ContractViolation("s_max in [0, d] required")
     check_budget(sum(math.comb(d, k) for k in range(s_max + 1)),
                  "sum of C(%d, k) over k <= %d" % (d, s_max))
+    f0 = _span_coordinates(model)[2]
     dmat = frame.matrix
     tol = TOL * float(np.linalg.norm(y))
 
@@ -374,5 +376,5 @@ def solve_p0_oracle(frame: TightFrame, model: SensingModel, s_max: int) -> Recov
                 return result(f[i], tested + i + 1, True, support=idx[i].tolist(),
                               stacked_residual=float(residual[i]))
             tested += len(idx)
-    return result(_span_coordinates(model)[2], tested, False,
+    return result(f0, tested, False,
                   note="no feasible support up to s_max=%d" % s_max)

@@ -37,6 +37,10 @@ OUT_OF_RANGE = (
     (("sense", "probe", "--m", "4", "--n", "3", "--delta", "1"), "delta must be in (0, 1)"),
     (("sense", "probe", "--m", "4", "--n", "3", "--delta", "0.5", "--nu", "{nu}"),
      "nu length 2 != n=3"),
+    (("drip", "exact", "--matrix", "{A}", "--s", "3"),
+     "order 3 must satisfy 1 <= order <= d = 2"),
+    (("lemmas", "audit", "--matrix", "{A}", "--f", "{nu}", "--fhat", "{nu}", "--s", "2"),
+     "order 4 must satisfy 1 <= order <= d = 2"),
 )
 
 # every command that reads a matrix file, with {} for the file
@@ -441,7 +445,8 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, message", OUT_OF_RANGE,
-                             ids=("drip lower", "probe trials", "probe delta", "probe nu"))
+                             ids=("drip lower", "probe trials", "probe delta", "probe nu",
+                                  "drip order", "audit order"))
     def test_out_of_range_is_one(self, capsys, tmp_path, argv, message):
         files = {"A": str(tmp_path / "A.txt"), "nu": str(tmp_path / "nu.txt")}
         save_matrix(files["A"], np.diag([1.0, 0.5]))
@@ -486,6 +491,19 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, "--matrix", str(tmp_path / "A.txt"), *y,
                              "--out", str(out_path))
         assert (code, out, err) == (1, "", "error: %s\n" % message)
+        assert not out_path.exists()
+
+    # a config whose order 2s exceeds d is refused when it loads, before a
+    # trial could reach drip (s = 4) or draw an s-sparse signal (s = 7)
+    @pytest.mark.parametrize("s", [4, 7])
+    def test_order_past_d_is_one(self, capsys, tmp_path, s):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"n": 4, "d": 6, "m": 20, "s": s, "trials": 1}),
+                          encoding="utf-8")
+        out_path = tmp_path / "out.json"
+        code, out, err = run(capsys, "experiment", "run", "--config", str(config),
+                             "--format", "json", "--out", str(out_path))
+        assert (code, out, err) == (1, "", "error: s = %d needs 2s <= d, got d = 6\n" % s)
         assert not out_path.exists()
 
     def test_audit_y_of_the_wrong_length_is_one(self, capsys, tmp_path):

@@ -63,6 +63,13 @@ class TestConfig:
         with pytest.raises(ContractViolation):
             small_config(signal=SignalSpec(mode="analysis", seed=1))
 
+    # every trial computes the order-2s constant, so 2s must fit in the frame:
+    # s = 4 (2s = 8) and s = 7 (past d itself) are refused at d = 6
+    @pytest.mark.parametrize("s", [4, 7])
+    def test_rejects_order_past_d(self, s):
+        with pytest.raises(ContractViolation, match="^s = %d needs 2s <= d, got d = 6$" % s):
+            ExperimentConfig.from_dict({"n": 4, "d": 6, "m": 20, "s": s, "trials": 1})
+
     def test_identity_frame_needs_square(self):
         with pytest.raises(ContractViolation):
             small_config(frame=FrameSpec(kind="identity", seed=0))

@@ -359,14 +359,17 @@ class TestSpanCoordinates:
         assert res.iterations > 0 and "note" not in res.diagnostics
 
     # the rank rule keeps two equal singular values of 1e-310, so the start
-    # has entries 1e310: refused by every program, not returned as NaN
+    # has entries 1e310: refused by every program, not returned as NaN, and
+    # by P0 before it solves any support
     @pytest.mark.parametrize("program, eps", [
         ("p1", 0.0), ("pq", 0.0), ("p0", 0.0), ("p1", 0.1), ("pq", 0.1)])
     def test_refuses_a_start_that_overflows(self, program, eps):
         model = SensingModel(A=np.diag([1e-310, 1e-310]), y=np.ones(2), epsilon=eps)
         solve = {"p1": solve_p1, "pq": lambda fr, m: solve_pq(fr, m, 0.5),
                  "p0": lambda fr, m: solve_p0_oracle(fr, m, 1)}[program]
-        with pytest.raises(ContractViolation, match="the minimum-norm start overflows"):
+        searched = AssertionError("a support was solved before the start was read")
+        with mock.patch.object(solvers, "_cosupport_solutions", side_effect=searched), \
+                pytest.raises(ContractViolation, match="the minimum-norm start overflows"):
             solve(make_identity_frame(2), model)
 
 

@@ -82,7 +82,10 @@ FAULTS = [
     ("oracle iterations omit earlier chunks of the size", SOLV,
      "tested + i + 1", "sum(math.comb(d, k) for k in range(size)) + i + 1"),
     ("oracle returns zero when no support solves", SOLV,
-     "_span_coordinates(model)[2]", "np.zeros(frame.n)"),
+     "return result(f0, tested, False,", "return result(np.zeros(frame.n), tested, False,"),
+    ("P0 searches past a refused start", SOLV, "    f0 = _span_coordinates(model)[2]\n",
+     "    try:\n        f0 = _span_coordinates(model)[2]\n"
+     "    except ContractViolation:\n        f0 = np.full(frame.n, np.nan)\n"),
     ("audit skips the surrogate gate", GUAR, "    if not lq_gate:", "    if False:"),
     ("audit feasibility slack x1000", GUAR, "feas_slack = feasibility_slack(eps)",
      "feas_slack = 1000 * feasibility_slack(eps)"),
@@ -173,6 +176,9 @@ FAULTS = [
      "with np.errstate():\n        for j in range(k):"),
     ("audit accepts y of the wrong length", GUAR,
      "if y.shape[0] != a.shape[0]:", "if False:"),
+    ("identity frame sized by the matrix's rows", CLI,
+     "make_identity_frame(a.shape[1])", "make_identity_frame(a.shape[0])"),
+    ("config admits 2s > d", EXPT, "if 2 * self.s > self.d:", "if False:"),
 ]
 
 # (name, file, text, replacement, why it is no fault); never run
@@ -181,8 +187,11 @@ NON_FAULTS = [
      "q0 is certified, rho_q(delta, q0) < 1, and constants_q still requires rho < 1"),
     ("Newton bracket falls back to its lower end", SOLV,
      "lam = 0.5 * (lo + hi)", "lam = lo",
-     "each Newton step stays inside (lo, hi) in exact arithmetic (_weighted_solve), "
-     "so the fallback only guards round-off and no tier-1 input reaches it"),
+     "each Newton step stays inside (lo, hi) in exact arithmetic (_weighted_solve), so "
+     "the fallback only guards round-off: in tier-1 it runs only in "
+     "test_numerical_failure_is_one[lq huge] (A = diag(1e300, 1e300)), whose solve ends "
+     "in a numerical failure with either fallback, and never in the 2394 weighted solves "
+     "of perfbench's pq_noisy round 0"),
 ]
 
 
