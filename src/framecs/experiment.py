@@ -20,7 +20,7 @@ import numpy as np
 from . import drip, frames, guarantees, sensing, solvers
 from .errors import ContractViolation
 from .rng import derive_seed, rng_from_seed
-from .serialize import format_real
+from .serialize import json_dumps
 
 # the ExperimentRecord fields that form the CSV, in column order: a fixed
 # contract from which the header and both CSV directions derive
@@ -348,15 +348,10 @@ def run_experiment(config: ExperimentConfig) -> List[ExperimentRecord]:
 
 
 def _cell(value) -> str:
+    """The value's JSON scalar, except that None is empty and text unquoted."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_real(value)
-    return str(value)
+    return value if isinstance(value, str) else json_dumps(value)
 
 
 def write_csv(records, path) -> None:

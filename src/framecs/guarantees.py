@@ -274,7 +274,7 @@ def block_partition(x_f, x_h, s: int) -> Tuple[Tuple[int, ...], ...]:
     if x_h.shape[0] != d:
         raise ContractViolation("x_f and x_h must have equal length")
     if not 1 <= s <= d:
-        raise ContractViolation("s must satisfy 1 <= s <= d")
+        raise ContractViolation("s = %d must satisfy 1 <= s <= d = %d" % (s, d))
 
     head = s_term_head(x_f, s)
     rest_mask = np.ones(d, dtype=bool)
@@ -310,11 +310,9 @@ class InequalityAuditRecord:
 def _record(lemma_id: str, lhs: float, rhs: float, **intermediates) -> InequalityAuditRecord:
     slack = rhs - lhs
     holds = slack >= -AUDIT_RTOL * max(1.0, abs(rhs))
-    clean = {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-             for k, v in intermediates.items()}
     return InequalityAuditRecord(lemma_id=lemma_id, lhs=float(lhs), rhs=float(rhs),
                                  slack=float(slack), holds=bool(holds),
-                                 intermediates=clean)
+                                 intermediates={k: float(v) for k, v in intermediates.items()})
 
 
 def _worst_record(lemma_id: str, cases) -> InequalityAuditRecord:
@@ -377,26 +375,19 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
     xh = dmat.T @ h
 
     feas_slack = feasibility_slack(eps)
+    ah_norm = float(np.linalg.norm(a @ h))
     if y is not None:
         y = as_vector(y)
         if y.shape[0] != a.shape[0]:
             raise ContractViolation("y length %d != m=%d" % (y.shape[0], a.shape[0]))
-        res_hat = float(np.linalg.norm(a @ f_hat - y))
-        res_true = float(np.linalg.norm(a @ f - y))
-        if res_hat > eps + feas_slack:
-            raise ContractViolation(
-                "candidate is infeasible: ||A f_hat - y|| = %g > eps = %g" % (res_hat, eps)
-            )
-        if res_true > eps + feas_slack:
-            raise ContractViolation(
-                "true signal is infeasible: ||A f - y|| = %g > eps = %g" % (res_true, eps)
-            )
-    else:
-        ah = float(np.linalg.norm(a @ h))
-        if ah > 2.0 * eps + 2.0 * feas_slack:
-            raise ContractViolation(
-                "||A (f_hat - f)|| = %g exceeds 2 eps = %g" % (ah, 2.0 * eps)
-            )
+        for who, name, g in (("candidate", "f_hat", f_hat), ("true signal", "f", f)):
+            res = float(np.linalg.norm(a @ g - y))
+            if res > eps + feas_slack:
+                raise ContractViolation("%s is infeasible: ||A %s - y|| = %g > eps = %g"
+                                        % (who, name, res, eps))
+    elif ah_norm > 2.0 * eps + 2.0 * feas_slack:
+        raise ContractViolation(
+            "||A (f_hat - f)|| = %g exceeds 2 eps = %g" % (ah_norm, 2.0 * eps))
 
     x_hat = dmat.T @ f_hat
     l1_gate, l1_hat, l1_true = surrogate_gate(x_hat, xf, 1.0)
@@ -483,7 +474,6 @@ def audit_lemmas(frame: TightFrame, a, f, f_hat, s: int, q: float, eps: float,
         * sum_l1_blocks ** 2
     records.append(_record("weighted_tail_energy_l1", tail_energy, rhs_32, omega=omega1))
 
-    ah_norm = float(np.linalg.norm(a @ h))
     records.append(_record("feasibility_gap", ah_norm, 2.0 * eps))
 
     if l1_gate:

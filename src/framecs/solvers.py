@@ -160,13 +160,12 @@ def solve_p1(frame: TightFrame, model: SensingModel) -> RecoveryResult:
     stacked_t = stacked.T
     rhs = np.concatenate([np.zeros(d), y_red])
     # the loop writes into these instead of allocating; the dual (p, r) =
-    # (dual[:d], dual[d:]) and dual_new, like f and f_new, swap each step
+    # (dual[:d], dual[d:]) and dual_new, like f and f_new, swap each step,
+    # so after the loop f and dual hold the last iterate
     image = np.empty(stacked.shape[0])
     dual, dual_new = np.zeros_like(image), np.empty_like(image)
     back, f_new, move = np.empty(n), np.empty(n), np.empty(n)
     f_bar = f.copy()
-    tol = TOL
-    converged = False
     balance = 0.5  # diminishing rebalancing strength
 
     for iterations in range(1, MAX_ITERS + 1):
@@ -202,15 +201,14 @@ def solve_p1(frame: TightFrame, model: SensingModel) -> RecoveryResult:
                 sigma *= 1.0 + balance
                 balance *= 0.95
 
-        if step <= tol * (1.0 + math.sqrt(f.dot(f))):
-            if _residual(a, f_new, y) - eps <= tol:
-                f = f_new
-                converged = True
-                break
+        converged = (step <= TOL * (1.0 + math.sqrt(f.dot(f)))
+                     and _residual(a, f_new, y) - eps <= TOL)
         np.multiply(f_new, 2.0, out=f_bar)
         f_bar -= f
         f, f_new = f_new, f
         dual, dual_new = dual_new, dual
+        if converged:
+            break
 
     return result(f, iterations, converged, step)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -482,8 +483,11 @@ class TestRejections:
         (lambda: certify(0.1, 8, 2, q_opt=1.5), r"q must be in \(0, 1\]"),
         (lambda: block_partition(np.ones(4), np.ones(3), 2), "equal length"),
         (lambda: block_partition(np.ones(4), np.ones(4), 5), "1 <= s <= d"),
+        (lambda: block_partition(np.ones(4), np.ones(4), 5),
+         "s = 5 must satisfy 1 <= s <= d = 4"),
     ], ids=["rho_special delta", "rho_q delta", "rho_q q", "error_bound tail",
-            "error_bound q", "certify n", "certify q", "partition lengths", "partition s"])
+            "error_bound q", "certify n", "certify q", "partition lengths", "partition s",
+            "partition s names s and d"])
     def test_rejects(self, call, message):
         with pytest.raises(ContractViolation, match=message):
             call()
@@ -551,7 +555,8 @@ class TestAuditLemmas:
         frame, a, f, model = _audited_instance(4)
         delta = exact_drip(a, frame, 4).delta
         bad = f + 10.0 * np.ones(frame.n)
-        with pytest.raises(ContractViolation, match="infeasible"):
+        with pytest.raises(ContractViolation,
+                           match=re.escape("candidate is infeasible: ||A f_hat - y||")):
             audit_lemmas(frame, a, f, bad, 2, 1.0, model.epsilon, delta,
                          y=model.y)
 
@@ -579,7 +584,9 @@ class TestAuditLemmas:
         w = np.ones(frame.n)
         gap = (eps + 1.5 * (eps * 1e-6 + 1e-9)) * (1.0 if with_y else 2.0)
         bad = f + w * (gap / np.linalg.norm(a @ w))
-        with pytest.raises(ContractViolation, match="infeasible|exceeds 2 eps"):
+        match = (re.escape("candidate is infeasible: ||A f_hat - y||") if with_y
+                 else "exceeds 2 eps")
+        with pytest.raises(ContractViolation, match=match):
             audit_lemmas(frame, a, f, bad, 2, 1.0, eps, delta,
                          y=a @ f if with_y else None)
 

@@ -133,10 +133,15 @@ FAULTS = [
      "z = direction * (level / np.linalg.norm(direction))", "z = direction"),
     ("CSV None cell written as None", EXPT,
      'if value is None:\n        return ""', 'if value is None:\n        return "None"'),
+    ("CSV text cells quoted", EXPT,
+     "return value if isinstance(value, str) else json_dumps(value)",
+     "return json_dumps(value)"),
     ("unique-point exit at rank n - 1", SOLV,
      "rank == a.shape[1]:", "rank >= a.shape[1] - 1:"),
-    ("CSV booleans written as True/False", EXPT,
-     'return "true" if value else "false"', "return str(value)"),
+    ("JSON and CSV booleans written as True/False", SER,
+     '    elif obj is True:\n        out.append("true")\n    elif obj is False:\n'
+     '        out.append("false")',
+     "    elif isinstance(obj, bool):\n        out.append(str(obj))"),
     ("rng substreams ignore their index", RNG,
      "spawn_key=(int(index),))\n    )", "spawn_key=())\n    )"),
     ("P1 dual clip widened to +-2", SOLV,
@@ -179,6 +184,14 @@ FAULTS = [
     ("identity frame sized by the matrix's rows", CLI,
      "make_identity_frame(a.shape[1])", "make_identity_frame(a.shape[0])"),
     ("config admits 2s > d", EXPT, "if 2 * self.s > self.d:", "if False:"),
+    ("P1 stop test without the residual term", SOLV,
+     "\n                     and _residual(a, f_new, y) - eps <= TOL)", ")"),
+    ("audit feasibility loop without the true signal", GUAR,
+     '(("candidate", "f_hat", f_hat), ("true signal", "f", f))',
+     '(("candidate", "f_hat", f_hat),)'),
+    ("feasibility_gap reads ||A f_hat||", GUAR,
+     '_record("feasibility_gap", ah_norm,',
+     '_record("feasibility_gap", float(np.linalg.norm(a @ f_hat)),'),
 ]
 
 # (name, file, text, replacement, why it is no fault); never run
