@@ -16,11 +16,11 @@ Every public function here is a reduction over one private kernel,
 singular vectors U_T inside its `linalg.numeric_rank` (a basis of range(D_T);
 a TightFrame has no zero column, so no D_T has rank 0) and reads the
 spectrum off eigvalsh(U_T^T A^T A U_T).  A chunk of supports, an index
-array from `support_chunks` (the one enumerator, which the l0 oracle also
-reads), is one batched SVD and one batched eigvalsh (one per rank where
-some D_T is rank-deficient).  A pass keeps only the global extremes of the
-per-support spectra (`SpectrumExtremes`); since scaling A by c maps every
-spectrum by c^2, one pass gives the constant at any scale.
+array from `support_chunks` (the one enumerator, also read by the solvers'
+`_cosupport_chunks`), is one batched SVD and one batched eigvalsh (one per
+rank where some D_T is rank-deficient).  A pass keeps only the global
+extremes of the per-support spectra (`SpectrumExtremes`); since scaling A
+by c maps every spectrum by c^2, one pass gives the constant at any scale.
 
 A pass solves only the supports that could move those extremes.  Where D_T
 has full column rank, the spectrum is that of the pencil (H_T, Phi_T) of the
@@ -66,8 +66,8 @@ ENUMERATION_LIMIT = 10**7
 # Bound on the floats of the kernel's largest temporaries (for a chunk of k
 # supports of size s: the stacked n x s D_T and their bases U_T, and the
 # gathered s x s blocks), k * max(n, s) * s; the exclusion test holds two
-# s x s blocks per support.  The cosupport kernel of the solvers caps its
-# batches of stacked [D*; A] at this many floats (its batched SVD and
+# s x s blocks per support.  The solvers' `_cosupport_chunks` caps its
+# chunks of stacked [D*; A] at this many floats (its batched SVD and
 # pseudo-inverse are a few times that).  Chunks amortize the per-call
 # overhead while peak memory stays flat in C(d, s) and in m.
 CHUNK_FLOATS = 2**15

@@ -9,8 +9,7 @@
                    stationary point, not a certified global minimizer.
   P0 (oracle):     min ||D* f||_0      s.t. A f = y
                    exhaustive support search, noiseless only: the first hit
-                   of the cosupport kernel `_cosupport_solutions` over the
-                   chunks of `drip.support_chunks`.
+                   of the cosupport generator `_cosupport_chunks`.
 
 Both iterative solvers start from one thin SVD of A (`_span_coordinates`),
 share its three early exits and are fully deterministic.
@@ -317,37 +316,43 @@ def solve_pq(frame: TightFrame, model: SensingModel, q: float) -> RecoveryResult
                   {"mu_final": mu, "lambda_final": lam, "levels": levels})
 
 
-def _cosupport_solutions(frame: TightFrame, a, y, supports):
-    """(f, residual, rank) per row T of the index array `supports`: the
-    minimum-norm least-squares solution of {D*_{T^c} f = 0, A f = y} ([D*; A]
-    with the rows of T zeroed), its residual and the system's `numeric_rank`
-    (n: f is the only solution).  One batched SVD; the pseudo-inverse keeps
-    the order of operations of NumPy's own, so f is bit for bit the same."""
+def _cosupport_chunks(frame: TightFrame, a, y, size: int):
+    """(idx, f, residual, rank) per chunk of the supports of `size`, in
+    `support_chunks` order: per row T of idx, the minimum-norm least-squares
+    solution of {D*_{T^c} f = 0, A f = y} ([D*; A] with the rows of T
+    zeroed), its residual and the system's `numeric_rank` (n: f is the only
+    solution).  A chunk stacks at most CHUNK_FLOATS floats of [D*; A] (one
+    support if that is more) in one batched SVD; the pseudo-inverse keeps the
+    order of operations of NumPy's own, so f is bit for bit the same."""
+    stacked = np.vstack([frame.matrix.T, a])
     rhs = np.concatenate([np.zeros(frame.d), y])
-    batch = np.repeat(np.vstack([frame.matrix.T, a])[None], len(supports), axis=0)
-    batch[np.arange(len(supports))[:, None], supports] = 0.0
-    u, svals, vt = np.linalg.svd(batch, full_matrices=False)
-    rank = numeric_rank(svals)
-    kept = np.arange(svals.shape[1]) < rank[:, None]
-    inv = np.divide(1.0, svals, out=np.zeros_like(svals), where=kept)
-    f = (vt.transpose(0, 2, 1) @ (inv[:, :, None] * u.transpose(0, 2, 1))) @ rhs
-    residual = np.linalg.norm((batch @ f[:, :, None])[:, :, 0] - rhs, axis=1)
-    return f, residual, rank
+    for idx in support_chunks(frame.d, size, max(1, CHUNK_FLOATS // stacked.size)):
+        batch = np.repeat(stacked[None], len(idx), axis=0)
+        batch[np.arange(len(idx))[:, None], idx] = 0.0
+        u, svals, vt = np.linalg.svd(batch, full_matrices=False)
+        rank = numeric_rank(svals)
+        kept = np.arange(svals.shape[1]) < rank[:, None]
+        inv = np.divide(1.0, svals, out=np.zeros_like(svals), where=kept)
+        f = (vt.transpose(0, 2, 1) @ (inv[:, :, None] * u.transpose(0, 2, 1))) @ rhs
+        residual = np.linalg.norm((batch @ f[:, :, None])[:, :, 0] - rhs, axis=1)
+        yield idx, f, residual, rank
 
 
 def solve_p0_oracle(frame: TightFrame, model: SensingModel, s_max: int) -> RecoveryResult:
     """Exhaustive search for the sparsest analysis representation.
 
     Supports are enumerated in increasing size, lexicographically within a
-    size, in chunks of `support_chunks` (at most CHUNK_FLOATS floats of
-    [D*; A] each); the first support whose system {D*_{T^c} f = 0, A f = y}
-    `_cosupport_solutions` solves within TOL * ||y|| wins, and `iterations`
-    is its position (at y = 0 the empty support, exactly).  With no winner
+    size (`_cosupport_chunks`); the first whose system {D*_{T^c} f = 0,
+    A f = y} is solved within TOL * ||y|| wins, and `iterations` is its
+    position (at y = 0 the empty support, exactly).  With no winner
     up to s_max, f_hat is the minimum-norm solution of A f = y, unconverged;
     it is formed before the search, so a start that overflows is refused
     before any support is solved.  The objective counts the entries of
     D* f_hat above TOL * ||y|| in magnitude.  Both rules are relative to
-    ||y||, so the search is invariant to the scale of y.
+    ||y||, so the search is invariant to the scale of y.  It runs on y / 2^e,
+    2^e > max |y|, where ||y|| is a float at any scale, and scales f_hat and
+    the stacked residual back (a power of two changes no bit short of
+    underflow), refusing a point that overflows.
     """
     if model.epsilon > 0:
         raise ContractViolation("the l0 oracle is noiseless; got epsilon > 0")
@@ -356,23 +361,33 @@ def solve_p0_oracle(frame: TightFrame, model: SensingModel, s_max: int) -> Recov
         raise ContractViolation("s_max in [0, d] required")
     check_budget(sum(math.comb(d, k) for k in range(s_max + 1)),
                  "sum of C(%d, k) over k <= %d" % (d, s_max))
-    f0 = _span_coordinates(model)[2]
-    dmat = frame.matrix
+    exp = int(np.frexp(np.abs(y).max(initial=0.0))[1])
+    y = np.ldexp(y, -exp)
     tol = TOL * float(np.linalg.norm(y))
+    dmat = frame.matrix
+
+    def unscaled(f):
+        with np.errstate(over="ignore"):
+            f = np.ldexp(f, exp)
+        if not np.isfinite(f).all():
+            raise ContractViolation("the l0 oracle's point overflows at max |y| = %g"
+                                    % np.abs(model.y).max())
+        return f
 
     def result(f, iterations, converged, **diagnostics):
-        return _result(model, f, iterations, converged, PROGRAM_P0,
+        # f solves the scaled search, whose cutoff the count reads
+        return _result(model, unscaled(f), iterations, converged, PROGRAM_P0,
                        float(np.count_nonzero(np.abs(dmat.T @ f) > tol)), diagnostics)
 
-    rows = max(1, CHUNK_FLOATS // ((d + a.shape[0]) * frame.n))
+    f0 = _span_coordinates(SensingModel(a, y, 0.0))[2]
+    unscaled(f0)  # refused here, before the search, if it overflows
     tested = 0
     for size in range(s_max + 1):
-        for idx in support_chunks(d, size, rows):
-            f, residual, _ = _cosupport_solutions(frame, a, y, idx)
+        for idx, f, residual, _ in _cosupport_chunks(frame, a, y, size):
             i = int(np.argmax(residual <= tol))  # the first hit, if any
             if residual[i] <= tol:
                 return result(f[i], tested + i + 1, True, support=idx[i].tolist(),
-                              stacked_residual=float(residual[i]))
+                              stacked_residual=float(np.ldexp(residual[i], exp)))
             tested += len(idx)
     return result(f0, tested, False,
                   note="no feasible support up to s_max=%d" % s_max)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from framecs import solvers
-from framecs.drip import exact_drip, support_chunks, support_spectrum_range
+from framecs.drip import exact_drip, support_spectrum_range
 from framecs.errors import ContractViolation
 from framecs.experiment import _draw_signal
 from framecs.frames import make_dct_frame, make_identity_frame, make_random_tight_frame
 from framecs.guarantees import error_bound, constants_general, threshold_general
+from framecs.linalg import numeric_rank
 from framecs.sensing import SensingModel, gen_gaussian, measure
 from framecs.solvers import (
     CONTINUATION_FACTOR,
@@ -368,7 +369,7 @@ class TestSpanCoordinates:
         solve = {"p1": solve_p1, "pq": lambda fr, m: solve_pq(fr, m, 0.5),
                  "p0": lambda fr, m: solve_p0_oracle(fr, m, 1)}[program]
         searched = AssertionError("a support was solved before the start was read")
-        with mock.patch.object(solvers, "_cosupport_solutions", side_effect=searched), \
+        with mock.patch.object(solvers, "_cosupport_chunks", side_effect=searched), \
                 pytest.raises(ContractViolation, match="the minimum-norm start overflows"):
             solve(make_identity_frame(2), model)
 
@@ -613,16 +614,29 @@ class TestP0MatchesThePerSupportLoop:
         assert res.iterations == sum(math.comb(d, k) for k in range(s_max + 1))
         assert res.diagnostics == {"note": "no feasible support up to s_max=%d" % s_max}
 
-    @pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-9, 1e-3, 1.0, 1e4, 1e6, 1e8, 1e160])
     def test_hit_rule_is_relative_to_y(self, scale):
         # the (12, 9) DCT case with y scaled: an absolute residual cutoff of
         # 1e-9 found its planted support at 1e4 but not at 1e6 or 1e8, and a
-        # cutoff of 1e-9 max(1, ||y||) took the empty support at 1e-9
+        # cutoff of 1e-9 max(1, ||y||) took the empty support at 1e-9; a
+        # cutoff of 1e-9 ||y|| took it where ||y||^2 leaves floats (1e-170,
+        # 1e-300 and 1e160)
         frame, model = p0_instance(*self.HITS[1][:5], self.HITS[1][6])
         res = solve_p0_oracle(frame, SensingModel(model.A, model.y * scale, 0.0), 2)
         assert res.converged
         assert res.diagnostics["support"] == [3, 8]
         assert res.objective == 2.0
+
+    # both points are finite on y / 2^e and overflow scaled back: the start of
+    # A = diag(1e-300, 1e-300), y = (1e10, 1e10), and the first hit of
+    # A = (1e-5, 1), y = 1e305, support [0] with f_0 = 1e310
+    @pytest.mark.parametrize("a, y", [(np.diag([1e-300, 1e-300]), [1e10, 1e10]),
+                                      (np.array([[1e-5, 1.0]]), [1e305])],
+                             ids=["start", "hit"])
+    def test_refuses_a_point_that_overflows(self, a, y):
+        model = SensingModel(a, np.array(y), 0.0)
+        with pytest.raises(ContractViolation, match="the l0 oracle's point overflows"):
+            solve_p0_oracle(make_identity_frame(2), model, 1)
 
 
 def vertex_l1_minimum(frame, a, y):
@@ -630,12 +644,12 @@ def vertex_l1_minimum(frame, a, y):
     feasible set is a polyhedron with no line (D* is injective), and the
     objective is linear on it, so the minimum sits at a vertex: a cosupport
     of size n - rank A whose system {D*_cosupport f = 0, A f = y} has rank n.
-    `_cosupport_solutions` solves every such system, a support (the
+    `_cosupport_chunks` solves every such system, a support (the
     complement of a cosupport) per row: (minimum, vertices)."""
     n, d = frame.n, frame.d
+    size = d - (n - numeric_rank(np.linalg.svd(a, compute_uv=False)))
     best, vertices = math.inf, 0
-    for idx in support_chunks(d, d - (n - np.linalg.matrix_rank(a)), 128):
-        f, residual, rank = solvers._cosupport_solutions(frame, a, y, idx)
+    for _, f, residual, rank in solvers._cosupport_chunks(frame, a, y, size):
         f = f[rank == n]
         assert np.all(residual[rank == n] <= 1e-9 * np.linalg.norm(y))
         if len(f):
@@ -669,14 +683,19 @@ class TestP1MeetsTheVertexOptimum:
 
     def test_rank_is_that_of_the_stacked_system(self):
         # A with two repeated rows: rank 8 on 10 rows, so the stacked systems
-        # of supports of sizes 8, 9 and 10 have rank 12, 11 and 10
+        # of supports of sizes 8, 9 and 10 have rank 12, 11 and 10; the
+        # chunks cover the supports in order, each within CHUNK_FLOATS
         frame, a = make_dct_frame(12), gen_gaussian(8, 12, seed=0)
         a = np.vstack([a, a[:2]])
         y = a @ np.ones(12)
         ranks = set()
         for size in (8, 9, 10):
-            for idx in support_chunks(12, size, 64):
-                _, _, rank = solvers._cosupport_solutions(frame, a, y, idx)
+            chunks = list(solvers._cosupport_chunks(frame, a, y, size))
+            assert np.concatenate([c[0] for c in chunks]).tolist() == [
+                list(t) for t in combinations(range(12), size)]
+            assert all(len(idx) == 1 or len(idx) * (12 + 10) * 12 <= solvers.CHUNK_FLOATS
+                       for idx, *_ in chunks)
+            for idx, _, _, rank in chunks:
                 for support, r in zip(idx, rank):
                     cosupport = [i for i in range(12) if i not in support]
                     stacked = np.vstack([frame.matrix[:, cosupport].T, a])

@@ -27,6 +27,8 @@ DRIP, GUAR, SOLV = "src/framecs/drip.py", "src/framecs/guarantees.py", "src/fram
 EXPT, SER, SENS = "src/framecs/experiment.py", "src/framecs/serialize.py", "src/framecs/sensing.py"
 LINALG, FRAMES, CLI = "src/framecs/linalg.py", "src/framecs/frames.py", "src/framecs/cli.py"
 RNG = "src/framecs/rng.py"
+P0_SCALED_TOL = ("exp = int(np.frexp(np.abs(y).max(initial=0.0))[1])\n"
+                 "    y = np.ldexp(y, -exp)\n    tol = TOL * float(np.linalg.norm(y))")
 
 # (name, file, text, replacement); text occurs exactly once in the file
 FAULTS = [
@@ -83,9 +85,12 @@ FAULTS = [
      "tested + i + 1", "sum(math.comb(d, k) for k in range(size)) + i + 1"),
     ("oracle returns zero when no support solves", SOLV,
      "return result(f0, tested, False,", "return result(np.zeros(frame.n), tested, False,"),
-    ("P0 searches past a refused start", SOLV, "    f0 = _span_coordinates(model)[2]\n",
-     "    try:\n        f0 = _span_coordinates(model)[2]\n"
-     "    except ContractViolation:\n        f0 = np.full(frame.n, np.nan)\n"),
+    ("P0 searches past a refused start", SOLV,
+     "    f0 = _span_coordinates(SensingModel(a, y, 0.0))[2]\n    unscaled(f0)",
+     "    try:\n        f0 = _span_coordinates(SensingModel(a, y, 0.0))[2]\n"
+     "    except ContractViolation:\n        f0 = np.full(frame.n, np.nan)\n    pass"),
+    ("P0 hit rule on unscaled y", SOLV,
+     "exp = int(np.frexp(np.abs(y).max(initial=0.0))[1])", "exp = 0"),
     ("audit skips the surrogate gate", GUAR, "    if not lq_gate:", "    if False:"),
     ("audit feasibility slack x1000", GUAR, "feas_slack = feasibility_slack(eps)",
      "feas_slack = 1000 * feasibility_slack(eps)"),
@@ -96,11 +101,14 @@ FAULTS = [
     ("audit z23 images take rows 2:5", GUAR,
      "dz[2:4].sum(axis=0), adz[2:4].sum(axis=0)", "dz[2:5].sum(axis=0), adz[2:5].sum(axis=0)"),
     ("special regime ignores n <= 4 s", GUAR, "other_holds=n <= 4 * s", "other_holds=True"),
-    ("oracle hit rule absolute in y", SOLV, "tol = TOL * float(np.linalg.norm(y))", "tol = TOL"),
-    ("oracle hit rule absolute below ||y|| = 1", SOLV, "tol = TOL * float(np.linalg.norm(y))",
-     "tol = TOL * max(1.0, float(np.linalg.norm(y)))"),
+    # the two absolute hit rules read the unscaled y, as an absolute rule would
+    ("oracle hit rule absolute in y", SOLV, P0_SCALED_TOL, "exp = 0\n    tol = TOL"),
+    ("oracle hit rule absolute below ||y|| = 1", SOLV, P0_SCALED_TOL,
+     "exp = 0\n    tol = TOL * max(1.0, float(np.linalg.norm(y)))"),
     ("cosupport kernel reports every system as full rank", SOLV,
-     "    return f, residual, rank", "    return f, residual, np.full_like(rank, frame.n)"),
+     "yield idx, f, residual, rank", "yield idx, f, residual, np.full_like(rank, frame.n)"),
+    ("cosupport chunks exceed CHUNK_FLOATS", SOLV,
+     "max(1, CHUNK_FLOATS // stacked.size)", "max(1, 2 * CHUNK_FLOATS // stacked.size)"),
     ("unconverged solve reported as converged", EXPT,
      "elif not res.converged:", "elif False:"),
     ("shape check refuses only extra columns", FRAMES,
