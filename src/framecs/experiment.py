@@ -364,16 +364,23 @@ def write_csv(records, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_cell(cell: str, hint):
+def _parse_cell(cell: str, hint, where: str):
     """Inverse of _cell for a column of type hint; "" is None when the
-    hint is Optional."""
+    hint is Optional.  A cell that _cell never writes is refused, naming
+    `where`: an empty one in a column that cannot be null, a bool other
+    than true or false, a number that does not parse or a non-finite real."""
     if typing.get_origin(hint) is typing.Union:
         if cell == "":
             return None
         hint = typing.get_args(hint)[0]
-    if hint is bool:
-        return cell == "true"
-    return hint(cell)
+    try:
+        value = {"true": True, "false": False}[cell] if hint is bool else hint(cell)
+    except (KeyError, ValueError):
+        value = None
+    if value in (None, "") or hint is float and not math.isfinite(value):
+        raise ContractViolation("%s: %r is not %s" % (where, cell, {
+            bool: "true or false", str: "text", int: "an integer", float: "a finite real"}[hint]))
+    return value
 
 
 def read_csv(path) -> List[types.SimpleNamespace]:
@@ -384,14 +391,15 @@ def read_csv(path) -> List[types.SimpleNamespace]:
         raise ContractViolation("unexpected CSV header in %s" % path)
     hints = typing.get_type_hints(ExperimentRecord)
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], 2):
         if not line:
             continue
         cells = line.split(",")
         if len(cells) != len(CSV_COLUMNS):
             raise ContractViolation("bad CSV row: %r" % line)
-        rows.append(types.SimpleNamespace(**{name: _parse_cell(c, hints[name])
-                                             for name, c in zip(CSV_COLUMNS, cells)}))
+        rows.append(types.SimpleNamespace(**{
+            name: _parse_cell(c, hints[name], "%s line %d, column %s" % (path, lineno, name))
+            for name, c in zip(CSV_COLUMNS, cells)}))
     return rows
 
 

@@ -211,8 +211,8 @@ def load_matrix(path) -> np.ndarray:
 
     Raises ContractViolation naming the file and line on bytes that are not
     UTF-8, a header that is not two positive integers, a row with the wrong
-    number of entries or a non-numeric one, and rows missing or past the
-    declared count.
+    number of entries or a non-numeric or non-finite one, and rows missing
+    or past the declared count.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -243,4 +243,6 @@ def load_matrix(path) -> np.ndarray:
         except ValueError:
             raise ContractViolation("%s line %d: an entry is not a number"
                                     % (path, i + 2)) from None
+        if not np.isfinite(out[i]).all():
+            raise ContractViolation("%s line %d: an entry is not finite" % (path, i + 2))
     return out

@@ -118,7 +118,7 @@ def _span_coordinates(model: SensingModel):
 
 
 def solve_p1(frame: TightFrame, model: SensingModel) -> RecoveryResult:
-    """Primal-dual splitting for the constrained l1 analysis program.
+    """Chambolle-Pock primal-dual splitting for the constrained l1 analysis program.
 
     The loop starts from f0 of `_span_coordinates` and runs on its data
     term: the eps-ball dual never leaves span(A, y), so with
@@ -139,8 +139,7 @@ def solve_p1(frame: TightFrame, model: SensingModel) -> RecoveryResult:
     note.
     """
     a, y, eps = frame.check_matrix(model.A), model.y, model.epsilon
-    dmat = frame.matrix
-    d, n = frame.d, frame.n
+    dmat, d = frame.matrix, frame.d
 
     a_red, y_red, f, norm_a, exit_note = _span_coordinates(model)
     big_k = math.sqrt(1.0 + (norm_a * (1.0 + 1e-6)) ** 2)
@@ -158,37 +157,27 @@ def solve_p1(frame: TightFrame, model: SensingModel) -> RecoveryResult:
     stacked = np.vstack([dmat.T, a_red])
     stacked_t = stacked.T
     rhs = np.concatenate([np.zeros(d), y_red])
-    # the loop writes into these instead of allocating; the dual (p, r) =
-    # (dual[:d], dual[d:]) and dual_new, like f and f_new, swap each step,
-    # so after the loop f and dual hold the last iterate
-    image = np.empty(stacked.shape[0])
-    dual, dual_new = np.zeros_like(image), np.empty_like(image)
-    back, f_new, move = np.empty(n), np.empty(n), np.empty(n)
-    f_bar = f.copy()
+    # the dual (p, r) = (dual[:d], dual[d:]); f is never written in place
+    dual = np.zeros(stacked.shape[0])
+    f_bar = f
     balance = 0.5  # diminishing rebalancing strength
 
     for iterations in range(1, MAX_ITERS + 1):
-        # dual_new = dual + sigma (K f_bar - rhs); then its p block is clipped
-        # to [-1, 1] and its r block shrunk onto the eps-ball dual
-        stacked.dot(f_bar, out=image)
-        np.subtract(image, rhs, out=dual_new)
-        dual_new *= sigma
-        dual_new += dual
+        dual_new = (stacked.dot(f_bar) - rhs) * sigma + dual
+        # its p block is clipped to [-1, 1], its r block shrunk onto the eps-ball dual
         p_new, r_new = dual_new[:d], dual_new[d:]
         np.minimum(np.maximum(p_new, -1.0, out=p_new), 1.0, out=p_new)
         norm_w = math.sqrt(r_new.dot(r_new))
         if norm_w > 0.0 and eps > 0.0:
             r_new *= max(0.0, 1.0 - sigma * eps / norm_w)
-        stacked_t.dot(dual_new, out=back)
-        back *= tau
-        np.subtract(f, back, out=f_new)
-        np.subtract(f_new, f, out=move)
+        f_new = f - stacked_t.dot(dual_new) * tau
+        move = f_new - f
         step = math.sqrt(move.dot(move))
 
         if iterations % 10 == 0 and balance > 1e-4:
-            f_diff, dual_diff = f - f_new, dual - dual_new
-            primal_gap = f_diff / tau - stacked_t @ dual_diff
-            dual_gap = dual_diff / sigma - stacked @ f_diff
+            dual_diff = dual - dual_new
+            primal_gap = move / tau + stacked_t @ dual_diff
+            dual_gap = dual_diff / sigma + stacked @ move
             primal_res = math.sqrt(primal_gap.dot(primal_gap))
             dual_res = math.sqrt(dual_gap.dot(dual_gap))
             if primal_res > 2.0 * dual_res:
@@ -202,10 +191,8 @@ def solve_p1(frame: TightFrame, model: SensingModel) -> RecoveryResult:
 
         converged = (step <= TOL * (1.0 + math.sqrt(f.dot(f)))
                      and _residual(a, f_new, y) - eps <= TOL)
-        np.multiply(f_new, 2.0, out=f_bar)
-        f_bar -= f
-        f, f_new = f_new, f
-        dual, dual_new = dual_new, dual
+        f_bar = f_new * 2.0 - f
+        f, dual = f_new, dual_new
         if converged:
             break
 

@@ -16,7 +16,7 @@ MALFORMED_SCALES = ('"bogus"', "-1", "0", "true", "NaN", '{"target_delta": 2}',
 MALFORMED_MATRICES = ((b"x y\n1 2\n", 1), (b"-1 2\n", 1), (b"0 2\n", 1), (b"", 1),
                       (b"1 2\n1 abc\n", 2), (b"1 2\n1 2 3\n", 2),
                       (b"1 2\n1 2\n3 4\n", 3), (b"2 2\n1 2\n", 3),
-                      (b"1 2\n1 \xff\n", 2))
+                      (b"1 2\n1 \xff\n", 2), (b"1 2\n1 nan\n", 2), (b"2 1\n1\n-inf\n", 3))
 
 # solve commands with a noise budget that is not a finite number
 NON_FINITE_SOLVES = [(program, "--eps", value)

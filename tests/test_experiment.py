@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -369,6 +370,28 @@ class TestCsv:
         (tmp_path / "bad.csv").write_text(CSV_HEADER + "\n0,8,12\n", encoding="utf-8")
         with pytest.raises(ContractViolation, match="bad CSV row: '0,8,12'"):
             read_csv(tmp_path / "bad.csv")
+
+    @pytest.mark.parametrize("column, cell, kind", [
+        ("within_bound", "maybe", "true or false"),
+        ("iters", "12.5", "an integer"), ("trial", "", "an integer"),
+        ("eps", "0.1x", "a finite real"), ("eps", "inf", "a finite real"),
+        ("rho", "nan", "a finite real"), ("tail", "", "a finite real"),
+        ("regime", "", "text")])
+    def test_parse_refuses_a_cell_write_csv_never_writes(self, tmp_path, column, cell, kind):
+        rec = ExperimentRecord(
+            trial=0, seeds={}, n=8, d=12, m=128, s=2, q=None, eps=0.05, delta_2s=0.3,
+            drip_method="exact", regime="general_l1", applicable=True, rho=0.5, C0=2.0,
+            C1=3.0, q0=None, tail=0.0, err_l2=0.01, bound=0.2, within_bound=True,
+            iters=100, status="ok", audit_pass=0, audit_total=0)
+        path = tmp_path / "bad.csv"
+        write_csv([rec, rec], path)
+        header, first, second = path.read_text(encoding="utf-8").splitlines()
+        cells = second.split(",")
+        cells[CSV_COLUMNS.index(column)] = cell
+        path.write_text("\n".join([header, first, ",".join(cells)]) + "\n", encoding="utf-8")
+        message = "%s line 3, column %s: %r is not %s" % (path, column, cell, kind)
+        with pytest.raises(ContractViolation, match=re.escape(message)):
+            read_csv(path)
 
 
 class TestIntroComparison:

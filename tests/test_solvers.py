@@ -705,9 +705,9 @@ class TestP1MeetsTheVertexOptimum:
 
 
 def reference_p1_loop(frame, model):
-    """The primal-dual loop of `solve_p1` written with fresh arrays, np.clip,
-    np.concatenate and np.linalg.norm: (f_hat, iterations, objective,
-    objective_trace, tau)."""
+    """The primal-dual loop of `solve_p1` on the full data term (A, y), not in
+    span(A, y) coordinates, returning its best feasible iterate, not its
+    last: (f_hat, iterations, objective, objective_trace, tau)."""
     max_iters, tol = MAX_ITERS, TOL
     a, y, eps = model.A, model.y, model.epsilon
     dmat = frame.matrix
@@ -763,9 +763,9 @@ def reference_p1_loop(frame, model):
 
 
 class TestLeanP1Step:
-    # tolerances fixed before measuring: solve_p1 runs the loop in span(A, y)
-    # coordinates and returns its final iterate, the reference loop runs in
-    # the full space and returns its best feasible iterate
+    # the same steps, save that solve_p1 runs in span(A, y) coordinates and
+    # returns its last iterate, the reference in the full space returning its
+    # best feasible one; tolerances fixed before measuring
     OBJECTIVE_RTOL = 1e-12
     F_HAT_TOL = 1e-9
 

@@ -8,8 +8,9 @@ fault's text there, and run the suite with -x and a fixed hypothesis seed,
 so that verdicts repeat from run to run.  A fault is killed when the suite
 fails (the first failing test is printed) and survived when it passes.  No
 file of the checkout is edited.  A fault whose text does not occur exactly
-once in its file is stale (an edit disarmed it): the census names every
-stale fault, and every NAME_SUBSTRING that names no fault, and exits 1
+once in its file is stale (an edit disarmed it): every run checks every
+entry of FAULTS and NON_FAULTS, chosen or not, prints their counts, names
+every stale entry and every NAME_SUBSTRING that names no fault, and exits 1
 before running any suite.  After the runs it exits 1 if any chosen fault
 survived, so a full run exits 0 only when every fault is killed.  Edits
 that change no result, and so survive by design, are kept with the reason
@@ -176,7 +177,9 @@ FAULTS = [
      "rhs = np.concatenate([np.zeros(d), y_red])",
      "rhs = np.concatenate([np.zeros(d), 0.0 * y_red])"),
     ("P1 balance test reads dual_new twice", SOLV,
-     "f - f_new, dual - dual_new", "f - f_new, dual_new - dual_new"),
+     "dual_diff = dual - dual_new", "dual_diff = dual_new - dual_new"),
+    ("P1 takes no extrapolation step", SOLV, "f_bar = f_new * 2.0 - f", "f_bar = f_new"),
+    ("P1 dual step drops the previous dual", SOLV, "* sigma + dual", "* sigma"),
     ("Pq level test reads the level's end twice", SOLV,
      "np.linalg.norm(f - f_start)", "np.linalg.norm(f - f)"),
     ("unrepresentable start accepted", SOLV, "if not np.isfinite(f0).all():", "if False:"),
@@ -242,7 +245,8 @@ def run(path, text, replacement):
 if __name__ == "__main__":
     names = sys.argv[1:]
     chosen = [f for f in FAULTS if not names or any(n in f[0] for n in names)]
-    gone = [f for f in chosen + NON_FAULTS if stale(f[1], f[2])]
+    gone = [f for f in FAULTS + NON_FAULTS if stale(f[1], f[2])]
+    print("%d faults, %d non-faults, %d stale" % (len(FAULTS), len(NON_FAULTS), len(gone)))
     for fault in gone:
         print("%-50s stale: its text does not occur exactly once in %s" % (fault[0], fault[1]))
     unknown = [n for n in names if not any(n in f[0] for f in FAULTS)]
